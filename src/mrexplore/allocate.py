@@ -98,6 +98,20 @@ def update_rewards(
     return RewardMatrix(rows, matrix.owner), True
 
 
+def chosen_cells(state: AllocationState, cell_key) -> set:
+    """Cells of the goals already handed out. select_goal never assigns a
+    point whose cell is in this set."""
+    return {cell_key(c) for c in state.chosen_coords}
+
+
+def any_open(points, state: AllocationState, cell_key) -> bool:
+    """Whether some point lies outside every chosen cell. When none does,
+    select_goal can only raise NoAssignableGoal, whatever the rewards, so a
+    caller may answer "no goal" without scoring the points."""
+    taken = chosen_cells(state, cell_key)
+    return any(cell_key(p) not in taken for p in points)
+
+
 def select_goal(
     matrix: RewardMatrix,
     state: AllocationState,
@@ -113,7 +127,7 @@ def select_goal(
     if state.chosen_coords:
         matrix, _ = update_rewards(state.chosen_coords, matrix, cell_key)
 
-    chosen_cells = {cell_key(c) for c in state.chosen_coords}
+    taken = chosen_cells(state, cell_key)
     suppressed = set()
     while True:
         best_i, best_r = -1, SUPPRESSED
@@ -125,7 +139,7 @@ def select_goal(
         if best_i < 0:
             raise NoAssignableGoal("no assignable goal")
         winner = matrix.rows[best_i].point
-        if cell_key(winner) in chosen_cells:
+        if cell_key(winner) in taken:
             suppressed.add(best_i)
             continue
         state.chosen_coords.append(winner)

@@ -42,7 +42,10 @@ class ScenarioConfig:
 
     def load_world(self) -> GroundTruthMap:
         if self.map_source.startswith("builtin:"):
-            return make_world(self.map_source.split(":", 1)[1])
+            try:
+                return make_world(self.map_source.split(":", 1)[1])
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
         if not os.path.exists(self.map_source):
             raise ConfigError(f"map file not found: {self.map_source}")
         try:
@@ -60,7 +63,11 @@ class ScenarioConfig:
         if self.start_poses is not None:
             starts = self.start_poses
         elif self.map_source.startswith("builtin:"):
-            starts = default_starts(self.map_source.split(":", 1)[1], self.robot_count)
+            try:
+                starts = default_starts(self.map_source.split(":", 1)[1],
+                                        self.robot_count)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
         else:
             raise ConfigError("start_poses is required for file-based maps")
         if len(starts) != self.robot_count:
@@ -87,14 +94,27 @@ class ScenarioConfig:
             raise ConfigError(f"unknown method {self.method!r}; have {METHODS}")
         if self.robot_count < 1:
             raise ConfigError("need at least one robot")
-        if self.max_sim_time <= 0 or self.dt <= 0 or self.speed <= 0:
-            raise ConfigError("max_sim_time, dt and speed must be positive")
-        if self.beam_count < 4 or self.max_range <= 0:
-            raise ConfigError("need beam_count >= 4 and positive max_range")
+        if not all(_positive(v) for v in (self.max_sim_time, self.dt, self.speed)):
+            raise ConfigError("max_sim_time, dt and speed must be finite and positive")
+        if self.beam_count < 4 or not _positive(self.max_range):
+            raise ConfigError("need beam_count >= 4 and finite positive max_range")
         if self.goal_skip_wait < 1:
             raise ConfigError("goal_skip_wait must be >= 1")
         if self.inflation_cells < 0:
             raise ConfigError("inflation_cells must be >= 0")
+
+
+def _positive(value: float) -> bool:
+    return math.isfinite(value) and value > 0
+
+
+def _finite(text: str) -> float:
+    """float() that rejects nan and inf, so no config value can carry one
+    into the run."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be a finite number, got {text.strip()!r}")
+    return value
 
 
 def _parse_poses(text: str) -> list[tuple[float, float, float]]:
@@ -106,7 +126,10 @@ def _parse_poses(text: str) -> list[tuple[float, float, float]]:
         parts = [p for p in chunk.replace(",", " ").split() if p]
         if len(parts) != 3:
             raise ConfigError(f"bad pose triple: {chunk!r}")
-        poses.append((float(parts[0]), float(parts[1]), float(parts[2])))
+        try:
+            poses.append(tuple(_finite(p) for p in parts))
+        except ValueError as exc:
+            raise ConfigError(f"bad pose triple: {chunk!r}: {exc}") from exc
     return poses
 
 
@@ -138,31 +161,31 @@ def load_config(path: str) -> ScenarioConfig:
         cfg.start_poses = _parse_poses(parser.get("scenario", "start_poses"))
     cfg.method = get("scenario", "method", str, cfg.method).strip()
     cfg.seed = get("scenario", "seed", int, cfg.seed)
-    cfg.speed = get("scenario", "speed", float, cfg.speed)
-    cfg.dt = get("scenario", "dt", float, cfg.dt)
-    cfg.max_sim_time = get("scenario", "max_sim_time", float, cfg.max_sim_time)
+    cfg.speed = get("scenario", "speed", _finite, cfg.speed)
+    cfg.dt = get("scenario", "dt", _finite, cfg.dt)
+    cfg.max_sim_time = get("scenario", "max_sim_time", _finite, cfg.max_sim_time)
 
     cfg.beam_count = get("lidar", "beam_count", int, cfg.beam_count)
-    cfg.max_range = get("lidar", "max_range", float, cfg.max_range)
+    cfg.max_range = get("lidar", "max_range", _finite, cfg.max_range)
 
     try:
         cfg.filter_params = FilterParams(
-            rad=get("filter", "rad", float, 1.0),
-            per_unk=get("filter", "per_unk", float, 60.0),
+            rad=get("filter", "rad", _finite, 1.0),
+            per_unk=get("filter", "per_unk", _finite, 60.0),
             min_pts=get("filter", "min_pts", int, 0),
             max_pts=get("filter", "max_pts", int, 10),
-            rad_step=get("filter", "rad_step", float, 0.25),
-            perc_step=get("filter", "perc_step", float, 10.0),
+            rad_step=get("filter", "rad_step", _finite, 0.25),
+            perc_step=get("filter", "perc_step", _finite, 10.0),
         )
         cfg.utility_params = UtilityParams(
-            decay_rate=get("utility", "decay_rate", float, 0.1),
-            u1_weight=get("utility", "u1_weight", float, 1.0),
+            decay_rate=get("utility", "decay_rate", _finite, 0.1),
+            u1_weight=get("utility", "u1_weight", _finite, 1.0),
         )
         cfg.graph_params = GraphBuildParams(
-            node_spacing=get("graph", "node_spacing", float, 1.0),
-            loop_closure_radius=get("graph", "loop_closure_radius", float, 2.0),
-            odometry_weight=get("graph", "odometry_weight", float, 1.0),
-            loop_weight=get("graph", "loop_weight", float, 2.0),
+            node_spacing=get("graph", "node_spacing", _finite, 1.0),
+            loop_closure_radius=get("graph", "loop_closure_radius", _finite, 2.0),
+            odometry_weight=get("graph", "odometry_weight", _finite, 1.0),
+            loop_weight=get("graph", "loop_weight", _finite, 2.0),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

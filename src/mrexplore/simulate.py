@@ -18,6 +18,7 @@ from .allocate import (
     RewardRow,
     SubmitPoints,
     SubmitRewards,
+    any_open,
     evict_known_goals,
     schedule,
     select_goal,
@@ -222,6 +223,10 @@ class ExplorationSim:
         self.message_trace.append(PointsReply(tuple((p.x, p.y) for p in offered)))
         if not offered:
             return len(raw), 0, False
+        if cfg.method == "proposed" and not any_open(offered, self.state,
+                                                     self._cell_key):
+            log.info("agent %d: no assignable goal this round", robot.rid)
+            return len(raw), len(offered), False
 
         planning_grid = self._planning_grid(robot, [(p.x, p.y) for p in offered])
 

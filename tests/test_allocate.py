@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mrexplore.allocate import (
     SUPPRESSED,
@@ -13,6 +15,8 @@ from mrexplore.allocate import (
     RewardRow,
     SubmitPoints,
     SubmitRewards,
+    any_open,
+    chosen_cells,
     decode_message,
     encode_message,
     evict_known_goals,
@@ -181,6 +185,46 @@ class TestSelectGoal:
         h = matrix([(2.0, 0.0, 7.0), (11.0, 0.0, 7.0), (5.0, 0.0, 7.0)])
         goal = select_goal(h, state, cell_key)
         assert (goal.x, goal.y) == (11.0, 0.0)
+
+
+# quarter-cell coordinates on a 4x4 patch, so rows often share a chosen cell
+_coord = st.integers(0, 15).map(lambda i: i / 4.0)
+_point = st.builds(FrontierPoint, _coord, _coord)
+_reward = st.one_of(st.floats(-100.0, 100.0), st.just(SUPPRESSED))
+
+
+class TestOpenCandidates:
+    def test_no_history_is_open(self):
+        assert any_open([FrontierPoint(1.0, 1.0)], AllocationState(), cell_key)
+        assert not any_open([], AllocationState(), cell_key)
+
+    def test_all_in_chosen_cells_is_closed(self):
+        state = AllocationState(chosen_coords=[FrontierPoint(1.2, 1.2),
+                                               FrontierPoint(3.5, 0.5)])
+        assert chosen_cells(state, cell_key) == {(1, 1), (3, 0)}
+        assert not any_open([FrontierPoint(1.9, 1.0), FrontierPoint(3.0, 0.0)],
+                            state, cell_key)
+        assert any_open([FrontierPoint(1.9, 1.0), FrontierPoint(2.0, 0.0)],
+                        state, cell_key)
+
+    @given(st.lists(st.tuples(_point, _reward), min_size=1, max_size=8),
+           st.lists(_point, max_size=6))
+    def test_select_goal_agrees_with_any_open(self, rows, chosen):
+        state = AllocationState(chosen_coords=list(chosen))
+        h = RewardMatrix([RewardRow(p, r) for p, r in rows], owner=0)
+        taken = chosen_cells(state, cell_key)
+        if not any_open([p for p, _ in rows], state, cell_key):
+            with pytest.raises(NoAssignableGoal):
+                select_goal(h, state, cell_key)
+            assert state.chosen_coords == chosen
+            return
+        try:
+            goal = select_goal(h, state, cell_key)
+        except NoAssignableGoal:
+            assert state.chosen_coords == chosen
+            return
+        assert cell_key(goal) not in taken
+        assert state.chosen_coords == chosen + [goal]
 
 
 class TestEviction:

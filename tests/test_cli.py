@@ -84,6 +84,28 @@ class TestRun:
             sha(os.path.join(out2, "map_merged.pgm"))
 
 
+class TestConfigErrors:
+    @pytest.mark.parametrize("text", [
+        "[scenario]\nspeed = nan\n",
+        "[utility]\ndecay_rate = inf\n",
+        "[filter]\nrad = nan\n",
+        "[graph]\nnode_spacing = nan\n",
+        "[scenario]\nmap = builtin:nosuch\n",
+        "[scenario]\nmap = builtin:desk\nrobots = 5\n",
+    ], ids=["speed_nan", "decay_rate_inf", "rad_nan", "node_spacing_nan",
+            "unknown_world", "too_many_robots"])
+    def test_one_line_and_exit_1(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "Traceback" not in err
+        lines = err.strip().split("\n")
+        assert len(lines) == 1
+        assert lines[0].startswith("config error: ")
+
+
 class TestCompare:
     def test_two_methods_two_seeds(self, cfg_file, tmp_path, capsys):
         out = str(tmp_path / "cmp")

@@ -94,6 +94,35 @@ class TestLoadConfig:
             load_config(str(path))
 
 
+class TestNonFinite:
+    @pytest.mark.parametrize("section,key,value", [
+        ("scenario", "speed", "nan"),
+        ("scenario", "max_sim_time", "inf"),
+        ("lidar", "max_range", "nan"),
+        ("filter", "per_unk", "nan"),
+        ("utility", "decay_rate", "inf"),
+        ("utility", "u1_weight", "-inf"),
+        ("graph", "loop_weight", "nan"),
+    ])
+    def test_file_value_rejected(self, tmp_path, section, key, value):
+        path = tmp_path / "scenario.cfg"
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"{key}: must be a finite number"):
+            load_config(str(path))
+
+    def test_pose_rejected(self, tmp_path):
+        path = tmp_path / "scenario.cfg"
+        path.write_text("[scenario]\nmap = builtin:open20\nrobots = 1\n"
+                        "start_poses = nan, 1.5, 0\n")
+        with pytest.raises(ConfigError, match="pose"):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("field", ["speed", "dt", "max_sim_time", "max_range"])
+    def test_validate_rejects_nan(self, field):
+        with pytest.raises(ConfigError, match="finite"):
+            ScenarioConfig(**{field: math.nan}).validate()
+
+
 class TestStartResolution:
     def test_jitter_is_seeded(self):
         cfg1 = ScenarioConfig(map_source="builtin:open20", robot_count=1, seed=9)
@@ -127,3 +156,12 @@ class TestStartResolution:
         cfg = ScenarioConfig(map_source="/no/such/map.pgm")
         with pytest.raises(ConfigError, match="/no/such/map.pgm"):
             cfg.load_world()
+
+    def test_unknown_builtin_world(self):
+        with pytest.raises(ConfigError, match="nosuch"):
+            ScenarioConfig(map_source="builtin:nosuch").load_world()
+
+    def test_no_default_starts_for_count(self):
+        cfg = ScenarioConfig(map_source="builtin:desk", robot_count=5)
+        with pytest.raises(ConfigError, match="5 robots"):
+            cfg.resolve_starts(cfg.load_world())

@@ -102,6 +102,46 @@ class TestCoverage:
         assert trace_types[-1] is GoalReply
 
 
+class TestNoOpenCandidate:
+    def _offered(self, sim):
+        from mrexplore.frontier import detect_frontiers, filter_pipeline
+        local = [detect_frontiers(r.grid, r.rid) for r in sim.robots]
+        raw = [p for pts in local for p in pts]
+        return raw, filter_pipeline(local, sim.merged,
+                                    sim.config.filter_params).points
+
+    def test_all_offered_in_chosen_cells_skips_planning(self, monkeypatch):
+        import mrexplore.simulate as simulate
+
+        def must_not_plan(*args, **kwargs):
+            raise AssertionError("planned a request that cannot get a goal")
+
+        sim = ExplorationSim(small_cfg(max_sim_time=10))
+        sim._sense_all()
+        raw, offered = self._offered(sim)
+        assert offered
+        sim.state.chosen_coords = list(offered)
+        monkeypatch.setattr(simulate, "plan_many", must_not_plan)
+        monkeypatch.setattr(simulate, "score_candidates", must_not_plan)
+        robot = sim.robots[0]
+        assert sim.run_iteration(robot) == (len(raw), len(offered), False)
+        assert sim.state.chosen_coords == offered
+        assert robot.path is None and robot.wants_goal
+
+    def test_open_candidate_is_planned(self):
+        from mrexplore.frontier import FrontierPoint
+        sim = ExplorationSim(small_cfg(max_sim_time=10))
+        sim._sense_all()
+        _, offered = self._offered(sim)
+        elsewhere = FrontierPoint(offered[0].x + 3.0, offered[0].y)
+        assert sim._cell_key(elsewhere) != sim._cell_key(offered[0])
+        sim.state.chosen_coords = [elsewhere]
+        _, _, got = sim.run_iteration(sim.robots[0])
+        assert got
+        assert sim.state.chosen_coords[0] == elsewhere
+        assert len(sim.state.chosen_coords) == 2
+
+
 class TestSpread:
     def test_two_wing_first_goals_in_different_wings(self):
         cfg = ScenarioConfig(map_source="builtin:two_wings", robot_count=2,
