@@ -5,7 +5,6 @@ reward spreading that pushes agents apart."""
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 
 from .frontier import FrontierPoint, disc_unknown_stats
@@ -161,87 +160,3 @@ def evict_known_goals(state: AllocationState, merged, rad: float) -> int:
     state.chosen_coords = kept
     return evicted
 
-
-# In-process request/response messages between agents and the server.
-# Wire encoding (for an optional transport): little-endian, u8 message tag,
-# u32 length prefixes on lists, f64 numeric fields.
-
-_TAG_REQUEST_TURN = 1
-_TAG_SUBMIT_POINTS = 2
-_TAG_POINTS_REPLY = 3
-_TAG_SUBMIT_REWARDS = 4
-_TAG_GOAL_REPLY = 5
-
-
-@dataclass(frozen=True)
-class RequestTurn:
-    agent: int
-
-
-@dataclass(frozen=True)
-class SubmitPoints:
-    agent: int
-    points: tuple[tuple[float, float], ...]
-
-
-@dataclass(frozen=True)
-class PointsReply:
-    points: tuple[tuple[float, float], ...]
-
-
-@dataclass(frozen=True)
-class SubmitRewards:
-    agent: int
-    rows: tuple[tuple[float, float, float], ...]  # x, y, reward
-
-
-@dataclass(frozen=True)
-class GoalReply:
-    x: float
-    y: float
-
-
-def encode_message(msg) -> bytes:
-    if isinstance(msg, RequestTurn):
-        return struct.pack("<BI", _TAG_REQUEST_TURN, msg.agent)
-    if isinstance(msg, SubmitPoints):
-        out = struct.pack("<BII", _TAG_SUBMIT_POINTS, msg.agent, len(msg.points))
-        for x, y in msg.points:
-            out += struct.pack("<dd", x, y)
-        return out
-    if isinstance(msg, PointsReply):
-        out = struct.pack("<BI", _TAG_POINTS_REPLY, len(msg.points))
-        for x, y in msg.points:
-            out += struct.pack("<dd", x, y)
-        return out
-    if isinstance(msg, SubmitRewards):
-        out = struct.pack("<BII", _TAG_SUBMIT_REWARDS, msg.agent, len(msg.rows))
-        for x, y, r in msg.rows:
-            out += struct.pack("<ddd", x, y, r)
-        return out
-    if isinstance(msg, GoalReply):
-        return struct.pack("<Bdd", _TAG_GOAL_REPLY, msg.x, msg.y)
-    raise TypeError(f"not a message: {msg!r}")
-
-
-def decode_message(data: bytes):
-    (tag,) = struct.unpack_from("<B", data, 0)
-    if tag == _TAG_REQUEST_TURN:
-        (agent,) = struct.unpack_from("<I", data, 1)
-        return RequestTurn(agent)
-    if tag == _TAG_SUBMIT_POINTS:
-        agent, n = struct.unpack_from("<II", data, 1)
-        pts = struct.unpack_from(f"<{2 * n}d", data, 9)
-        return SubmitPoints(agent, tuple(zip(pts[0::2], pts[1::2])))
-    if tag == _TAG_POINTS_REPLY:
-        (n,) = struct.unpack_from("<I", data, 1)
-        pts = struct.unpack_from(f"<{2 * n}d", data, 5)
-        return PointsReply(tuple(zip(pts[0::2], pts[1::2])))
-    if tag == _TAG_SUBMIT_REWARDS:
-        agent, n = struct.unpack_from("<II", data, 1)
-        vals = struct.unpack_from(f"<{3 * n}d", data, 9)
-        return SubmitRewards(agent, tuple(zip(vals[0::3], vals[1::3], vals[2::3])))
-    if tag == _TAG_GOAL_REPLY:
-        x, y = struct.unpack_from("<dd", data, 1)
-        return GoalReply(x, y)
-    raise ValueError(f"unknown message tag {tag}")

@@ -37,6 +37,9 @@ class FilterParams:
     perc_step: float = 10.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.rad, self.per_unk, self.min_pts,
+                                       self.max_pts, self.rad_step, self.perc_step))):
+            raise ValueError("filter parameters must be finite")
         if self.rad <= 0 or self.rad_step <= 0 or self.perc_step <= 0:
             raise ValueError("rad, rad_step and perc_step must be positive")
         if not 0 <= self.per_unk <= 100:

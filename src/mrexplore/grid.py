@@ -12,12 +12,14 @@ UNKNOWN = -1
 FREE = 0
 OCCUPIED = 1
 
-# Default per-class occupancy probabilities. Unknown sits at maximum
-# entropy; known classes get small symmetric margins so traversed,
-# already-mapped space contributes little path entropy.
-P_UNKNOWN = 0.5
-P_FREE = 0.05
-P_OCCUPIED = 0.95
+
+def _check_frame(grid) -> None:
+    if grid.width <= 0 or grid.height <= 0:
+        raise ValueError("grid dimensions must be positive")
+    if not all(map(math.isfinite, (grid.resolution, grid.origin_x, grid.origin_y))):
+        raise ValueError("resolution and origin must be finite")
+    if grid.resolution <= 0:
+        raise ValueError("resolution must be positive")
 
 
 @dataclass
@@ -25,8 +27,8 @@ class OccupancyGrid:
     """Tri-state 2D occupancy grid with world-frame metadata.
 
     Cell states live in a (height, width) int8 array; linear index is
-    col + row * width. Per-cell occupancy probability is derived from
-    the cell's class via the configured class probabilities.
+    col + row * width. A cell's entropy follows from its state alone
+    (see ENTROPY_BITS).
     """
 
     resolution: float
@@ -35,15 +37,9 @@ class OccupancyGrid:
     width: int
     height: int
     cells: np.ndarray = field(default=None)  # type: ignore[assignment]
-    p_unknown: float = P_UNKNOWN
-    p_free: float = P_FREE
-    p_occupied: float = P_OCCUPIED
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("grid dimensions must be positive")
-        if self.resolution <= 0:
-            raise ValueError("resolution must be positive")
+        _check_frame(self)
         if self.cells is None:
             self.cells = np.full((self.height, self.width), UNKNOWN, dtype=np.int8)
         else:
@@ -55,25 +51,10 @@ class OccupancyGrid:
         return OccupancyGrid(
             self.resolution, self.origin_x, self.origin_y,
             self.width, self.height, self.cells.copy(),
-            self.p_unknown, self.p_free, self.p_occupied,
         )
 
     def in_bounds(self, cx: int, cy: int) -> bool:
         return 0 <= cx < self.width and 0 <= cy < self.height
-
-    def state_at(self, cx: int, cy: int) -> int:
-        return int(self.cells[cy, cx])
-
-    def probability_at(self, cx: int, cy: int) -> float:
-        s = self.cells[cy, cx]
-        if s == UNKNOWN:
-            return self.p_unknown
-        if s == FREE:
-            return self.p_free
-        return self.p_occupied
-
-    def class_probabilities(self) -> dict[int, float]:
-        return {UNKNOWN: self.p_unknown, FREE: self.p_free, OCCUPIED: self.p_occupied}
 
     def known_count(self) -> int:
         return int(np.count_nonzero(self.cells != UNKNOWN))
@@ -94,10 +75,7 @@ class GroundTruthMap:
     cells: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("grid dimensions must be positive")
-        if self.resolution <= 0:
-            raise ValueError("resolution must be positive")
+        _check_frame(self)
         if self.cells is None:
             self.cells = np.full((self.height, self.width), FREE, dtype=np.int8)
         else:
@@ -110,11 +88,11 @@ class GroundTruthMap:
     def in_bounds(self, cx: int, cy: int) -> bool:
         return 0 <= cx < self.width and 0 <= cy < self.height
 
-    def blank_grid(self, **probs) -> OccupancyGrid:
+    def blank_grid(self) -> OccupancyGrid:
         """All-unknown OccupancyGrid with this map's geometry."""
         return OccupancyGrid(
             self.resolution, self.origin_x, self.origin_y,
-            self.width, self.height, None, **probs,
+            self.width, self.height,
         )
 
 
@@ -142,18 +120,25 @@ def cell_entropy(p: float) -> float:
     return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
 
 
+# Entropy in bits of one cell per state, indexed by state - UNKNOWN
+# (Unknown, Free, Occupied). Each state stands for one occupancy
+# probability: Unknown 0.5, at maximum entropy; Free 0.05 and Occupied
+# 0.95, small symmetric margins so mapped space adds little path entropy.
+ENTROPY_BITS = np.array([cell_entropy(0.5), cell_entropy(0.05), cell_entropy(0.95)])
+
+
 def map_entropy(grid: OccupancyGrid) -> float:
     """Total entropy of the grid in bits (sum of per-cell entropies).
 
-    Cells share class probabilities, so the sum reduces to counting
-    cells per class; this keeps an all-unknown N-cell grid at exactly
-    N bits.
+    A cell's entropy depends on its state alone, so the sum reduces to
+    counting cells per state; this keeps an all-unknown N-cell grid at
+    exactly N bits.
     """
     total = 0.0
-    for state, p in grid.class_probabilities().items():
+    for state, bits in zip((UNKNOWN, FREE, OCCUPIED), ENTROPY_BITS.tolist()):
         n = int(np.count_nonzero(grid.cells == state))
         if n:
-            total += n * cell_entropy(p)
+            total += n * bits
     return total
 
 
@@ -176,11 +161,6 @@ def merge_maps(grids: list[OccupancyGrid]) -> OccupancyGrid:
     width = int(round((max_x - min_x) / res))
     height = int(round((max_y - min_y) / res))
 
-    first = grids[0]
-    merged = OccupancyGrid(
-        res, min_x, min_y, width, height, None,
-        first.p_unknown, first.p_free, first.p_occupied,
-    )
     # Precedence Occupied > Free > Unknown, implemented as a max over ranks.
     rank_of = {UNKNOWN: 0, FREE: 1, OCCUPIED: 2}
     state_of_rank = np.array([UNKNOWN, FREE, OCCUPIED], dtype=np.int8)
@@ -198,8 +178,7 @@ def merge_maps(grids: list[OccupancyGrid]) -> OccupancyGrid:
         sub = ranks[oy:oy + g.height, ox:ox + g.width]
         np.maximum(sub, lut[g.cells.view(np.uint8)], out=sub)
 
-    merged.cells = state_of_rank[ranks]
-    return merged
+    return OccupancyGrid(res, min_x, min_y, width, height, state_of_rank[ranks])
 
 
 def coverage_percent(grid: OccupancyGrid, truth: GroundTruthMap) -> float:

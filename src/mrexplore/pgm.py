@@ -96,7 +96,7 @@ def _read_meta(path: str) -> dict[str, float]:
     return meta
 
 
-def load_grid(map_path: str, **probs) -> OccupancyGrid:
+def load_grid(map_path: str) -> OccupancyGrid:
     """Load a PGM + sidecar pair as an OccupancyGrid."""
     pixels = _read_pgm(map_path)
     meta = _read_meta(meta_path_for(map_path))
@@ -112,7 +112,7 @@ def load_grid(map_path: str, **probs) -> OccupancyGrid:
     cells[pixels > free_thr] = FREE
     return OccupancyGrid(
         meta["resolution"], meta["origin_x"], meta["origin_y"],
-        width, height, cells, **probs,
+        width, height, cells,
     )
 
 

@@ -123,8 +123,6 @@ def _run_dijkstra(grid: OccupancyGrid, start_cell, goal_idxs=None):
 
 def _extract_path(grid, dist, parent, goal_idx) -> GridPath:
     width = grid.width
-    if not math.isfinite(dist[goal_idx]):
-        raise NoPathError("no path")
     chain = []
     idx = goal_idx
     while idx != -1:
@@ -145,24 +143,11 @@ def _start_cell(grid, start):
     return scx, scy
 
 
-def plan(grid: OccupancyGrid, start, goal) -> GridPath:
-    """Shortest 8-connected path by metric cost (axis = resolution,
-    diagonal = sqrt(2) * resolution) from the start point to the goal point."""
-    scx, scy = _start_cell(grid, start)
-    gcx, gcy = world_to_grid(goal[0], goal[1], grid)
-    if not grid.in_bounds(gcx, gcy) or grid.cells[gcy, gcx] == OCCUPIED:
-        raise NoPathError("no path")
-    goal_idx = gcy * grid.width + gcx
-    dist, parent = _run_dijkstra(grid, (scx, scy), goal_idxs=(goal_idx,))
-    return _extract_path(grid, dist, parent, goal_idx)
-
-
 def plan_many(grid: OccupancyGrid, start, goals) -> list[GridPath | None]:
-    """One Dijkstra pass shared by several goals from the same start.
-
-    Relaxation order is identical to plan(), so each returned path equals
-    the per-goal plan() result; unreachable goals yield None.
-    """
+    """Shortest 8-connected paths by metric cost (axis = resolution,
+    diagonal = sqrt(2) * resolution) from the start point to each goal
+    point, from one Dijkstra pass; unreachable goals yield None. Each path
+    is the one a pass for its goal alone would give."""
     scx, scy = _start_cell(grid, start)
     goal_idxs = []
     for g in goals:
@@ -181,6 +166,15 @@ def plan_many(grid: OccupancyGrid, start, goals) -> list[GridPath | None]:
         else:
             paths.append(_extract_path(grid, dist, parent, gidx))
     return paths
+
+
+def plan(grid: OccupancyGrid, start, goal) -> GridPath:
+    """plan_many for a single goal; raises NoPathError when it is
+    unreachable."""
+    path = plan_many(grid, start, [goal])[0]
+    if path is None:
+        raise NoPathError("no path")
+    return path
 
 
 def cumulative_lengths(path: GridPath) -> list[float]:
@@ -244,9 +238,3 @@ def pose_at(path: GridPath, s: float, fallback_heading: float = 0.0):
     gx, gy = pts[-1]
     return (gx, gy, fallback_heading)
 
-
-def step_along(path: GridPath, pose, speed: float, dt: float):
-    """Advance speed*dt meters along the path polyline; the new heading faces
-    the direction of travel and the final pose snaps to the goal point."""
-    s = project_arclength(path, pose)
-    return pose_at(path, s + speed * dt, pose[2])

@@ -32,9 +32,10 @@ class GraphBuildParams:
     loop_weight: float = 2.0
 
     def __post_init__(self):
-        if min(self.node_spacing, self.loop_closure_radius,
-               self.odometry_weight, self.loop_weight) <= 0:
-            raise ValueError("graph build parameters must be positive")
+        values = (self.node_spacing, self.loop_closure_radius,
+                  self.odometry_weight, self.loop_weight)
+        if not all(math.isfinite(v) and v > 0 for v in values):
+            raise ValueError("graph build parameters must be finite and positive")
         if self.loop_closure_radius < self.node_spacing:
             raise ValueError("loop_closure_radius must be >= node_spacing")
 
@@ -146,24 +147,3 @@ def normalize_gains(gains) -> list[float]:
         return [1.0] * len(gains)
     return [max(0.0, g) / top for g in gains]
 
-
-def export_edge_list(graph: PoseGraph) -> str:
-    """One line per edge: `a b weight kind`."""
-    return "".join(
-        f"{e.node_a} {e.node_b} {e.weight!r} {e.kind}\n" for e in graph.edges
-    )
-
-
-def parse_edge_list(text: str) -> PoseGraph:
-    """Rebuild a graph (poses zeroed) from export_edge_list output."""
-    edges = []
-    max_id = -1
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        a, b, w, kind = line.split()
-        edges.append(Edge(int(a), int(b), float(w), kind))
-        max_id = max(max_id, int(a), int(b))
-    nodes = [(0.0, 0.0, 0.0)] * (max_id + 1)
-    return PoseGraph(nodes, edges)

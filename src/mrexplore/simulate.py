@@ -10,14 +10,9 @@ from dataclasses import dataclass, field
 
 from .allocate import (
     AllocationState,
-    GoalReply,
     NoAssignableGoal,
-    PointsReply,
-    RequestTurn,
     RewardMatrix,
     RewardRow,
-    SubmitPoints,
-    SubmitRewards,
     any_open,
     evict_known_goals,
     schedule,
@@ -51,7 +46,7 @@ from .planner import (
 from .posegraph import PoseGraph, extend_trajectory
 from .quality import MapQuality, map_quality
 from .sensing import integrate_scan, raycast
-from .utility import score_candidates
+from .utility import CandidateScore, score_candidates
 
 log = logging.getLogger("mrexplore")
 
@@ -162,7 +157,6 @@ class ExplorationSim:
         ]
         self.state = AllocationState(goal_skip_wait=config.goal_skip_wait)
         self.merged = merge_maps([r.grid for r in self.robots])
-        self.message_trace: list[object] = []
 
     # -- workflow ----------------------------------------------------------
 
@@ -199,84 +193,39 @@ class ExplorationSim:
         )
         return total > 0 and unk == 0
 
-    def run_iteration(self, robot: Robot) -> tuple[int, int, bool]:
-        """Steps 1-7 for one served agent: gather lists, filter, score,
-        allocate, plan. Returns (raw count, offered count, got_goal)."""
-        cfg = self.config
-        self.message_trace.append(RequestTurn(robot.rid))
-
-        local_lists = [detect_frontiers(r.grid, r.rid) for r in self.robots]
-        for r, pts in zip(self.robots, local_lists):
-            self.message_trace.append(
-                SubmitPoints(r.rid, tuple((p.x, p.y) for p in pts))
-            )
-        raw = [p for pts in local_lists for p in pts]
-
-        if cfg.method == "proposed":
-            outcome = filter_pipeline(local_lists, self.merged, cfg.filter_params)
-            offered = outcome.points
-        elif cfg.method == "mags":
-            offered = raw  # filtering pipeline bypassed
-        else:  # greedy_frontier: dedup only, no border filtering
-            offered = merge_points(local_lists, self.merged, cfg.filter_params,
-                                   per_unk=0.0)
-        self.message_trace.append(PointsReply(tuple((p.x, p.y) for p in offered)))
-        if not offered:
-            return len(raw), 0, False
-        if cfg.method == "proposed" and not any_open(offered, self.state,
-                                                     self._cell_key):
-            log.info("agent %d: no assignable goal this round", robot.rid)
-            return len(raw), len(offered), False
-
-        planning_grid = self._planning_grid(robot, [(p.x, p.y) for p in offered])
-
-        if cfg.method == "greedy_frontier":
-            got = self._assign_greedy(robot, offered, planning_grid)
-            return len(raw), len(offered), got
-
+    def _score(self, robot: Robot, offered) -> list[CandidateScore] | None:
+        """Plan to every offered point and score it; None when none of them
+        is reachable."""
+        grid = self._planning_grid(robot, [(p.x, p.y) for p in offered])
         try:
-            scores = score_candidates(
+            return score_candidates(
                 robot.pose, self.merged, robot.graph, offered,
-                lambda goals: plan_many(planning_grid, robot.pose, goals),
-                cfg.utility_params, cfg.graph_params,
+                lambda goals: plan_many(grid, robot.pose, goals),
+                self.config.utility_params, self.config.graph_params,
             )
         except ValueError:
             log.info("agent %d: no reachable candidate this round", robot.rid)
-            return len(raw), len(offered), False
-        if cfg.method == "mags":
-            # graph-gain + distance decay only
-            rows = [
-                RewardRow(s.point,
-                          cfg.utility_params.u1_weight * s.gain + s.gamma
-                          if s.path is not None else s.reward)
-                for s in scores
-            ]
-        else:
-            rows = [RewardRow(s.point, s.reward) for s in scores]
-        matrix = RewardMatrix(rows, robot.rid)
-        self.message_trace.append(SubmitRewards(
-            robot.rid, tuple((r.point.x, r.point.y, r.reward) for r in matrix.rows)
-        ))
+            return None
 
-        if cfg.method == "proposed":
-            try:
-                goal_pt = select_goal(matrix, self.state, self._cell_key)
-            except NoAssignableGoal:
-                log.info("agent %d: no assignable goal this round", robot.rid)
-                return len(raw), len(offered), False
-        else:
-            finite = [(i, r) for i, r in enumerate(matrix.rows)
-                      if math.isfinite(r.reward)]
-            best_i = max(finite, key=lambda ir: (ir[1].reward, -ir[0]))[0]
-            goal_pt = matrix.rows[best_i].point
-
-        self.message_trace.append(GoalReply(goal_pt.x, goal_pt.y))
-        path = next(s.path for s in scores if s.point is goal_pt)
+    def run_iteration(self, robot: Robot) -> tuple[int, int, bool]:
+        """Serve one agent's request: detect frontiers on every robot's map,
+        let the method's policy offer some of them and choose a path to one,
+        and hand that path to the robot. Returns (raw count, offered count,
+        got_goal)."""
+        offer, choose = POLICIES[self.config.method]
+        local_lists = [detect_frontiers(r.grid, r.rid) for r in self.robots]
+        raw_n = sum(len(pts) for pts in local_lists)
+        offered = offer(self, local_lists)
+        if not offered:
+            return raw_n, 0, False
+        path = choose(self, robot, offered)
+        if path is None:
+            return raw_n, len(offered), False
         robot.path = path
         robot.goal = path.goal
         robot.wants_goal = False
         robot.stall_ticks = 0
-        return len(raw), len(offered), True
+        return raw_n, len(offered), True
 
     def _free_run_limit(self, path: GridPath) -> float:
         """Arclength up to which every path cell is currently Free on the
@@ -321,27 +270,7 @@ class ExplorationSim:
         robot.pose = pose_at(path, target, robot.pose[2])
         robot.distance += math.hypot(robot.pose[0] - old[0], robot.pose[1] - old[1])
         if target >= total - 1e-9:
-            robot.path = None
-            robot.goal = None
-            robot.wants_goal = True
-
-    def _assign_greedy(self, robot, offered, planning_grid) -> bool:
-        order = sorted(
-            range(len(offered)),
-            key=lambda i: (math.hypot(offered[i].x - robot.pose[0],
-                                      offered[i].y - robot.pose[1]), i),
-        )
-        paths = plan_many(planning_grid, robot.pose,
-                          [(offered[i].x, offered[i].y) for i in order])
-        for path in paths:
-            if path is not None:
-                self.message_trace.append(GoalReply(*path.goal))
-                robot.path = path
-                robot.goal = path.goal
-                robot.wants_goal = False
-                robot.stall_ticks = 0
-                return True
-        return False
+            robot.drop_goal()
 
     # -- main loop ---------------------------------------------------------
 
@@ -402,3 +331,69 @@ def run(config: ScenarioConfig) -> RunMetrics:
     """Run one scenario to completion; identical config and seed give an
     identical metrics stream."""
     return ExplorationSim(config).run()
+
+
+# Per-method policies. Every method runs the same pipeline (detect, offer,
+# choose, hand over the path) and differs only in these two steps:
+# offer(sim, local_lists) picks the frontier points the served robot may
+# go to; choose(sim, robot, offered) returns the path to its goal, or None.
+
+
+def _offer_filtered(sim: ExplorationSim, local_lists):
+    return filter_pipeline(local_lists, sim.merged, sim.config.filter_params).points
+
+
+def _offer_raw(sim: ExplorationSim, local_lists):
+    return [p for pts in local_lists for p in pts]
+
+
+def _offer_deduplicated(sim: ExplorationSim, local_lists):
+    return merge_points(local_lists, sim.merged, sim.config.filter_params,
+                        per_unk=0.0)
+
+
+def _choose_spread(sim: ExplorationSim, robot: Robot, offered):
+    """Full utility, then server-side spreading away from chosen goals."""
+    # A point in a chosen goal's cell is never assigned, so when every
+    # offered point lies in one, the answer is known before any planning.
+    if not any_open(offered, sim.state, sim._cell_key):
+        log.info("agent %d: no assignable goal this round", robot.rid)
+        return None
+    scores = sim._score(robot, offered)
+    if scores is None:
+        return None
+    matrix = RewardMatrix([RewardRow(s.point, s.reward) for s in scores], robot.rid)
+    try:
+        goal_pt = select_goal(matrix, sim.state, sim._cell_key)
+    except NoAssignableGoal:
+        log.info("agent %d: no assignable goal this round", robot.rid)
+        return None
+    return next(s.path for s in scores if s.point is goal_pt)
+
+
+def _choose_graph_gain(sim: ExplorationSim, robot: Robot, offered):
+    """Graph gain plus distance decay only; ties to the lowest index."""
+    scores = sim._score(robot, offered)
+    if scores is None:
+        return None
+    w = sim.config.utility_params.u1_weight
+    best = max((s for s in scores if s.path is not None),
+               key=lambda s: w * s.gain + s.gamma)
+    return best.path
+
+
+def _choose_nearest(sim: ExplorationSim, robot: Robot, offered):
+    """Nearest reachable point by straight-line distance; ties to the
+    earlier point."""
+    x, y = robot.pose[0], robot.pose[1]
+    grid = sim._planning_grid(robot, [(p.x, p.y) for p in offered])
+    nearest = sorted(offered, key=lambda p: math.hypot(p.x - x, p.y - y))
+    paths = plan_many(grid, robot.pose, [(p.x, p.y) for p in nearest])
+    return next((path for path in paths if path is not None), None)
+
+
+POLICIES = {
+    "proposed": (_offer_filtered, _choose_spread),
+    "mags": (_offer_raw, _choose_graph_gain),
+    "greedy_frontier": (_offer_deduplicated, _choose_nearest),
+}

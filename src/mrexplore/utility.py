@@ -1,13 +1,13 @@
-"""Per-candidate reward computation: path entropy, distance decay, the
-combined exploration utility, and assembly of the reward matrix."""
+"""Per-candidate reward computation: path entropy, distance decay and the
+combined exploration utility."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .allocate import SUPPRESSED, RewardMatrix, RewardRow
-from .grid import OccupancyGrid, cell_entropy
+from .allocate import SUPPRESSED
+from .grid import ENTROPY_BITS, UNKNOWN, OccupancyGrid
 from .posegraph import GraphBuildParams, PoseGraph, normalize_gains, trajectory_gain
 
 
@@ -17,6 +17,8 @@ class UtilityParams:
     u1_weight: float = 1.0      # weighting of the graph-connectivity term
 
     def __post_init__(self):
+        if not (math.isfinite(self.decay_rate) and math.isfinite(self.u1_weight)):
+            raise ValueError("utility parameters must be finite")
         if self.decay_rate <= 0:
             raise ValueError("decay_rate must be positive")
 
@@ -26,9 +28,12 @@ def path_entropy(grid: OccupancyGrid, path_cells) -> tuple[float, int]:
     so callers can normalize as E/L."""
     if not path_cells:
         raise ValueError("no path")
+    cols, rows = zip(*path_cells)
     total = 0.0
-    for cx, cy in path_cells:
-        total += cell_entropy(grid.probability_at(cx, cy))
+    # summed left to right in path order; np.sum or math.fsum would round
+    # differently and move the rewards
+    for bits in ENTROPY_BITS[grid.cells[rows, cols] - UNKNOWN].tolist():
+        total += bits
     return total, len(path_cells)
 
 
@@ -100,16 +105,3 @@ def score_candidates(
         scores.append(CandidateScore(cand, reward, path, gain, rho, gamma, ent, count))
     return scores
 
-
-def build_reward_matrix(
-    agent: int,
-    pose,
-    grid: OccupancyGrid,
-    graph: PoseGraph,
-    candidates,
-    plan_paths,
-    uparams: UtilityParams,
-    gparams: GraphBuildParams,
-) -> RewardMatrix:
-    scores = score_candidates(pose, grid, graph, candidates, plan_paths, uparams, gparams)
-    return RewardMatrix([RewardRow(s.point, s.reward) for s in scores], agent)

@@ -18,13 +18,13 @@ def open_arena() -> GroundTruthMap:
     return GroundTruthMap(1.0, 0.0, 0.0, 100, 100, cells)
 
 
-def grid_from_rows(rows, resolution=1.0, origin=(0.0, 0.0), **probs) -> OccupancyGrid:
+def grid_from_rows(rows, resolution=1.0, origin=(0.0, 0.0)) -> OccupancyGrid:
     """Build a grid from strings: '#' occupied, '.' free, '?' unknown.
     rows[0] is the y=0 row."""
     lookup = {"#": OCCUPIED, ".": FREE, "?": UNKNOWN}
     cells = np.array([[lookup[ch] for ch in row] for row in rows], dtype=np.int8)
     h, w = cells.shape
-    return OccupancyGrid(resolution, origin[0], origin[1], w, h, cells, **probs)
+    return OccupancyGrid(resolution, origin[0], origin[1], w, h, cells)
 
 
 def truth_from_rows(rows, resolution=1.0, origin=(0.0, 0.0)) -> GroundTruthMap:

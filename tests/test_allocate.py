@@ -7,18 +7,11 @@ from hypothesis import strategies as st
 from mrexplore.allocate import (
     SUPPRESSED,
     AllocationState,
-    GoalReply,
     NoAssignableGoal,
-    PointsReply,
-    RequestTurn,
     RewardMatrix,
     RewardRow,
-    SubmitPoints,
-    SubmitRewards,
     any_open,
     chosen_cells,
-    decode_message,
-    encode_message,
     evict_known_goals,
     schedule,
     select_goal,
@@ -240,24 +233,3 @@ class TestEviction:
         assert evicted == 1
         assert [cell_key(p) for p in state.chosen_coords] == [(4, 1)]
 
-
-class TestMessages:
-    def test_roundtrip_all_types(self):
-        msgs = [
-            RequestTurn(3),
-            SubmitPoints(1, ((1.5, 2.5), (3.25, -4.0))),
-            PointsReply(((0.0, 0.0),)),
-            SubmitRewards(2, ((1.0, 2.0, 5.5), (3.0, 4.0, -1.25))),
-            GoalReply(-7.5, 2.125),
-        ]
-        for m in msgs:
-            assert decode_message(encode_message(m)) == m
-
-    def test_empty_lists(self):
-        assert decode_message(encode_message(SubmitPoints(0, ()))) == SubmitPoints(0, ())
-        assert decode_message(encode_message(PointsReply(()))) == PointsReply(())
-
-    def test_floats_are_64bit(self):
-        x = 1.0 + 2.0**-50
-        m = decode_message(encode_message(GoalReply(x, 0.0)))
-        assert m.x == x

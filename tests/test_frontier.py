@@ -21,6 +21,15 @@ def pt(x, y, agent=0):
     return FrontierPoint(x, y, agent)
 
 
+class TestFilterParams:
+    @pytest.mark.parametrize("name", ["rad", "per_unk", "min_pts", "max_pts",
+                                      "rad_step", "perc_step"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError, match="finite"):
+            FilterParams(**{name: value})
+
+
 class TestDetect:
     def test_fully_known_empty(self):
         g = grid_from_rows(["...", ".#."])

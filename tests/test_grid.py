@@ -71,14 +71,16 @@ class TestEntropy:
         g = OccupancyGrid(1.0, 0.0, 0.0, 2, 2)
         assert map_entropy(g) == 4.0
 
-    def test_map_entropy_certain_grid_is_zero(self):
-        g = grid_from_rows(["#.", ".#"], p_free=0.0, p_occupied=1.0)
-        assert map_entropy(g) == 0.0
+    def test_map_entropy_known_grid(self):
+        # Free and Occupied cells stand for p = 0.05 and 0.95:
+        # 4 * 0.2863969571 = 1.1455878284
+        g = grid_from_rows(["#.", ".#"])
+        assert map_entropy(g) == pytest.approx(1.1455878284, abs=1e-9)
 
     def test_map_entropy_mixed(self):
-        # cells {0.5, 0.9, 0.1}: 1 + 2 * 0.4689955936 = 1.9379911872
-        g = grid_from_rows(["?#."], p_occupied=0.9, p_free=0.1)
-        assert map_entropy(g) == pytest.approx(1.9379911872, abs=1e-9)
+        # cells {0.5, 0.95, 0.05}: 1 + 2 * 0.2863969571 = 1.5727939142
+        g = grid_from_rows(["?#."])
+        assert map_entropy(g) == pytest.approx(1.5727939142, abs=1e-9)
 
     def test_entropy_upper_bound(self):
         rng = np.random.RandomState(7)
@@ -90,6 +92,17 @@ class TestEntropy:
             assert 0.0 <= e <= w * h + 1e-12
             if np.all(cells == UNKNOWN):
                 assert e == w * h
+
+
+class TestFrame:
+    @pytest.mark.parametrize("cls", [OccupancyGrid, GroundTruthMap])
+    @pytest.mark.parametrize("index", [0, 1, 2])  # resolution, origin_x, origin_y
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, cls, index, value):
+        frame = [1.0, 0.0, 0.0]
+        frame[index] = value
+        with pytest.raises(ValueError, match="finite"):
+            cls(*frame, 2, 2)
 
 
 class TestMerge:

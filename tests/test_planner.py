@@ -9,8 +9,8 @@ from mrexplore.planner import (
     cumulative_lengths,
     plan,
     plan_many,
+    pose_at,
     project_arclength,
-    step_along,
 )
 
 from conftest import grid_from_rows
@@ -163,6 +163,12 @@ class TestPlanMany:
         batch = plan_many(g, (0.5, 0.5), [(2.5, 2.5), (4.5, 0.5)])
         assert batch[0] is not None
         assert batch[1] is None
+
+
+def step_along(path, pose, speed, dt):
+    """One motion step as the simulator takes it: project the pose onto the
+    path, then go speed * dt further along it."""
+    return pose_at(path, project_arclength(path, pose) + speed * dt, pose[2])
 
 
 class TestStepAlong:

@@ -11,11 +11,9 @@ from mrexplore.posegraph import (
     Edge,
     GraphBuildParams,
     PoseGraph,
-    export_edge_list,
     extend_trajectory,
     log_spanning_trees,
     normalize_gains,
-    parse_edge_list,
     trajectory_gain,
     weighted_laplacian,
 )
@@ -69,6 +67,15 @@ def random_connected_graph(rng, max_nodes=7):
     for a, b in pairs[:extra]:
         edges.append((a, b, rng.uniform(0.1, 10.0)))
     return n, edges
+
+
+class TestGraphBuildParams:
+    @pytest.mark.parametrize("name", ["node_spacing", "loop_closure_radius",
+                                      "odometry_weight", "loop_weight"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError, match="finite"):
+            GraphBuildParams(**{name: value})
 
 
 class TestLaplacian:
@@ -260,14 +267,3 @@ class TestNormalizeGains:
             rhos = normalize_gains(gains)
             assert all(0.0 <= r <= 1.0 for r in rhos)
 
-
-class TestEdgeList:
-    def test_roundtrip(self):
-        g = graph_of(4, [(0, 1, 1.5), (1, 2, 2.0), (0, 3, 0.25)])
-        g.edges[1] = Edge(1, 2, 2.0, LOOP_CLOSURE)
-        text = export_edge_list(g)
-        back = parse_edge_list(text)
-        assert [(e.node_a, e.node_b, e.weight, e.kind) for e in back.edges] == [
-            (e.node_a, e.node_b, e.weight, e.kind) for e in g.edges
-        ]
-        assert log_spanning_trees(back) == pytest.approx(log_spanning_trees(g))

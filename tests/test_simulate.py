@@ -1,11 +1,11 @@
+import hashlib
 import math
 
 import pytest
 
-from mrexplore.allocate import GoalReply, PointsReply, RequestTurn, SubmitPoints
-from mrexplore.config import ScenarioConfig
+from mrexplore.config import METHODS, ScenarioConfig
 from mrexplore.grid import OCCUPIED, world_to_grid
-from mrexplore.simulate import ExplorationSim, run
+from mrexplore.simulate import POLICIES, ExplorationSim, run
 from mrexplore.worlds import make_world
 
 
@@ -95,11 +95,7 @@ class TestCoverage:
         raw_n, offered_n, got = sim.run_iteration(robot)
         assert got
         assert raw_n >= 1
-        trace_types = [type(m) for m in sim.message_trace]
-        assert trace_types[0] is RequestTurn
-        assert SubmitPoints in trace_types
-        assert PointsReply in trace_types
-        assert trace_types[-1] is GoalReply
+        assert robot.goal == robot.path.goal and not robot.wants_goal
 
 
 class TestNoOpenCandidate:
@@ -204,6 +200,26 @@ class TestBaselines:
             for method in ("proposed", "mags", "greedy_frontier")
         }
         assert len(set(streams.values())) == 3
+
+
+class TestPolicies:
+    def test_one_policy_per_method(self):
+        assert tuple(POLICIES) == METHODS
+
+    # sha256 of metrics.csv + summary.csv on desk, seed 1, 40 s. A change
+    # that moves one of them changes what the method does.
+    GOLDEN = {
+        "proposed": "83af9fb0277c7fac79d2290fff9239720e92539e45e6d8aeb68efc8e8a9d39da",
+        "mags": "3a39c8b79d6c6ba5370af53ca0b1f377bad8d2d6ab7c2318daba5b6d4f1497c0",
+        "greedy_frontier": "e60cdae20a99e43d81057023a3f68bb2c96c95980d9324644cc5f447db16dab7",
+    }
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_golden_output(self, method):
+        m = run(ScenarioConfig(map_source="builtin:desk", robot_count=3, seed=1,
+                               max_sim_time=40, method=method))
+        text = m.to_csv() + m.summary_csv()
+        assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN[method]
 
 
 class TestWorlds:

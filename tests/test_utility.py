@@ -1,14 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 
 from mrexplore.allocate import SUPPRESSED
 from mrexplore.frontier import FrontierPoint
+from mrexplore.grid import FREE, OCCUPIED, UNKNOWN, OccupancyGrid, cell_entropy
 from mrexplore.planner import plan_many
 from mrexplore.posegraph import GraphBuildParams, PoseGraph, extend_trajectory
 from mrexplore.utility import (
     UtilityParams,
-    build_reward_matrix,
     decay,
     path_entropy,
     score_candidates,
@@ -42,6 +43,28 @@ class TestPathEntropy:
         g = grid_from_rows(["."])
         with pytest.raises(ValueError, match="no path"):
             path_entropy(g, [])
+
+    def test_equals_per_cell_loop(self):
+        # reference: one cell_entropy per cell, summed left to right
+        p_of = {UNKNOWN: 0.5, FREE: 0.05, OCCUPIED: 0.95}
+        rng = np.random.RandomState(11)
+        for _ in range(50):
+            cells = rng.choice([UNKNOWN, FREE, OCCUPIED], size=(6, 9)).astype(np.int8)
+            g = OccupancyGrid(1.0, 0.0, 0.0, 9, 6, cells)
+            path = [(int(rng.randint(9)), int(rng.randint(6)))
+                    for _ in range(rng.randint(1, 40))]
+            want = 0.0
+            for cx, cy in path:
+                want += cell_entropy(p_of[int(cells[cy, cx])])
+            assert path_entropy(g, path) == (want, len(path))
+
+
+class TestUtilityParams:
+    @pytest.mark.parametrize("name", ["decay_rate", "u1_weight"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError, match="finite"):
+            UtilityParams(**{name: value})
 
 
 class TestDecay:
@@ -156,24 +179,29 @@ class TestScoreCandidates:
 
 
 class TestRewardMatrix:
+    """The scores become select_goal's reward rows, one per candidate."""
+
     def test_rows_aligned_with_candidates(self):
         g, graph, gp = two_wing_setup()
         pose = (10.0, 1.5, 0.0)
-        cands = [FrontierPoint(4.5, 1.5), FrontierPoint(15.5, 1.5)]
-        matrix = build_reward_matrix(2, pose, g, graph, cands,
-                                     lambda goals: plan_many(g, pose, goals),
-                                     UtilityParams(), gp)
-        assert matrix.owner == 2
-        assert [r.point for r in matrix.rows] == cands
+        # the middle candidate lies off the map, so it has no path
+        cands = [FrontierPoint(4.5, 1.5), FrontierPoint(30.5, 1.5),
+                 FrontierPoint(15.5, 1.5)]
+        scores = score_candidates(pose, g, graph, cands,
+                                  lambda goals: plan_many(g, pose, goals),
+                                  UtilityParams(), gp)
+        assert [s.point for s in scores] == cands
+        assert [s.path is None for s in scores] == [False, True, False]
+        assert scores[1].reward == SUPPRESSED
 
     def test_argmax_invariant_under_constant_shift(self):
         g, graph, gp = two_wing_setup()
         pose = (6.0, 1.5, 0.0)
         cands = [FrontierPoint(4.5, 1.5), FrontierPoint(15.5, 1.5)]
-        matrix = build_reward_matrix(0, pose, g, graph, cands,
-                                     lambda goals: plan_many(g, pose, goals),
-                                     UtilityParams(), gp)
-        rewards = [r.reward for r in matrix.rows]
+        scores = score_candidates(pose, g, graph, cands,
+                                  lambda goals: plan_many(g, pose, goals),
+                                  UtilityParams(), gp)
+        rewards = [s.reward for s in scores]
         base = max(range(len(rewards)), key=lambda i: rewards[i])
         shifted = [r + 17.3 for r in rewards]
         assert max(range(len(shifted)), key=lambda i: shifted[i]) == base
