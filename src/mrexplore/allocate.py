@@ -69,8 +69,8 @@ def update_rewards(
     """Spread rewards away from already-chosen goals.
 
     K = (max finite reward) / len(chosen); every row loses K/d^2 per chosen
-    point at distance d, and rows that coincide with a chosen point (same
-    cell, or d == 0) are suppressed outright. Returns (matrix, applied);
+    point at distance d, and rows in the cell of a chosen point (so every
+    row at d == 0) are suppressed outright. Returns (matrix, applied);
     when no finite reward exists the matrix comes back unchanged with
     applied=False.
     """
@@ -89,11 +89,8 @@ def update_rewards(
                 row.reward = SUPPRESSED
             if not math.isfinite(row.reward):
                 continue
-            d2 = math.hypot(c.x - row.point.x, c.y - row.point.y)
-            if d2 == 0.0:
-                row.reward = SUPPRESSED
-            else:
-                row.reward -= k_scale / (d2 * d2)
+            d = math.hypot(c.x - row.point.x, c.y - row.point.y)
+            row.reward -= k_scale / (d * d)
     return RewardMatrix(rows, matrix.owner), True
 
 
@@ -118,31 +115,24 @@ def select_goal(
 ) -> FrontierPoint:
     """Pick the highest-reward row, spreading first when history exists.
 
-    The winner is recorded in chosen_coords. Rows cell-equal to an existing
-    goal are skipped. Ties break to the lowest row index.
+    The winner is recorded in chosen_coords. Spreading suppresses every row
+    cell-equal to an existing goal, so none of them can win. Ties break to
+    the lowest row index.
     """
     if not matrix.rows:
         raise NoAssignableGoal("empty reward matrix")
     if state.chosen_coords:
         matrix, _ = update_rewards(state.chosen_coords, matrix, cell_key)
 
-    taken = chosen_cells(state, cell_key)
-    suppressed = set()
-    while True:
-        best_i, best_r = -1, SUPPRESSED
-        for i, row in enumerate(matrix.rows):
-            if i in suppressed:
-                continue
-            if math.isfinite(row.reward) and row.reward > best_r:
-                best_i, best_r = i, row.reward
-        if best_i < 0:
-            raise NoAssignableGoal("no assignable goal")
-        winner = matrix.rows[best_i].point
-        if cell_key(winner) in taken:
-            suppressed.add(best_i)
-            continue
-        state.chosen_coords.append(winner)
-        return winner
+    best_i, best_r = -1, SUPPRESSED
+    for i, row in enumerate(matrix.rows):
+        if math.isfinite(row.reward) and row.reward > best_r:
+            best_i, best_r = i, row.reward
+    if best_i < 0:
+        raise NoAssignableGoal("no assignable goal")
+    winner = matrix.rows[best_i].point
+    state.chosen_coords.append(winner)
+    return winner
 
 
 def evict_known_goals(state: AllocationState, merged, rad: float) -> int:

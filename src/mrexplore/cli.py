@@ -83,9 +83,14 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    except ValueError:
+        print(f"config error: --seeds must be comma-separated ints, got {args.seeds!r}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     if not methods or not seeds:
-        print("need at least one method and one seed", file=sys.stderr)
+        print("config error: need at least one method and one seed", file=sys.stderr)
         return EXIT_CONFIG
     try:
         base = load_config(args.config)

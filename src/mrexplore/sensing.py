@@ -1,8 +1,10 @@
 """Simulated lidar: ray casting against the true world and scan integration.
 
-All beams of a scan are traversed in lockstep with numpy; the traversal is
-an exact cell walk (every crossed cell is visited, corner grazes with zero
-chord are skipped), so thin walls cannot be leaked through.
+Each scan walks its beams once, all in lockstep with numpy. The walk is an
+exact cell walk (every crossed cell is visited, corner grazes with zero
+chord are skipped), so thin walls cannot be leaked through. It yields the
+ranges and the cells the scan proves free or occupied; integration applies
+those cells to a map and walks no beams itself.
 """
 
 from __future__ import annotations
@@ -25,47 +27,31 @@ _EPS = 1e-12
 
 @dataclass
 class LidarScan:
-    """One 360-degree scan. ranges[k] is the distance along beam k, or
-    max_range + 1 when the beam hit nothing within max_range."""
+    """One 360-degree scan and the cells its beams proved.
+
+    ranges[k] is the distance along beam k, or max_range + 1 when the beam
+    hit nothing within max_range. free_cells and occupied_cells are sorted
+    flat indices (col + row * width) in frame, the (resolution, origin_x,
+    origin_y, width, height) of the map the scan was cast in. A cell one
+    beam crossed and another stopped in is in both; integration makes it
+    Occupied.
+    """
 
     beam_count: int
     max_range: float
     pose: tuple[float, float, float]  # x, y, heading
     ranges: np.ndarray
+    frame: tuple[float, float, float, int, int]
+    free_cells: np.ndarray
+    occupied_cells: np.ndarray
 
     @property
     def no_hit(self) -> float:
         return self.max_range + 1.0
 
 
-def _beam_directions(heading: float, beam_count: int):
-    theta = heading + 2.0 * math.pi * np.arange(beam_count) / beam_count
-    return np.cos(theta), np.sin(theta)
-
-
-def _walk_state(px, py, dx, dy, cx0, cy0, res, origin_x, origin_y):
-    """Initial per-beam traversal state: cell coords, boundary distances
-    t_max_x/y and per-cell increments t_dx/y."""
-    n = len(dx)
-    cx = np.full(n, cx0, dtype=np.int64)
-    cy = np.full(n, cy0, dtype=np.int64)
-
-    with np.errstate(divide="ignore"):
-        t_dx = np.where(dx != 0.0, res / np.abs(dx), np.inf)
-        t_dy = np.where(dy != 0.0, res / np.abs(dy), np.inf)
-        pos_x = origin_x + (cx0 + 1) * res - px
-        neg_x = origin_x + cx0 * res - px
-        t_max_x = np.where(dx > 0, pos_x / np.where(dx != 0, dx, 1.0),
-                           np.where(dx < 0, neg_x / np.where(dx != 0, dx, 1.0),
-                                    np.inf))
-        pos_y = origin_y + (cy0 + 1) * res - py
-        neg_y = origin_y + cy0 * res - py
-        t_max_y = np.where(dy > 0, pos_y / np.where(dy != 0, dy, 1.0),
-                           np.where(dy < 0, neg_y / np.where(dy != 0, dy, 1.0),
-                                    np.inf))
-    step_x = np.sign(dx).astype(np.int64)
-    step_y = np.sign(dy).astype(np.int64)
-    return cx, cy, t_max_x, t_max_y, t_dx, t_dy, step_x, step_y
+def _frame(grid) -> tuple[float, float, float, int, int]:
+    return (grid.resolution, grid.origin_x, grid.origin_y, grid.width, grid.height)
 
 
 def raycast(truth: GroundTruthMap, pose, beam_count: int, max_range: float) -> LidarScan:
@@ -75,6 +61,10 @@ def raycast(truth: GroundTruthMap, pose, beam_count: int, max_range: float) -> L
     chord through the first Occupied cell it crosses: within half a cell of
     that cell's center, and exactly the center distance for walls hit
     square-on. Deterministic, noise free.
+
+    The walk also records what the scan proves: a cell a beam crosses before
+    its stop is free, and the stop cell is occupied, each only when the
+    midpoint of the beam's chord through it lies within max_range.
     """
     px, py, heading = pose
     cx0, cy0 = world_to_grid(px, py, truth)
@@ -85,27 +75,50 @@ def raycast(truth: GroundTruthMap, pose, beam_count: int, max_range: float) -> L
 
     res = truth.resolution
     width, height = truth.width, truth.height
+    n_cells = width * height
     occ_flat = (truth.cells == OCCUPIED).ravel()
-    dx, dy = _beam_directions(heading, beam_count)
-    cx, cy, t_max_x, t_max_y, t_dx, t_dy, step_x, step_y = _walk_state(
-        px, py, dx, dy, cx0, cy0, res, truth.origin_x, truth.origin_y
-    )
+    theta = heading + 2.0 * math.pi * np.arange(beam_count) / beam_count
+    dx, dy = np.cos(theta), np.sin(theta)
 
-    no_hit = max_range + 1.0
-    ranges = np.full(beam_count, no_hit, dtype=np.float64)
+    # Per-beam walk state: cell coords, distances t_max_x/y to the next
+    # cell boundary and per-cell increments t_dx/y.
+    cx = np.full(beam_count, cx0, dtype=np.int64)
+    cy = np.full(beam_count, cy0, dtype=np.int64)
+    with np.errstate(divide="ignore"):
+        t_dx = np.where(dx != 0.0, res / np.abs(dx), np.inf)
+        t_dy = np.where(dy != 0.0, res / np.abs(dy), np.inf)
+        pos_x = truth.origin_x + (cx0 + 1) * res - px
+        neg_x = truth.origin_x + cx0 * res - px
+        t_max_x = np.where(dx > 0, pos_x / np.where(dx != 0, dx, 1.0),
+                           np.where(dx < 0, neg_x / np.where(dx != 0, dx, 1.0),
+                                    np.inf))
+        pos_y = truth.origin_y + (cy0 + 1) * res - py
+        neg_y = truth.origin_y + cy0 * res - py
+        t_max_y = np.where(dy > 0, pos_y / np.where(dy != 0, dy, 1.0),
+                           np.where(dy < 0, neg_y / np.where(dy != 0, dy, 1.0),
+                                    np.inf))
+    step_x = np.sign(dx).astype(np.int64)
+    step_y = np.sign(dy).astype(np.int64)
+
+    ranges = np.full(beam_count, max_range + 1.0, dtype=np.float64)
     t_stop = max_range + 2.0 * res
     t_entry = np.zeros(beam_count)
     active = np.ones(beam_count, dtype=bool)
+    free = np.zeros(n_cells, dtype=bool)
+    occupied = np.zeros(n_cells, dtype=bool)
 
     while active.any():
         t_exit = np.minimum(t_max_x, t_max_y)
         crossed = active & (t_exit - t_entry > _EPS)
-        idx = cy * width + cx
-        occ_here = crossed & occ_flat[np.clip(idx, 0, width * height - 1)]
+        idx = np.clip(cy * width + cx, 0, n_cells - 1)
+        occ_here = crossed & occ_flat[idx]
+        mid = 0.5 * (t_entry + t_exit)
+        seen = crossed & (mid <= max_range)
+        free[idx[seen & ~occ_here]] = True
         if occ_here.any():
-            r = 0.5 * (t_entry + t_exit)
-            hit = occ_here & (r <= max_range)
-            ranges[hit] = r[hit]
+            hit = occ_here & seen
+            ranges[hit] = mid[hit]
+            occupied[idx[hit]] = True
             active &= ~occ_here  # beams stop at their first occupied cell
 
         take_x = t_max_x < t_max_y
@@ -117,69 +130,23 @@ def raycast(truth: GroundTruthMap, pose, beam_count: int, max_range: float) -> L
         active &= (t_entry <= t_stop)
         active &= (cx >= 0) & (cx < width) & (cy >= 0) & (cy < height)
 
-    return LidarScan(beam_count, max_range, (px, py, heading), ranges)
+    return LidarScan(beam_count, max_range, (px, py, heading), ranges,
+                     _frame(truth), np.flatnonzero(free), np.flatnonzero(occupied))
 
 
 def integrate_scan(grid: OccupancyGrid, scan: LidarScan) -> OccupancyGrid:
-    """Fold a scan into the grid: beam cells before the hit become Free, the
-    hit cell becomes Occupied, no-hit beams clear out to max_range.
+    """Fold a scan into the grid: its free cells become Free unless the grid
+    has them Occupied, then its occupied cells become Occupied.
 
-    Occupied cells are never demoted. Idempotent for a fixed scan.
+    Occupied cells are never demoted. Idempotent for a fixed scan. Raises
+    ValueError when the grid's geometry differs from the frame the scan was
+    cast in.
     """
-    px, py, heading = scan.pose
-    cx0, cy0 = world_to_grid(px, py, grid)
-    if not grid.in_bounds(cx0, cy0):
-        raise ValueError("scan pose outside the grid")
-
-    res = grid.resolution
-    width, height = grid.width, grid.height
-    n_cells = width * height
-    beam_count = scan.beam_count
-    ranges = np.asarray(scan.ranges, dtype=np.float64)
-    hit = ranges <= scan.max_range
-
-    dx, dy = _beam_directions(heading, beam_count)
-    cx, cy, t_max_x, t_max_y, t_dx, t_dy, step_x, step_y = _walk_state(
-        px, py, dx, dy, cx0, cy0, res, grid.origin_x, grid.origin_y
-    )
-
-    # endpoint cell of each hit beam; the reported range lands inside it
-    hx = np.floor((px + ranges * dx - grid.origin_x) / res).astype(np.int64)
-    hy = np.floor((py + ranges * dy - grid.origin_y) / res).astype(np.int64)
-    hit_idx = np.where(hit, hy * width + hx, -1)
-
-    t_stop = np.where(hit, ranges + 2.0 * res, scan.max_range)
-    t_entry = np.zeros(beam_count)
-    active = np.ones(beam_count, dtype=bool)
-    mark_free = np.zeros(n_cells, dtype=bool)
-    mark_occ = np.zeros(n_cells, dtype=bool)
-
-    while active.any():
-        t_exit = np.minimum(t_max_x, t_max_y)
-        crossed = active & (t_exit - t_entry > _EPS)
-        idx = cy * width + cx
-
-        at_hit = crossed & hit & (idx == hit_idx)
-        if at_hit.any():
-            mark_occ[idx[at_hit]] = True
-            active &= ~at_hit
-
-        mid = 0.5 * (t_entry + t_exit)
-        passing = crossed & ~at_hit & np.where(hit, True, mid <= scan.max_range)
-        if passing.any():
-            mark_free[idx[passing]] = True
-
-        take_x = t_max_x < t_max_y
-        t_entry = np.where(take_x, t_max_x, t_max_y)
-        cx = np.where(take_x, cx + step_x, cx)
-        cy = np.where(take_x, cy, cy + step_y)
-        t_max_x = np.where(take_x, t_max_x + t_dx, t_max_x)
-        t_max_y = np.where(take_x, t_max_y, t_max_y + t_dy)
-        active &= (t_entry <= t_stop)
-        active &= (cx >= 0) & (cx < width) & (cy >= 0) & (cy < height)
-
+    if _frame(grid) != scan.frame:
+        raise ValueError("grid geometry differs from the frame of the scan")
     out = grid.copy()
     flat = out.cells.ravel()
-    flat[mark_free & (flat != OCCUPIED)] = FREE
-    flat[mark_occ] = OCCUPIED
+    free = scan.free_cells
+    flat[free[flat[free] != OCCUPIED]] = FREE
+    flat[scan.occupied_cells] = OCCUPIED
     return out

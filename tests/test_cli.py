@@ -138,6 +138,20 @@ class TestCompare:
                      "--seeds", "1", "--out", str(tmp_path / "x")])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("methods,seeds", [
+        ("proposed", "1,x"), ("proposed", "2.5"), ("proposed", ","), (",", "1"),
+    ], ids=["non_integer", "float", "no_seed", "no_method"])
+    def test_bad_list_is_one_line_config_error(self, cfg_file, tmp_path, capsys,
+                                               methods, seeds):
+        code = main(["compare", "--config", cfg_file, "--methods", methods,
+                     "--seeds", seeds, "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "Traceback" not in err
+        lines = err.strip().split("\n")
+        assert len(lines) == 1
+        assert lines[0].startswith("config error: ")
+
 
 class TestMisc:
     def test_log_level_env(self, cfg_file, tmp_path, monkeypatch):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mrexplore.grid import (
     FREE,
@@ -161,6 +164,37 @@ class TestMerge:
             for perm in ((2, 0, 1), (1, 2, 0), (2, 1, 0)):
                 m2 = merge_maps([grids[i] for i in perm])
                 assert np.array_equal(m1.cells, m2.cells)
+
+
+@st.composite
+def lattice_grid(draw, res=0.5):
+    """A small random tri-state grid whose origin lies on the res lattice."""
+    w, h = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    ox, oy = draw(st.integers(-5, 5)) * res, draw(st.integers(-5, 5)) * res
+    cells = draw(arrays(np.int8, (h, w),
+                        elements=st.sampled_from([UNKNOWN, FREE, OCCUPIED])))
+    return OccupancyGrid(res, ox, oy, w, h, cells)
+
+
+def same_map(a, b):
+    return ((a.resolution, a.origin_x, a.origin_y, a.width, a.height)
+            == (b.resolution, b.origin_x, b.origin_y, b.width, b.height)
+            and np.array_equal(a.cells, b.cells))
+
+
+class TestMergeProperties:
+    @given(lattice_grid(), lattice_grid())
+    def test_commutative(self, a, b):
+        assert same_map(merge_maps([a, b]), merge_maps([b, a]))
+
+    @given(lattice_grid())
+    def test_idempotent(self, a):
+        assert same_map(merge_maps([a, a]), a)
+
+    @given(lattice_grid(), lattice_grid())
+    def test_merging_inputs_again_changes_nothing(self, a, b):
+        m = merge_maps([a, b])
+        assert same_map(merge_maps([m, a, b]), m)
 
 
 class TestCoverage:

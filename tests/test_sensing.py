@@ -2,8 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from mrexplore.grid import FREE, OCCUPIED, UNKNOWN, GroundTruthMap, world_to_grid
+from mrexplore.grid import (
+    FREE,
+    OCCUPIED,
+    UNKNOWN,
+    GroundTruthMap,
+    OccupancyGrid,
+    world_to_grid,
+)
 from mrexplore.sensing import integrate_scan, raycast
 
 from conftest import truth_from_rows
@@ -60,6 +70,63 @@ def raycast_reference(truth, pose, beam_count, max_range):
                     ranges[k] = r
                 break
     return ranges
+
+
+def integrate_reference(grid, scan):
+    """Ranges-based integration, one beam at a time: a hit beam's endpoint
+    cell (the floor of pose + range * direction) becomes Occupied and the
+    cells it crosses before that become Free; a no-hit beam frees the cells
+    whose chord midpoint lies within max_range. Occupied is never demoted."""
+    px, py, heading = scan.pose
+    res = grid.resolution
+    free, occupied = set(), set()
+    for k, r in enumerate(scan.ranges):
+        theta = heading + 2.0 * math.pi * k / scan.beam_count
+        dx, dy = math.cos(theta), math.sin(theta)
+        if r <= scan.max_range:
+            end = world_to_grid(px + r * dx, py + r * dy, grid)
+            for cx, cy, _, _ in walk_ray_reference(px, py, dx, dy, grid, r + 2.0 * res):
+                if (cx, cy) == end:
+                    occupied.add(end)
+                    break
+                free.add((cx, cy))
+        else:
+            for cx, cy, t_in, t_out in walk_ray_reference(
+                px, py, dx, dy, grid, scan.max_range
+            ):
+                if 0.5 * (t_in + t_out) <= scan.max_range:
+                    free.add((cx, cy))
+    out = grid.copy()
+    for cx, cy in free:
+        if out.cells[cy, cx] != OCCUPIED:
+            out.cells[cy, cx] = FREE
+    for cx, cy in occupied:
+        out.cells[cy, cx] = OCCUPIED
+    return out
+
+
+@st.composite
+def world_and_pose(draw):
+    """A small random world, a pose in one of its free cells and a grid of
+    the same geometry holding random earlier knowledge."""
+    w, h = draw(st.integers(3, 12)), draw(st.integers(3, 12))
+    res = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    origin = (draw(st.integers(-4, 4)) * res, draw(st.integers(-4, 4)) * res)
+    cells = draw(arrays(np.int8, (h, w), elements=st.sampled_from([FREE, OCCUPIED])))
+    cx, cy = draw(st.integers(0, w - 1)), draw(st.integers(0, h - 1))
+    cells[cy, cx] = FREE
+    truth = GroundTruthMap(res, origin[0], origin[1], w, h, cells)
+    frac = st.floats(0.05, 0.95)
+    pose = (origin[0] + (cx + draw(frac)) * res, origin[1] + (cy + draw(frac)) * res,
+            draw(st.floats(0.0, 2 * math.pi)))
+    known = draw(arrays(np.int8, (h, w),
+                        elements=st.sampled_from([UNKNOWN, FREE, OCCUPIED])))
+    grid = OccupancyGrid(res, origin[0], origin[1], w, h, known)
+    return truth, pose, grid
+
+
+_beams = st.integers(1, 48)
+_max_range = st.floats(0.3, 6.0)
 
 
 class TestRaycast:
@@ -166,3 +233,40 @@ class TestIntegrate:
             g = integrate_scan(g, raycast(box5, pose, 36, 5.0))
             assert g.known_count() >= known
             known = g.known_count()
+
+    @pytest.mark.parametrize("frame", [
+        (1.0, 1.0, 0.0, 5, 5),   # origin shifted by a cell
+        (1.0, 0.0, 0.5, 5, 5),   # origin off the lattice
+        (1.0, 0.0, 0.0, 6, 5),   # wider
+        (1.0, 0.0, 0.0, 5, 4),   # shorter
+        (0.5, 0.0, 0.0, 5, 5),   # finer cells
+    ])
+    def test_other_geometry_rejected(self, box5, frame):
+        scan = raycast(box5, (2.5, 2.5, 0.0), 8, 5.0)
+        with pytest.raises(ValueError, match="geometry"):
+            integrate_scan(OccupancyGrid(*frame), scan)
+
+
+class TestIntegrateProperties:
+    @settings(deadline=None)  # timing is not under test; the host may be busy
+    @given(world_and_pose(), _beams, _max_range)
+    def test_idempotent(self, world, beams, max_range):
+        truth, pose, grid = world
+        scan = raycast(truth, pose, beams, max_range)
+        once = integrate_scan(grid, scan)
+        assert np.array_equal(integrate_scan(once, scan).cells, once.cells)
+
+    @settings(deadline=None)  # timing is not under test; the host may be busy
+    @given(world_and_pose(), _beams, _max_range)
+    def test_never_demotes_occupied(self, world, beams, max_range):
+        truth, pose, grid = world
+        out = integrate_scan(grid, raycast(truth, pose, beams, max_range))
+        assert np.all(out.cells[grid.cells == OCCUPIED] == OCCUPIED)
+
+    @settings(deadline=None)  # timing is not under test; the host may be busy
+    @given(world_and_pose(), _beams, _max_range)
+    def test_matches_ranges_based_reference(self, world, beams, max_range):
+        truth, pose, grid = world
+        scan = raycast(truth, pose, beams, max_range)
+        assert np.array_equal(integrate_scan(grid, scan).cells,
+                              integrate_reference(grid, scan).cells)
