@@ -70,9 +70,9 @@ def update_rewards(
 
     K = (max finite reward) / len(chosen); every row loses K/d^2 per chosen
     point at distance d, and rows in the cell of a chosen point (so every
-    row at d == 0) are suppressed outright. Returns (matrix, applied);
-    when no finite reward exists the matrix comes back unchanged with
-    applied=False.
+    row at d == 0) are suppressed outright, as is a row so close that d^2
+    underflows to 0. Returns (matrix, applied); when no finite reward
+    exists the matrix comes back unchanged with applied=False.
     """
     if not chosen:
         raise ValueError("update_rewards requires at least one chosen point")
@@ -90,7 +90,10 @@ def update_rewards(
             if not math.isfinite(row.reward):
                 continue
             d = math.hypot(c.x - row.point.x, c.y - row.point.y)
-            row.reward -= k_scale / (d * d)
+            if d * d == 0.0:  # underflow: -K/d^2 tends to -inf
+                row.reward = SUPPRESSED
+            else:
+                row.reward -= k_scale / (d * d)
     return RewardMatrix(rows, matrix.owner), True
 
 

@@ -1,11 +1,10 @@
-"""Grid path planning (Dijkstra over the 8-connected lattice) and ideal
-path following."""
+"""Grid path planning (a bucket Dijkstra over the 8-connected lattice, in
+numpy wavefronts) and ideal path following."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
 import numpy as np
 
@@ -29,109 +28,106 @@ class GridPath:
         return self.waypoints[-1]
 
 
-def _run_dijkstra(grid: OccupancyGrid, start_cell, goal_idxs=None):
-    """Single-source shortest paths with deterministic (cost, row, col)
-    priority ordering. Unknown cells are traversable at axis cost, Occupied
-    cells block, diagonal moves may not cut corners. Stops early once every
-    goal index is settled. The neighbor handling is unrolled on flat indices
-    for speed; ties are resolved by the heap ordering alone."""
-    width, height = grid.width, grid.height
-    res = grid.resolution
-    diag = _SQRT2 * res
-    occ = (grid.cells == OCCUPIED).astype(np.uint8).reshape(-1).tobytes()
+# The 8 moves as (dx, dy): axis moves cost resolution, diagonals
+# sqrt(2) * resolution.
+_MOVES = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
 
-    n = width * height
-    dist = [math.inf] * n
-    parent = [-1] * n
-    done = bytearray(n)
+
+def _run_dijkstra(grid: OccupancyGrid, start_cell, goal_idxs):
+    """Single-source shortest paths on the grid padded with one Occupied
+    ring, in flat indices of that padded grid. Unknown cells are
+    traversable at axis cost, Occupied cells block, diagonal moves may not
+    cut corners. Stops once every goal index is settled.
+
+    A bucket search: each step settles every open cell whose tentative
+    distance is below min(open) + resolution. Every move costs at least
+    resolution, so no later relaxation can lower them. A distance is the
+    least fl(dist[i] + w) over the cell's neighbours, which does not depend
+    on the order cells settle in, so the distances equal those of a
+    per-cell heap bit for bit. The parent of a cell is the neighbour that
+    gives its distance with the least (dist, row, col), the one a heap
+    ordered by (cost, row, col) settles first. Returns (dist, parent)."""
+    pw = grid.width + 2
+    free = np.zeros((grid.height + 2, pw), dtype=bool)
+    free[1:-1, 1:-1] = grid.cells != OCCUPIED
+    free = free.reshape(-1)
+    n = free.size
+    res = grid.resolution
+    offsets = np.array([dy * pw + dx for dx, dy in _MOVES])
+    weights = np.array([res] * 4 + [_SQRT2 * res] * 4)
+
+    # allowed[i, k]: move k from cell i lands on a free cell without
+    # cutting a corner. The ring cells are never sources, so the rows from
+    # pw + 1 to n - pw - 1 cover every cell a move can start from.
+    lo, hi = pw + 1, n - pw - 1
+    allowed = np.zeros((n, 8), dtype=bool)
+    for k, (dx, dy) in enumerate(_MOVES):
+        ok = free[lo + offsets[k]:hi + offsets[k]]
+        if dx and dy:
+            ok = ok & free[lo + dx:hi + dx] & free[lo + dy * pw:hi + dy * pw]
+        allowed[lo:hi, k] = ok
 
     sx, sy = start_cell
-    sidx = sy * width + sx
-    dist[sidx] = 0.0
-    heap = [(0.0, sy, sx)]
-    pending = set(goal_idxs) if goal_idxs is not None else None
-    push = heappush
-    pop = heappop
-    last_row = height - 1
-    last_col = width - 1
+    start = (sy + 1) * pw + sx + 1
+    dist = np.full(n, np.inf)
+    dist[start] = 0.0
+    settled = np.zeros(n, dtype=bool)
+    queued = np.zeros(n, dtype=bool)  # has entered the front
+    queued[start] = True
+    slot = np.empty(n, dtype=np.intp)
+    goals = np.asarray(goal_idxs, dtype=np.intp)
+    front = np.array([start])
+    while front.size:
+        d = dist[front]
+        now = d < d.min() + res
+        batch = front[now]
+        settled[batch] = True
+        if settled[goals].all():
+            break
+        nb = batch[:, None] + offsets
+        nd = dist[batch][:, None] + weights
+        ok = allowed[batch] & (nd < dist[nb])
+        nb = nb[ok]
+        np.minimum.at(dist, nb, nd[ok])
+        # Keep one position per cell (whichever write to slot stands) and
+        # drop cells already in the front. np.unique would hash or sort,
+        # which costs several times more on fronts of a few hundred cells.
+        seq = np.arange(nb.size)
+        slot[nb] = seq
+        nb = nb[(slot[nb] == seq) & ~queued[nb]]
+        queued[nb] = True
+        front = np.concatenate((front[~now], nb))
 
-    while heap:
-        d, cy, cx = pop(heap)
-        idx = cy * width + cx
-        if done[idx]:
-            continue
-        done[idx] = 1
-        if pending is not None:
-            pending.discard(idx)
-            if not pending:
-                break
-
-        rt = cx < last_col
-        lf = cx > 0
-        dn = cy < last_row
-        up = cy > 0
-        r_free = rt and not occ[idx + 1]
-        l_free = lf and not occ[idx - 1]
-        d_free = dn and not occ[idx + width]
-        u_free = up and not occ[idx - width]
-
-        nd = d + res
-        if r_free and nd < dist[idx + 1]:
-            dist[idx + 1] = nd
-            parent[idx + 1] = idx
-            push(heap, (nd, cy, cx + 1))
-        if l_free and nd < dist[idx - 1]:
-            dist[idx - 1] = nd
-            parent[idx - 1] = idx
-            push(heap, (nd, cy, cx - 1))
-        if d_free and nd < dist[idx + width]:
-            dist[idx + width] = nd
-            parent[idx + width] = idx
-            push(heap, (nd, cy + 1, cx))
-        if u_free and nd < dist[idx - width]:
-            dist[idx - width] = nd
-            parent[idx - width] = idx
-            push(heap, (nd, cy - 1, cx))
-
-        nd = d + diag  # diagonals may not cut corners
-        if r_free and d_free:
-            j = idx + width + 1
-            if not occ[j] and nd < dist[j]:
-                dist[j] = nd
-                parent[j] = idx
-                push(heap, (nd, cy + 1, cx + 1))
-        if r_free and u_free:
-            j = idx - width + 1
-            if not occ[j] and nd < dist[j]:
-                dist[j] = nd
-                parent[j] = idx
-                push(heap, (nd, cy - 1, cx + 1))
-        if l_free and d_free:
-            j = idx + width - 1
-            if not occ[j] and nd < dist[j]:
-                dist[j] = nd
-                parent[j] = idx
-                push(heap, (nd, cy + 1, cx - 1))
-        if l_free and u_free:
-            j = idx - width - 1
-            if not occ[j] and nd < dist[j]:
-                dist[j] = nd
-                parent[j] = idx
-                push(heap, (nd, cy - 1, cx - 1))
+    # A neighbour i with dist[i] + w == dist[j] has dist[i] < dist[j], so it
+    # settled before j; an unsettled cell is too far to give a settled one
+    # its distance.
+    cells = np.flatnonzero(settled)
+    target = dist[cells]
+    best = np.full(cells.size, np.inf)
+    parent = np.full(n, -1)
+    best_src = np.full(cells.size, -1)
+    for k in range(8):
+        src = cells - offsets[k]
+        ds = dist[src]
+        take = (allowed[src, k] & (ds + weights[k] == target)
+                & ((ds < best) | ((ds == best) & (src < best_src))))
+        best[take] = ds[take]
+        best_src[take] = src[take]
+    parent[cells] = best_src
     return dist, parent
 
 
 def _extract_path(grid, dist, parent, goal_idx) -> GridPath:
-    width = grid.width
+    pw = grid.width + 2
     chain = []
     idx = goal_idx
     while idx != -1:
         chain.append(idx)
         idx = parent[idx]
     chain.reverse()
-    cells = [(i % width, i // width) for i in chain]
+    cells = [(i % pw - 1, i // pw - 1) for i in chain]
     waypoints = [grid_to_world(cx, cy, grid) for cx, cy in cells]
-    return GridPath(cells, dist[goal_idx], waypoints)
+    return GridPath(cells, float(dist[goal_idx]), waypoints)
 
 
 def _start_cell(grid, start):
@@ -146,18 +142,20 @@ def _start_cell(grid, start):
 def plan_many(grid: OccupancyGrid, start, goals) -> list[GridPath | None]:
     """Shortest 8-connected paths by metric cost (axis = resolution,
     diagonal = sqrt(2) * resolution) from the start point to each goal
-    point, from one Dijkstra pass; unreachable goals yield None. Each path
-    is the one a pass for its goal alone would give."""
+    point, from one search; unreachable goals yield None. Each path is the
+    one a search for its goal alone would give."""
     scx, scy = _start_cell(grid, start)
+    pw = grid.width + 2
     goal_idxs = []
     for g in goals:
         gcx, gcy = world_to_grid(g[0], g[1], grid)
         if not grid.in_bounds(gcx, gcy) or grid.cells[gcy, gcx] == OCCUPIED:
             goal_idxs.append(None)
         else:
-            goal_idxs.append(gcy * grid.width + gcx)
+            goal_idxs.append((gcy + 1) * pw + gcx + 1)
     wanted = [i for i in goal_idxs if i is not None]
-    dist, parent = _run_dijkstra(grid, (scx, scy), goal_idxs=wanted)
+    dist, parent = _run_dijkstra(grid, (scx, scy), wanted)
+    parent = parent.tolist()
 
     paths: list[GridPath | None] = []
     for gidx in goal_idxs:

@@ -121,19 +121,28 @@ def log_spanning_trees(graph: PoseGraph) -> float:
     return float(logdet)
 
 
-def trajectory_gain(graph: PoseGraph, waypoints, params: GraphBuildParams) -> float:
+def base_log_spanning_trees(graph: PoseGraph) -> float:
+    """log_spanning_trees of the graph, 0 for a graph with no nodes: the
+    base that trajectory_gain differences against."""
+    return log_spanning_trees(graph) if graph.node_count else 0.0
+
+
+def trajectory_gain(graph: PoseGraph, waypoints, params: GraphBuildParams,
+                    base: float | None = None) -> float:
     """Predicted log-gain in spanning trees from driving the waypoint list.
 
     Simulates extending a copy of the graph along the waypoints with the
     same spacing and loop-closure rules, then differences the log counts.
+    base is base_log_spanning_trees(graph), for callers that score many
+    paths on one graph; it is computed when not given.
     """
     if not waypoints:
         raise ValueError("empty candidate path")
-    before = log_spanning_trees(graph) if graph.node_count else 0.0
+    before = base_log_spanning_trees(graph) if base is None else base
     hypo = graph.copy()
     for wx, wy in waypoints:
         extend_trajectory(hypo, (wx, wy, 0.0), params)
-    after = log_spanning_trees(hypo) if hypo.node_count else 0.0
+    after = base_log_spanning_trees(hypo)
     return after - before
 
 

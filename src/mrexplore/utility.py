@@ -8,7 +8,13 @@ from dataclasses import dataclass
 
 from .allocate import SUPPRESSED
 from .grid import ENTROPY_BITS, UNKNOWN, OccupancyGrid
-from .posegraph import GraphBuildParams, PoseGraph, normalize_gains, trajectory_gain
+from .posegraph import (
+    GraphBuildParams,
+    PoseGraph,
+    base_log_spanning_trees,
+    normalize_gains,
+    trajectory_gain,
+)
 
 
 @dataclass
@@ -82,12 +88,13 @@ def score_candidates(
         raise ValueError("no candidates")
     paths = plan_paths([(c.x, c.y) for c in candidates])
 
+    base = base_log_spanning_trees(graph)
     gains: list[float | None] = []
     for path in paths:
         if path is None:
             gains.append(None)
         else:
-            gains.append(trajectory_gain(graph, path.waypoints, gparams))
+            gains.append(trajectory_gain(graph, path.waypoints, gparams, base))
     reachable = [g for g in gains if g is not None]
     if not reachable:
         raise ValueError("no viable candidates")

@@ -127,6 +127,15 @@ class TestUpdateRewards:
         assert not applied
         assert out.rows[0].reward == SUPPRESSED
 
+    def test_underflowing_distance_suppressed(self):
+        # different floor cells, but d^2 = 4e-340 underflows to 0
+        chosen = [FrontierPoint(1e-170, 0.0)]
+        h = matrix([(-1e-170, 0.0, 5.0), (3.0, 0.0, 4.0)])
+        out, applied = update_rewards(chosen, h, cell_key)
+        assert applied
+        assert out.rows[0].reward == SUPPRESSED
+        assert out.rows[1].reward == pytest.approx(4.0 - 5.0 / 9.0)
+
     def test_requires_chosen(self):
         with pytest.raises(ValueError):
             update_rewards([], matrix([(0, 0, 1.0)]), cell_key)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +168,21 @@ class TestRaycast:
             got = raycast(truth, pose, 24, 3.0).ranges
             want = raycast_reference(truth, pose, 24, 3.0)
             assert np.allclose(got, want, atol=1e-9), (got - want)
+
+
+    @pytest.mark.parametrize("heading", [5e-324, 1e-310, 2.5e-309])
+    def test_beam_next_to_axis_warns_nothing(self, heading):
+        # The first beam's sin(heading) is subnormal. At 5e-324 and 1e-310
+        # its t_dy overflows; at 2.5e-309, t_max_y + t_dy would.
+        truth = truth_from_rows(["......", ".#..#.", "......", "..#..."])
+        pose = (2.5, 2.5)
+        want = raycast(truth, (*pose, 0.0), 16, 4.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = raycast(truth, (*pose, heading), 16, 4.0)
+        assert np.array_equal(got.ranges, want.ranges)
+        assert np.array_equal(got.free_cells, want.free_cells)
+        assert np.array_equal(got.occupied_cells, want.occupied_cells)
 
 
 class TestIntegrate:
