@@ -128,22 +128,20 @@ def base_log_spanning_trees(graph: PoseGraph) -> float:
 
 
 def trajectory_gain(graph: PoseGraph, waypoints, params: GraphBuildParams,
-                    base: float | None = None) -> float:
+                    base: float) -> float:
     """Predicted log-gain in spanning trees from driving the waypoint list.
 
     Simulates extending a copy of the graph along the waypoints with the
     same spacing and loop-closure rules, then differences the log counts.
-    base is base_log_spanning_trees(graph), for callers that score many
-    paths on one graph; it is computed when not given.
+    base is base_log_spanning_trees(graph), computed once by callers that
+    score many paths on one graph.
     """
     if not waypoints:
         raise ValueError("empty candidate path")
-    before = base_log_spanning_trees(graph) if base is None else base
     hypo = graph.copy()
     for wx, wy in waypoints:
         extend_trajectory(hypo, (wx, wy, 0.0), params)
-    after = base_log_spanning_trees(hypo)
-    return after - before
+    return base_log_spanning_trees(hypo) - base
 
 
 def normalize_gains(gains) -> list[float]:

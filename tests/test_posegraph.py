@@ -11,6 +11,7 @@ from mrexplore.posegraph import (
     Edge,
     GraphBuildParams,
     PoseGraph,
+    base_log_spanning_trees,
     extend_trajectory,
     log_spanning_trees,
     normalize_gains,
@@ -224,18 +225,21 @@ class TestTrajectoryGain:
     def test_dangling_chain_zero_gain(self):
         g = self.chain(3)
         waypoints = [(3.0, 0.0), (4.0, 0.0), (5.0, 0.0)]
-        assert trajectory_gain(g, waypoints, self.params()) == pytest.approx(0.0, abs=1e-9)
+        assert trajectory_gain(g, waypoints, self.params(),
+                               base_log_spanning_trees(g)) == pytest.approx(0.0, abs=1e-9)
 
     def test_closing_triangle_ln3(self):
         # 2-node chain; one new node near node 0 closes a unit triangle
         g = self.chain(2)
-        gain = trajectory_gain(g, [(0.5, 1.0)], self.params())
+        gain = trajectory_gain(g, [(0.5, 1.0)], self.params(),
+                               base_log_spanning_trees(g))
         assert gain == pytest.approx(math.log(3.0), abs=1e-9)
         assert g.node_count == 2  # hypothetical extension does not mutate
 
     def test_closing_square_ln4(self):
         g = self.chain(3)
-        gain = trajectory_gain(g, [(2.0, 1.0), (0.0, 1.0)], self.params())
+        gain = trajectory_gain(g, [(2.0, 1.0), (0.0, 1.0)], self.params(),
+                               base_log_spanning_trees(g))
         # oracle: before 1 tree; after, brute force over the produced graph
         hypo = g.copy()
         for w in [(2.0, 1.0), (0.0, 1.0)]:
@@ -246,8 +250,9 @@ class TestTrajectoryGain:
         assert gain == pytest.approx(math.log(want), abs=1e-9)
 
     def test_empty_path_rejected(self):
+        g = self.chain(2)
         with pytest.raises(ValueError):
-            trajectory_gain(self.chain(2), [], self.params())
+            trajectory_gain(g, [], self.params(), base_log_spanning_trees(g))
 
 
 class TestNormalizeGains:
