@@ -42,6 +42,11 @@ class FilterParams:
             raise ValueError("filter parameters must be finite")
         if self.rad <= 0 or self.rad_step <= 0 or self.perc_step <= 0:
             raise ValueError("rad, rad_step and perc_step must be positive")
+        # a step that float arithmetic absorbs would relax the list forever
+        if self.per_unk > 0 and self.per_unk - self.perc_step == self.per_unk:
+            raise ValueError("perc_step is too small to lower per_unk")
+        if self.rad + self.rad_step == self.rad:
+            raise ValueError("rad_step is too small to raise rad")
         if not 0 <= self.per_unk <= 100:
             raise ValueError("per_unk must be in [0, 100]")
         if not 0 <= self.min_pts < self.max_pts:

@@ -191,13 +191,15 @@ def coverage_percent(grid: OccupancyGrid, truth: GroundTruthMap) -> float:
 def inflate_obstacles(grid: OccupancyGrid, cells: int) -> OccupancyGrid:
     """New grid with Occupied dilated by `cells` (Chebyshev radius).
 
-    Used to keep the point robot away from walls when planning.
+    Used to keep the point robot away from walls when planning. A radius
+    of max(width, height) already reaches every cell from any cell, so
+    larger radii dilate no further.
     """
     if cells <= 0:
         return grid.copy()
     occ = grid.cells == OCCUPIED
     grown = occ.copy()
-    for _ in range(cells):
+    for _ in range(min(cells, max(grid.width, grid.height))):
         padded = np.pad(grown, 1, mode="constant")
         grown = (
             padded[0:-2, 0:-2] | padded[0:-2, 1:-1] | padded[0:-2, 2:]

@@ -46,7 +46,7 @@ from .planner import (
 from .posegraph import PoseGraph, extend_trajectory
 from .quality import MapQuality, map_quality
 from .sensing import integrate_scan, raycast
-from .utility import CandidateScore, score_candidates
+from .utility import decay, path_gains, score_candidates
 
 log = logging.getLogger("mrexplore")
 
@@ -60,16 +60,12 @@ class Robot:
     pose: tuple[float, float, float]
     grid: OccupancyGrid
     graph: PoseGraph
-    path: GridPath | None = None
-    goal: tuple[float, float] | None = None
+    path: GridPath | None = None  # ends at the goal; None while pending
     distance: float = 0.0
-    wants_goal: bool = True
     stall_ticks: int = 0
 
     def drop_goal(self):
         self.path = None
-        self.goal = None
-        self.wants_goal = True
         self.stall_ticks = 0
 
 
@@ -171,20 +167,24 @@ class ExplorationSim:
             extend_trajectory(r.graph, r.pose, cfg.graph_params)
         self.merged = merge_maps([r.grid for r in self.robots])
 
-    def _planning_grid(self, robot: Robot, goals=()) -> OccupancyGrid:
-        """Inflated copy of the merged map for planning. Inflation must not
-        swallow the robot's own cell or a candidate goal cell; those keep the
-        merged map's state."""
+    def _plan(self, robot: Robot, goals) -> list[GridPath | None] | None:
+        """Plan from the robot to every (x, y) goal on an inflated copy of
+        the merged map: one GridPath or None per goal, or None when no goal
+        is reachable. Inflation must not swallow the robot's own cell or a
+        goal cell; those keep the merged map's state."""
         g = inflate_obstacles(self.merged, self.config.inflation_cells)
-        restore = [(robot.pose[0], robot.pose[1])] + [(p[0], p[1]) for p in goals]
-        for x, y in restore:
+        for x, y in [robot.pose[:2], *goals]:
             cx, cy = world_to_grid(x, y, g)
             if g.in_bounds(cx, cy):
                 g.cells[cy, cx] = self.merged.cells[cy, cx]
         cx, cy = world_to_grid(robot.pose[0], robot.pose[1], g)
         if g.in_bounds(cx, cy) and g.cells[cy, cx] == OCCUPIED:
             g.cells[cy, cx] = FREE
-        return g
+        paths = plan_many(g, robot.pose, goals)
+        if all(path is None for path in paths):
+            log.info("agent %d: no reachable goal", robot.rid)
+            return None
+        return paths
 
     def _goal_area_known(self, goal) -> bool:
         unk, total = disc_unknown_stats(
@@ -192,20 +192,6 @@ class ExplorationSim:
             self.config.filter_params.rad,
         )
         return total > 0 and unk == 0
-
-    def _score(self, robot: Robot, offered) -> list[CandidateScore] | None:
-        """Plan to every offered point and score it; None when none of them
-        is reachable."""
-        grid = self._planning_grid(robot, [(p.x, p.y) for p in offered])
-        try:
-            return score_candidates(
-                robot.pose, self.merged, robot.graph, offered,
-                lambda goals: plan_many(grid, robot.pose, goals),
-                self.config.utility_params, self.config.graph_params,
-            )
-        except ValueError:
-            log.info("agent %d: no reachable candidate this round", robot.rid)
-            return None
 
     def run_iteration(self, robot: Robot) -> tuple[int, int, bool]:
         """Serve one agent's request: detect frontiers on every robot's map,
@@ -222,43 +208,32 @@ class ExplorationSim:
         if path is None:
             return raw_n, len(offered), False
         robot.path = path
-        robot.goal = path.goal
-        robot.wants_goal = False
         robot.stall_ticks = 0
         return raw_n, len(offered), True
 
-    def _free_run_limit(self, path: GridPath) -> float:
-        """Arclength up to which every path cell is currently Free on the
-        merged map. Motion never proceeds past this point, so robots only
-        ever occupy cells their scans proved free."""
-        cum = cumulative_lengths(path)
-        cells = self.merged.cells
-        limit = 0.0
-        for i, (cx, cy) in enumerate(path.cells):
-            if cells[cy, cx] != FREE:
-                return limit
-            limit = cum[i]
-        return limit
-
     def _advance(self, robot: Robot, speed: float, dt: float) -> None:
-        """Move along the path, clamped to the proven-free prefix; replan
-        around newly seen obstacles and abandon goals that stall."""
+        """Move along the path, no further than the end of its prefix of
+        cells that are Free on the merged map, so robots only ever occupy
+        cells their scans proved free; replan around newly seen obstacles
+        and abandon goals that stall."""
+        cells = self.merged.cells
         path = robot.path
-        blocked_by_wall = any(
-            self.merged.cells[cy, cx] == OCCUPIED for cx, cy in path.cells
-        )
-        if blocked_by_wall:
-            grid = self._planning_grid(robot, [robot.goal])
-            new_paths = plan_many(grid, robot.pose, [robot.goal])
-            if new_paths[0] is None:
-                log.debug("agent %d: goal unreachable after replan", robot.rid)
+        if any(cells[cy, cx] == OCCUPIED for cx, cy in path.cells):
+            paths = self._plan(robot, [path.goal])
+            if paths is None:
                 robot.drop_goal()
                 return
-            path = robot.path = new_paths[0]
+            path = robot.path = paths[0]
 
-        total = cumulative_lengths(path)[-1]
+        cum = cumulative_lengths(path)
+        free_end = 0.0
+        for (cx, cy), length in zip(path.cells, cum):
+            if cells[cy, cx] != FREE:
+                break
+            free_end = length
+        total = cum[-1]
         s = project_arclength(path, robot.pose)
-        target = min(s + speed * dt, self._free_run_limit(path))
+        target = min(s + speed * dt, free_end)
         if target <= s + 1e-9 and target < total - 1e-9:
             robot.stall_ticks += 1
             if robot.stall_ticks >= STALL_LIMIT:
@@ -292,11 +267,11 @@ class ExplorationSim:
 
             # abandon goals whose surroundings are already fully mapped
             for r in self.robots:
-                if r.path is not None and self._goal_area_known(r.goal):
+                if r.path is not None and self._goal_area_known(r.path.goal):
                     r.drop_goal()
 
             raw_n = filtered_n = 0
-            pending = {r.rid for r in self.robots if r.wants_goal}
+            pending = {r.rid for r in self.robots if r.path is None}
             if pending:
                 rid = schedule(pending, self.state)
                 raw_n, filtered_n, _ = self.run_iteration(self.robots[rid])
@@ -359,9 +334,12 @@ def _choose_spread(sim: ExplorationSim, robot: Robot, offered):
     if not any_open(offered, sim.state, sim._cell_key):
         log.info("agent %d: no assignable goal this round", robot.rid)
         return None
-    scores = sim._score(robot, offered)
-    if scores is None:
+    paths = sim._plan(robot, [(p.x, p.y) for p in offered])
+    if paths is None:
         return None
+    cfg = sim.config
+    scores = score_candidates(robot.pose, sim.merged, robot.graph, offered, paths,
+                              cfg.utility_params, cfg.graph_params)
     matrix = RewardMatrix([RewardRow(s.point, s.reward) for s in scores], robot.rid)
     try:
         goal_pt = select_goal(matrix, sim.state, sim._cell_key)
@@ -373,23 +351,31 @@ def _choose_spread(sim: ExplorationSim, robot: Robot, offered):
 
 def _choose_graph_gain(sim: ExplorationSim, robot: Robot, offered):
     """Graph gain plus distance decay only; ties to the lowest index."""
-    scores = sim._score(robot, offered)
-    if scores is None:
+    paths = sim._plan(robot, [(p.x, p.y) for p in offered])
+    if paths is None:
         return None
-    w = sim.config.utility_params.u1_weight
-    best = max((s for s in scores if s.path is not None),
-               key=lambda s: w * s.gain + s.gamma)
-    return best.path
+    uparams = sim.config.utility_params
+    gains = path_gains(robot.graph, paths, sim.config.graph_params)
+    x, y = robot.pose[0], robot.pose[1]
+
+    def value(i):
+        gamma = decay(math.hypot(offered[i].x - x, offered[i].y - y), uparams)
+        return uparams.u1_weight * gains[i] + gamma
+
+    reachable = [i for i, path in enumerate(paths) if path is not None]
+    return paths[max(reachable, key=value)]
 
 
 def _choose_nearest(sim: ExplorationSim, robot: Robot, offered):
     """Nearest reachable point by straight-line distance; ties to the
     earlier point."""
+    paths = sim._plan(robot, [(p.x, p.y) for p in offered])
+    if paths is None:
+        return None
     x, y = robot.pose[0], robot.pose[1]
-    grid = sim._planning_grid(robot, [(p.x, p.y) for p in offered])
-    nearest = sorted(offered, key=lambda p: math.hypot(p.x - x, p.y - y))
-    paths = plan_many(grid, robot.pose, [(p.x, p.y) for p in nearest])
-    return next((path for path in paths if path is not None), None)
+    reachable = [i for i, path in enumerate(paths) if path is not None]
+    return paths[min(reachable, key=lambda i: math.hypot(offered[i].x - x,
+                                                         offered[i].y - y))]
 
 
 POLICIES = {

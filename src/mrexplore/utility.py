@@ -69,39 +69,41 @@ class CandidateScore:
     cell_count: int
 
 
+def path_gains(graph: PoseGraph, paths,
+               gparams: GraphBuildParams) -> list[float | None]:
+    """Log spanning-tree gain along each path, None where there is no path.
+    The graph's base count is computed once for all of them."""
+    base = base_log_spanning_trees(graph)
+    return [None if path is None
+            else trajectory_gain(graph, path.waypoints, gparams, base)
+            for path in paths]
+
+
 def score_candidates(
     pose,
     grid: OccupancyGrid,
     graph: PoseGraph,
     candidates,
-    plan_paths,
+    paths,
     uparams: UtilityParams,
     gparams: GraphBuildParams,
 ) -> list[CandidateScore]:
-    """Evaluate every candidate frontier for one agent.
+    """Evaluate every candidate frontier for one agent, given one GridPath
+    or None per candidate.
 
-    plan_paths(goals) must return one GridPath or None per goal.
     Reward = u1_weight * gain + (1 - E/L) * rho + gamma; unreachable
     candidates keep a suppression sentinel so row indices stay aligned.
     """
     if not candidates:
         raise ValueError("no candidates")
-    paths = plan_paths([(c.x, c.y) for c in candidates])
-
-    base = base_log_spanning_trees(graph)
-    gains: list[float | None] = []
-    for path in paths:
-        if path is None:
-            gains.append(None)
-        else:
-            gains.append(trajectory_gain(graph, path.waypoints, gparams, base))
+    gains = path_gains(graph, paths, gparams)
     reachable = [g for g in gains if g is not None]
     if not reachable:
         raise ValueError("no viable candidates")
     rho_map = iter(normalize_gains(reachable))
 
     scores = []
-    for cand, path, gain in zip(candidates, paths, gains):
+    for cand, path, gain in zip(candidates, paths, gains, strict=True):
         if path is None:
             scores.append(CandidateScore(cand, SUPPRESSED, None, 0.0, 0.0, 0.0, 0.0, 0))
             continue
@@ -111,4 +113,3 @@ def score_candidates(
         reward = uparams.u1_weight * gain + u2(ent, count, rho, gamma)
         scores.append(CandidateScore(cand, reward, path, gain, rho, gamma, ent, count))
     return scores
-

@@ -92,8 +92,11 @@ class TestConfigErrors:
         "[graph]\nnode_spacing = nan\n",
         "[scenario]\nmap = builtin:nosuch\n",
         "[scenario]\nmap = builtin:desk\nrobots = 5\n",
+        "[filter]\nperc_step = 1e-300\n",
+        "[filter]\nper_unk = 0\nrad_step = 1e-300\n",
     ], ids=["speed_nan", "decay_rate_inf", "rad_nan", "node_spacing_nan",
-            "unknown_world", "too_many_robots"])
+            "unknown_world", "too_many_robots", "perc_step_absorbed",
+            "rad_step_absorbed"])
     def test_one_line_and_exit_1(self, tmp_path, capsys, text):
         path = tmp_path / "bad.cfg"
         path.write_text(text)

@@ -29,6 +29,19 @@ class TestFilterParams:
         with pytest.raises(ValueError, match="finite"):
             FilterParams(**{name: value})
 
+    @pytest.mark.parametrize("kw", [
+        dict(perc_step=1e-300),
+        dict(per_unk=0.0, rad_step=1e-300),
+        dict(rad=1e20, rad_step=1.0),
+    ], ids=["perc_step", "rad_step", "rad_step_at_large_rad"])
+    def test_step_absorbed_by_float_rejected(self, kw):
+        with pytest.raises(ValueError, match="too small"):
+            FilterParams(**kw)
+
+    def test_tiny_perc_step_at_zero_percent_accepted(self):
+        # a percentage of 0 is never lowered, so its step is never taken
+        assert FilterParams(per_unk=0.0, perc_step=1e-300).perc_step == 1e-300
+
 
 class TestDetect:
     def test_fully_known_empty(self):

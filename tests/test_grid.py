@@ -234,3 +234,17 @@ class TestInflate:
         assert np.array_equal(out.cells, g.cells)
         out.cells[0, 2] = OCCUPIED
         assert g.cells[0, 2] == FREE  # no aliasing
+
+    @pytest.mark.parametrize("rows", [
+        ["#......", ".......", "......."],  # the far corner is 6 cells away
+        ["?.?....", "......."],              # nothing to dilate
+    ])
+    def test_huge_radius_equals_full_extent(self, rows):
+        g = grid_from_rows(rows)
+        want = inflate_obstacles(g, max(g.width, g.height))
+        out = inflate_obstacles(g, 10**12)
+        assert np.array_equal(out.cells, want.cells)
+        if (g.cells == OCCUPIED).any():
+            assert (out.cells == OCCUPIED).all()
+        else:
+            assert np.array_equal(out.cells, g.cells)

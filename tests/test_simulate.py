@@ -4,8 +4,10 @@ import math
 import pytest
 
 from mrexplore.config import METHODS, ScenarioConfig
-from mrexplore.grid import OCCUPIED, world_to_grid
+from mrexplore.grid import FREE, OCCUPIED, inflate_obstacles, world_to_grid
+from mrexplore.planner import plan_many
 from mrexplore.simulate import POLICIES, ExplorationSim, run
+from mrexplore.utility import score_candidates
 from mrexplore.worlds import make_world
 
 
@@ -41,7 +43,7 @@ class TestMotionValidity:
         ticks = int(cfg.max_sim_time / cfg.dt)
         for _ in range(ticks):
             sim._sense_all()
-            pending = {r.rid for r in sim.robots if r.wants_goal}
+            pending = {r.rid for r in sim.robots if r.path is None}
             if pending:
                 from mrexplore.allocate import schedule
                 rid = schedule(pending, sim.state)
@@ -95,7 +97,7 @@ class TestCoverage:
         raw_n, offered_n, got = sim.run_iteration(robot)
         assert got
         assert raw_n >= 1
-        assert robot.goal == robot.path.goal and not robot.wants_goal
+        assert robot.path is not None
 
 
 class TestNoOpenCandidate:
@@ -122,7 +124,7 @@ class TestNoOpenCandidate:
         robot = sim.robots[0]
         assert sim.run_iteration(robot) == (len(raw), len(offered), False)
         assert sim.state.chosen_coords == offered
-        assert robot.path is None and robot.wants_goal
+        assert robot.path is None
 
     def test_open_candidate_is_planned(self):
         from mrexplore.frontier import FrontierPoint
@@ -138,6 +140,123 @@ class TestNoOpenCandidate:
         assert len(sim.state.chosen_coords) == 2
 
 
+class TestNoReachablePoint:
+    @staticmethod
+    def must_not_score(*args, **kwargs):
+        raise AssertionError("scored a request with no reachable point")
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_all_unreachable_gets_no_goal(self, monkeypatch, method):
+        import mrexplore.simulate as simulate
+        monkeypatch.setattr(simulate, "plan_many",
+                            lambda grid, start, goals: [None] * len(goals))
+        monkeypatch.setattr(simulate, "score_candidates", self.must_not_score)
+        monkeypatch.setattr(simulate, "path_gains", self.must_not_score)
+        sim = ExplorationSim(small_cfg(method=method, max_sim_time=10))
+        sim._sense_all()
+        robot = sim.robots[0]
+        _, offered_n, got = sim.run_iteration(robot)
+        assert offered_n > 0 and not got
+        assert robot.path is None
+
+    @pytest.mark.parametrize("method", ["proposed", "mags"])
+    def test_value_error_in_scoring_propagates(self, monkeypatch, method):
+        # only an all-unreachable request means "no goal"; any other
+        # ValueError is a fault and must not read as one
+        import mrexplore.utility as utility
+
+        def broken(*args, **kwargs):
+            raise ValueError("broken gain")
+
+        monkeypatch.setattr(utility, "trajectory_gain", broken)
+        sim = ExplorationSim(small_cfg(method=method, max_sim_time=10))
+        sim._sense_all()
+        with pytest.raises(ValueError, match="broken gain"):
+            sim.run_iteration(sim.robots[0])
+
+
+def reference_planning_grid(sim, robot, goals):
+    """Inflated merged map with the robot's and the goals' cells restored,
+    and an Occupied robot cell made Free."""
+    g = inflate_obstacles(sim.merged, sim.config.inflation_cells)
+    for x, y in [(robot.pose[0], robot.pose[1])] + list(goals):
+        cx, cy = world_to_grid(x, y, g)
+        if g.in_bounds(cx, cy):
+            g.cells[cy, cx] = sim.merged.cells[cy, cx]
+    cx, cy = world_to_grid(robot.pose[0], robot.pose[1], g)
+    if g.in_bounds(cx, cy) and g.cells[cy, cx] == OCCUPIED:
+        g.cells[cy, cx] = FREE
+    return g
+
+
+def reference_mags(sim, robot, offered):
+    """Score every offered point in full, then take the reachable one with
+    the largest u1_weight * gain + gamma (the first on ties)."""
+    goals = [(p.x, p.y) for p in offered]
+    paths = plan_many(reference_planning_grid(sim, robot, goals), robot.pose, goals)
+    if all(path is None for path in paths):
+        return None
+    cfg = sim.config
+    scores = score_candidates(robot.pose, sim.merged, robot.graph, offered, paths,
+                              cfg.utility_params, cfg.graph_params)
+    w = cfg.utility_params.u1_weight
+    return max((s for s in scores if s.path is not None),
+               key=lambda s: w * s.gain + s.gamma).path
+
+
+def reference_greedy(sim, robot, offered):
+    """Sort the offered points by straight-line distance (stably), plan in
+    that order and take the first reachable one."""
+    x, y = robot.pose[0], robot.pose[1]
+    grid = reference_planning_grid(sim, robot, [(p.x, p.y) for p in offered])
+    nearest = sorted(offered, key=lambda p: math.hypot(p.x - x, p.y - y))
+    paths = plan_many(grid, robot.pose, [(p.x, p.y) for p in nearest])
+    return next((path for path in paths if path is not None), None)
+
+
+class TestChoosersMatchReference:
+    """mags ranks by gain and distance only, and greedy_frontier plans in
+    offered order; both choose the path the full-ranking references do."""
+
+    CONFIGS = {
+        "two_wings": dict(map_source="builtin:two_wings", robot_count=2,
+                          beam_count=180, max_range=5.0, dt=1.0,
+                          max_sim_time=60, seed=1),
+        # seed 5 offers greedy_frontier equally near points
+        "open20": dict(map_source="builtin:open20", robot_count=1,
+                       beam_count=72, max_range=5.0, dt=1.0,
+                       max_sim_time=100, seed=5, inflation_cells=0),
+    }
+
+    @pytest.mark.parametrize("world", CONFIGS)
+    @pytest.mark.parametrize("method,reference", [
+        ("mags", reference_mags), ("greedy_frontier", reference_greedy),
+    ], ids=["mags", "greedy_frontier"])
+    def test_same_path_on_every_request(self, monkeypatch, world, method, reference):
+        offer, choose = POLICIES[method]
+        chosen = []
+        ties = 0
+
+        def checked(sim, robot, offered):
+            nonlocal ties
+            got = choose(sim, robot, offered)
+            want = reference(sim, robot, offered)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.cells == want.cells
+            x, y = robot.pose[0], robot.pose[1]
+            d = sorted(math.hypot(p.x - x, p.y - y) for p in offered)
+            ties += len(d) > 1 and d[0] == d[1]
+            chosen.append(got)
+            return got
+
+        monkeypatch.setitem(POLICIES, method, (offer, checked))
+        run(ScenarioConfig(method=method, **self.CONFIGS[world]))
+        assert sum(path is not None for path in chosen) >= 20
+        if (world, method) == ("open20", "greedy_frontier"):
+            assert ties >= 1
+
+
 class TestSpread:
     def test_two_wing_first_goals_in_different_wings(self):
         cfg = ScenarioConfig(map_source="builtin:two_wings", robot_count=2,
@@ -149,14 +268,14 @@ class TestSpread:
         first_goals = {}
         for _ in range(40):
             sim._sense_all()
-            pending = {r.rid for r in sim.robots if r.wants_goal}
+            pending = {r.rid for r in sim.robots if r.path is None}
             if pending:
                 from mrexplore.allocate import schedule
                 rid = schedule(pending, sim.state)
                 sim.run_iteration(sim.robots[rid])
                 r = sim.robots[rid]
-                if r.goal is not None and rid not in first_goals:
-                    first_goals[rid] = r.goal
+                if r.path is not None and rid not in first_goals:
+                    first_goals[rid] = r.path.goal
             for r in sim.robots:
                 if r.path is not None:
                     sim._advance(r, cfg.speed, cfg.dt)
@@ -181,8 +300,8 @@ class TestBaselines:
         dists = sorted(
             math.hypot(p.x - robot.pose[0], p.y - robot.pose[1]) for p in offered
         )
-        goal_d = math.hypot(robot.goal[0] - robot.pose[0],
-                            robot.goal[1] - robot.pose[1])
+        goal_d = math.hypot(robot.path.goal[0] - robot.pose[0],
+                            robot.path.goal[1] - robot.pose[1])
         # nearest reachable candidate; allow the snap to the path goal cell
         assert goal_d <= dists[0] + 2 * sim.merged.resolution
 

@@ -116,15 +116,15 @@ def two_wing_setup():
 
 
 class TestScoreCandidates:
-    def planner_for(self, grid, pose):
-        return lambda goals: plan_many(grid, pose, goals)
+    def paths_for(self, grid, pose, cands):
+        return plan_many(grid, pose, [(c.x, c.y) for c in cands])
 
     def test_single_candidate_rho_one(self):
         g, graph, gp = two_wing_setup()
         pose = (10.0, 1.5, 0.0)
         cand = [FrontierPoint(14.5, 1.5)]
         scores = score_candidates(pose, g, graph, cand,
-                                  self.planner_for(g, pose), UtilityParams(), gp)
+                                  self.paths_for(g, pose, cand), UtilityParams(), gp)
         assert len(scores) == 1
         assert scores[0].rho == 1.0
         assert math.isfinite(scores[0].reward)
@@ -135,7 +135,8 @@ class TestScoreCandidates:
         near = FrontierPoint(4.5, 1.5)
         far = FrontierPoint(15.5, 1.5)
         scores = score_candidates(pose, g, graph, [near, far],
-                                  self.planner_for(g, pose), UtilityParams(), gp)
+                                  self.paths_for(g, pose, [near, far]),
+                                  UtilityParams(), gp)
         # both paths are pure corridor chains: equal gains, rho 1 each;
         # entropy differs only mildly, gamma dominates
         assert scores[0].gamma > scores[1].gamma
@@ -152,7 +153,7 @@ class TestScoreCandidates:
         pose = (0.5, 1.5, 0.0)
         cands = [FrontierPoint(2.5, 1.5), FrontierPoint(5.5, 0.5)]
         scores = score_candidates(pose, g, graph, cands,
-                                  self.planner_for(g, pose), UtilityParams(), gp)
+                                  self.paths_for(g, pose, cands), UtilityParams(), gp)
         assert math.isfinite(scores[0].reward)
         assert scores[1].reward == SUPPRESSED
         assert scores[1].path is None
@@ -163,18 +164,19 @@ class TestScoreCandidates:
         gp = GraphBuildParams()
         extend_trajectory(graph, (0.5, 0.5, 0.0), gp)
         pose = (0.5, 0.5, 0.0)
+        cands = [FrontierPoint(3.5, 0.5)]
         with pytest.raises(ValueError, match="no viable candidates"):
-            score_candidates(pose, g, graph, [FrontierPoint(3.5, 0.5)],
-                             self.planner_for(g, pose), UtilityParams(), gp)
+            score_candidates(pose, g, graph, cands,
+                             self.paths_for(g, pose, cands), UtilityParams(), gp)
 
     def test_deterministic(self):
         g, graph, gp = two_wing_setup()
         pose = (10.0, 1.5, 0.0)
         cands = [FrontierPoint(4.5, 1.5), FrontierPoint(15.5, 1.5)]
         a = score_candidates(pose, g, graph, cands,
-                             self.planner_for(g, pose), UtilityParams(), gp)
+                             self.paths_for(g, pose, cands), UtilityParams(), gp)
         b = score_candidates(pose, g, graph, cands,
-                             self.planner_for(g, pose), UtilityParams(), gp)
+                             self.paths_for(g, pose, cands), UtilityParams(), gp)
         assert [s.reward for s in a] == [s.reward for s in b]
 
 
@@ -188,7 +190,7 @@ class TestRewardMatrix:
         cands = [FrontierPoint(4.5, 1.5), FrontierPoint(30.5, 1.5),
                  FrontierPoint(15.5, 1.5)]
         scores = score_candidates(pose, g, graph, cands,
-                                  lambda goals: plan_many(g, pose, goals),
+                                  plan_many(g, pose, [(c.x, c.y) for c in cands]),
                                   UtilityParams(), gp)
         assert [s.point for s in scores] == cands
         assert [s.path is None for s in scores] == [False, True, False]
@@ -199,7 +201,7 @@ class TestRewardMatrix:
         pose = (6.0, 1.5, 0.0)
         cands = [FrontierPoint(4.5, 1.5), FrontierPoint(15.5, 1.5)]
         scores = score_candidates(pose, g, graph, cands,
-                                  lambda goals: plan_many(g, pose, goals),
+                                  plan_many(g, pose, [(c.x, c.y) for c in cands]),
                                   UtilityParams(), gp)
         rewards = [s.reward for s in scores]
         base = max(range(len(rewards)), key=lambda i: rewards[i])
