@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .frontier import FrontierPoint, disc_unknown_stats
+from .frontier import FrontierPoint
 
 SUPPRESSED = float("-inf")
 
@@ -138,18 +138,11 @@ def select_goal(
     return winner
 
 
-def evict_known_goals(state: AllocationState, merged, rad: float) -> int:
-    """Drop chosen goals whose surrounding disc holds no Unknown cells any
-    more; returns how many were evicted. Keeps old goals from permanently
-    poisoning rewards on small maps."""
-    kept = []
-    evicted = 0
-    for p in state.chosen_coords:
-        unk, total = disc_unknown_stats(p, merged, rad)
-        if total > 0 and unk == 0:
-            evicted += 1
-        else:
-            kept.append(p)
+def evict_known_goals(state: AllocationState, known) -> int:
+    """Drop chosen goals for which known(goal) holds, that is, whose
+    surroundings are fully mapped; returns how many were evicted. Keeps old
+    goals from permanently poisoning rewards on small maps."""
+    kept = [p for p in state.chosen_coords if not known(p)]
+    evicted = len(state.chosen_coords) - len(kept)
     state.chosen_coords = kept
     return evicted
-

@@ -6,7 +6,7 @@ import configparser
 import math
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .frontier import FilterParams
 from .grid import FREE, GroundTruthMap, world_to_grid
@@ -168,25 +168,18 @@ def load_config(path: str) -> ScenarioConfig:
     cfg.beam_count = get("lidar", "beam_count", int, cfg.beam_count)
     cfg.max_range = get("lidar", "max_range", _finite, cfg.max_range)
 
+    def params(section, cls):
+        # the dataclass holds each key's default; an int default reads as int
+        return cls(**{
+            f.name: get(section, f.name,
+                        int if isinstance(f.default, int) else _finite, f.default)
+            for f in fields(cls)
+        })
+
     try:
-        cfg.filter_params = FilterParams(
-            rad=get("filter", "rad", _finite, 1.0),
-            per_unk=get("filter", "per_unk", _finite, 60.0),
-            min_pts=get("filter", "min_pts", int, 0),
-            max_pts=get("filter", "max_pts", int, 10),
-            rad_step=get("filter", "rad_step", _finite, 0.25),
-            perc_step=get("filter", "perc_step", _finite, 10.0),
-        )
-        cfg.utility_params = UtilityParams(
-            decay_rate=get("utility", "decay_rate", _finite, 0.1),
-            u1_weight=get("utility", "u1_weight", _finite, 1.0),
-        )
-        cfg.graph_params = GraphBuildParams(
-            node_spacing=get("graph", "node_spacing", _finite, 1.0),
-            loop_closure_radius=get("graph", "loop_closure_radius", _finite, 2.0),
-            odometry_weight=get("graph", "odometry_weight", _finite, 1.0),
-            loop_weight=get("graph", "loop_weight", _finite, 2.0),
-        )
+        cfg.filter_params = params("filter", FilterParams)
+        cfg.utility_params = params("utility", UtilityParams)
+        cfg.graph_params = params("graph", GraphBuildParams)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

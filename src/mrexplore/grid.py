@@ -161,24 +161,19 @@ def merge_maps(grids: list[OccupancyGrid]) -> OccupancyGrid:
     width = int(round((max_x - min_x) / res))
     height = int(round((max_y - min_y) / res))
 
-    # Precedence Occupied > Free > Unknown, implemented as a max over ranks.
-    rank_of = {UNKNOWN: 0, FREE: 1, OCCUPIED: 2}
-    state_of_rank = np.array([UNKNOWN, FREE, OCCUPIED], dtype=np.int8)
-    ranks = np.zeros((height, width), dtype=np.int8)
-    lut = np.zeros(256, dtype=np.int8)
-    for s, r in rank_of.items():
-        lut[np.int8(s).view(np.uint8)] = r
-
+    # The states are ordered Unknown < Free < Occupied, so the precedence
+    # is a cell-wise max.
+    cells = np.full((height, width), UNKNOWN, dtype=np.int8)
     for g in grids:
         off_x = (g.origin_x - min_x) / res
         off_y = (g.origin_y - min_y) / res
         ox, oy = int(round(off_x)), int(round(off_y))
         if abs(off_x - ox) > 1e-6 or abs(off_y - oy) > 1e-6:
             raise ValueError("grid origins are not aligned to the cell lattice")
-        sub = ranks[oy:oy + g.height, ox:ox + g.width]
-        np.maximum(sub, lut[g.cells.view(np.uint8)], out=sub)
+        sub = cells[oy:oy + g.height, ox:ox + g.width]
+        np.maximum(sub, g.cells, out=sub)
 
-    return OccupancyGrid(res, min_x, min_y, width, height, state_of_rank[ranks])
+    return OccupancyGrid(res, min_x, min_y, width, height, cells)
 
 
 def coverage_percent(grid: OccupancyGrid, truth: GroundTruthMap) -> float:

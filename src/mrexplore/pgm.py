@@ -2,8 +2,9 @@
 
 The sidecar lives next to the image with a .meta suffix and carries
 resolution, origin_x, origin_y, occupied_threshold, free_threshold.
-Pixels below occupied_threshold load as Occupied, above free_threshold
-as Free, everything between as Unknown.
+Samples are scaled from 0..maxval to 0..255; a sample outside 0..maxval
+is an error. Pixels below occupied_threshold load as Occupied, above
+free_threshold as Free, everything between as Unknown.
 """
 
 from __future__ import annotations
@@ -70,10 +71,14 @@ def _read_pgm(path: str) -> np.ndarray:
         values = data[i:].split()
         if len(values) < width * height:
             raise ValueError(f"{path}: truncated P2 raster")
-        raster = np.array([int(v) for v in values[: width * height]], dtype=np.uint8)
+        raster = np.array([int(v) for v in values[: width * height]], dtype=np.int64)
     else:
         raise ValueError(f"{path}: not a PGM file (magic {magic!r})")
-    return raster.reshape(height, width)
+    if np.any((raster < 0) | (raster > maxval)):
+        raise ValueError(f"{path}: sample outside 0..{maxval}")
+    if maxval != 255:
+        raster = raster.astype(np.int64) * 255 // maxval  # onto the 0..255 thresholds
+    return raster.astype(np.uint8, copy=False).reshape(height, width)
 
 
 def _read_meta(path: str) -> dict[str, float]:

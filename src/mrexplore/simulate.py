@@ -167,11 +167,11 @@ class ExplorationSim:
             extend_trajectory(r.graph, r.pose, cfg.graph_params)
         self.merged = merge_maps([r.grid for r in self.robots])
 
-    def _plan(self, robot: Robot, goals) -> list[GridPath | None] | None:
+    def _plan(self, robot: Robot, goals) -> list[GridPath | None]:
         """Plan from the robot to every (x, y) goal on an inflated copy of
-        the merged map: one GridPath or None per goal, or None when no goal
-        is reachable. Inflation must not swallow the robot's own cell or a
-        goal cell; those keep the merged map's state."""
+        the merged map: one GridPath, or None where unreachable, per goal.
+        Inflation must not swallow the robot's own cell or a goal cell;
+        those keep the merged map's state."""
         g = inflate_obstacles(self.merged, self.config.inflation_cells)
         for x, y in [robot.pose[:2], *goals]:
             cx, cy = world_to_grid(x, y, g)
@@ -181,33 +181,42 @@ class ExplorationSim:
         if g.in_bounds(cx, cy) and g.cells[cy, cx] == OCCUPIED:
             g.cells[cy, cx] = FREE
         paths = plan_many(g, robot.pose, goals)
-        if all(path is None for path in paths):
+        if not any(paths):
             log.info("agent %d: no reachable goal", robot.rid)
-            return None
         return paths
 
-    def _goal_area_known(self, goal) -> bool:
-        unk, total = disc_unknown_stats(
-            FrontierPoint(goal[0], goal[1]), self.merged,
-            self.config.filter_params.rad,
-        )
+    def _goal_area_known(self, point) -> bool:
+        """Whether the disc around the point on the merged map holds no
+        Unknown cell: the stale-goal rule for robots' and chosen goals."""
+        unk, total = disc_unknown_stats(point, self.merged,
+                                        self.config.filter_params.rad)
         return total > 0 and unk == 0
 
     def run_iteration(self, robot: Robot) -> tuple[int, int, bool]:
         """Serve one agent's request: detect frontiers on every robot's map,
-        let the method's policy offer some of them and choose a path to one,
-        and hand that path to the robot. Returns (raw count, offered count,
-        got_goal)."""
-        offer, choose = POLICIES[self.config.method]
+        let the method's policy offer some of them, plan to every offered
+        point, let the policy rank the paths, and hand the chosen path to
+        the robot. Every way a request ends without a goal is decided here.
+        Returns (raw count, offered count, got_goal)."""
+        offer, rank = POLICIES[self.config.method]
         local_lists = [detect_frontiers(r.grid, r.rid) for r in self.robots]
         raw_n = sum(len(pts) for pts in local_lists)
         offered = offer(self, local_lists)
         if not offered:
             return raw_n, 0, False
-        path = choose(self, robot, offered)
-        if path is None:
+        # A point in a chosen goal's cell is never assigned, so when every
+        # offered point lies in one, the answer is known before planning.
+        if not any_open(offered, self.state, self._cell_key):
+            log.info("agent %d: no assignable goal this round", robot.rid)
             return raw_n, len(offered), False
-        robot.path = path
+        paths = self._plan(robot, [(p.x, p.y) for p in offered])
+        if not any(paths):
+            return raw_n, len(offered), False
+        i = rank(self, robot, offered, paths)
+        if i is None:
+            log.info("agent %d: no assignable goal this round", robot.rid)
+            return raw_n, len(offered), False
+        robot.path = paths[i]
         robot.stall_ticks = 0
         return raw_n, len(offered), True
 
@@ -219,11 +228,10 @@ class ExplorationSim:
         cells = self.merged.cells
         path = robot.path
         if any(cells[cy, cx] == OCCUPIED for cx, cy in path.cells):
-            paths = self._plan(robot, [path.goal])
-            if paths is None:
+            path = robot.path = self._plan(robot, [path.goal])[0]
+            if path is None:
                 robot.drop_goal()
                 return
-            path = robot.path = paths[0]
 
         cum = cumulative_lengths(path)
         free_end = 0.0
@@ -259,15 +267,14 @@ class ExplorationSim:
             self._sense_all()
 
             if self.state.chosen_coords:
-                evicted = evict_known_goals(
-                    self.state, self.merged, cfg.filter_params.rad
-                )
+                evicted = evict_known_goals(self.state, self._goal_area_known)
                 if evicted:
                     log.debug("t=%.1f evicted %d stale goals", t, evicted)
 
             # abandon goals whose surroundings are already fully mapped
             for r in self.robots:
-                if r.path is not None and self._goal_area_known(r.path.goal):
+                if (r.path is not None
+                        and self._goal_area_known(FrontierPoint(*r.path.goal))):
                     r.drop_goal()
 
             raw_n = filtered_n = 0
@@ -309,9 +316,10 @@ def run(config: ScenarioConfig) -> RunMetrics:
 
 
 # Per-method policies. Every method runs the same pipeline (detect, offer,
-# choose, hand over the path) and differs only in these two steps:
+# plan, rank, hand over the path) and differs only in two steps:
 # offer(sim, local_lists) picks the frontier points the served robot may
-# go to; choose(sim, robot, offered) returns the path to its goal, or None.
+# go to; rank(sim, robot, offered, paths), called only when some path
+# exists, returns the index of the path to hand over, or None.
 
 
 def _offer_filtered(sim: ExplorationSim, local_lists):
@@ -327,16 +335,9 @@ def _offer_deduplicated(sim: ExplorationSim, local_lists):
                         per_unk=0.0)
 
 
-def _choose_spread(sim: ExplorationSim, robot: Robot, offered):
-    """Full utility, then server-side spreading away from chosen goals."""
-    # A point in a chosen goal's cell is never assigned, so when every
-    # offered point lies in one, the answer is known before any planning.
-    if not any_open(offered, sim.state, sim._cell_key):
-        log.info("agent %d: no assignable goal this round", robot.rid)
-        return None
-    paths = sim._plan(robot, [(p.x, p.y) for p in offered])
-    if paths is None:
-        return None
+def _rank_spread(sim: ExplorationSim, robot: Robot, offered, paths):
+    """Full utility, then server-side spreading away from chosen goals;
+    None when spreading leaves nothing assignable."""
     cfg = sim.config
     scores = score_candidates(robot.pose, sim.merged, robot.graph, offered, paths,
                               cfg.utility_params, cfg.graph_params)
@@ -344,16 +345,12 @@ def _choose_spread(sim: ExplorationSim, robot: Robot, offered):
     try:
         goal_pt = select_goal(matrix, sim.state, sim._cell_key)
     except NoAssignableGoal:
-        log.info("agent %d: no assignable goal this round", robot.rid)
         return None
-    return next(s.path for s in scores if s.point is goal_pt)
+    return next(i for i, s in enumerate(scores) if s.point is goal_pt)
 
 
-def _choose_graph_gain(sim: ExplorationSim, robot: Robot, offered):
+def _rank_graph_gain(sim: ExplorationSim, robot: Robot, offered, paths):
     """Graph gain plus distance decay only; ties to the lowest index."""
-    paths = sim._plan(robot, [(p.x, p.y) for p in offered])
-    if paths is None:
-        return None
     uparams = sim.config.utility_params
     gains = path_gains(robot.graph, paths, sim.config.graph_params)
     x, y = robot.pose[0], robot.pose[1]
@@ -363,23 +360,20 @@ def _choose_graph_gain(sim: ExplorationSim, robot: Robot, offered):
         return uparams.u1_weight * gains[i] + gamma
 
     reachable = [i for i, path in enumerate(paths) if path is not None]
-    return paths[max(reachable, key=value)]
+    return max(reachable, key=value)
 
 
-def _choose_nearest(sim: ExplorationSim, robot: Robot, offered):
+def _rank_nearest(sim: ExplorationSim, robot: Robot, offered, paths):
     """Nearest reachable point by straight-line distance; ties to the
     earlier point."""
-    paths = sim._plan(robot, [(p.x, p.y) for p in offered])
-    if paths is None:
-        return None
     x, y = robot.pose[0], robot.pose[1]
     reachable = [i for i, path in enumerate(paths) if path is not None]
-    return paths[min(reachable, key=lambda i: math.hypot(offered[i].x - x,
-                                                         offered[i].y - y))]
+    return min(reachable, key=lambda i: math.hypot(offered[i].x - x,
+                                                   offered[i].y - y))
 
 
 POLICIES = {
-    "proposed": (_offer_filtered, _choose_spread),
-    "mags": (_offer_raw, _choose_graph_gain),
-    "greedy_frontier": (_offer_deduplicated, _choose_nearest),
+    "proposed": (_offer_filtered, _rank_spread),
+    "mags": (_offer_raw, _rank_graph_gain),
+    "greedy_frontier": (_offer_deduplicated, _rank_nearest),
 }

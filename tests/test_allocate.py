@@ -17,7 +17,7 @@ from mrexplore.allocate import (
     select_goal,
     update_rewards,
 )
-from mrexplore.frontier import FrontierPoint
+from mrexplore.frontier import FrontierPoint, disc_unknown_stats
 
 from conftest import grid_from_rows
 
@@ -238,7 +238,12 @@ class TestEviction:
         ])
         state = AllocationState()
         state.chosen_coords = [FrontierPoint(1.5, 1.5), FrontierPoint(4.5, 1.5)]
-        evicted = evict_known_goals(state, g, 1.0)
+
+        def known(p):
+            unk, total = disc_unknown_stats(p, g, 1.0)
+            return total > 0 and unk == 0
+
+        evicted = evict_known_goals(state, known)
         assert evicted == 1
         assert [cell_key(p) for p in state.chosen_coords] == [(4, 1)]
 

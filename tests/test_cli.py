@@ -65,7 +65,7 @@ class TestRun:
     def test_start_pose_in_wall_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "wall.cfg"
         path.write_text("[scenario]\nmap = builtin:open20\nrobots = 1\n"
-                        "start_poses = 0.5, 0.5, 0\n")
+                        "start_poses = 1.5, 0.5, 0\nmax_sim_time = 2\n")
         code = main(["run", "--config", str(path),
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
@@ -107,6 +107,39 @@ class TestConfigErrors:
         lines = err.strip().split("\n")
         assert len(lines) == 1
         assert lines[0].startswith("config error: ")
+
+    @pytest.mark.parametrize("raster", [
+        b"P2\n2 1\n255\n0 300\n",
+        b"P2\n2 1\n255\n-5 255\n",
+        b"P5\n2 1\n15\n\x00\xff",
+    ], ids=["p2_sample_300", "p2_sample_negative", "p5_sample_above_maxval"])
+    def test_map_sample_out_of_range(self, tmp_path, capsys, raster):
+        (tmp_path / "m.pgm").write_bytes(raster)
+        (tmp_path / "m.meta").write_text(
+            "resolution = 1.0\norigin_x = 0\norigin_y = 0\n")
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"[scenario]\nmap = {tmp_path / 'm.pgm'}\nrobots = 1\n"
+                        "start_poses = 1.5, 0.5, 0\nmax_sim_time = 2\n")
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "Traceback" not in err
+        lines = err.strip().split("\n")
+        assert len(lines) == 1
+        assert lines[0].startswith("config error: ")
+
+    def test_map_with_small_maxval_runs(self, tmp_path, capsys):
+        # white is 15 at maxval 15, so the start cell is Free
+        (tmp_path / "m.pgm").write_bytes(
+            b"P2\n4 4\n15\n0 0 0 0\n0 15 15 0\n0 15 15 0\n0 0 0 0\n")
+        (tmp_path / "m.meta").write_text(
+            "resolution = 1.0\norigin_x = 0\norigin_y = 0\n")
+        path = tmp_path / "ok.cfg"
+        path.write_text(f"[scenario]\nmap = {tmp_path / 'm.pgm'}\nrobots = 1\n"
+                        "start_poses = 1.5, 1.5, 0\nmax_sim_time = 2\n"
+                        "[lidar]\nbeam_count = 8\n[planner]\ninflation_cells = 0\n")
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_OK, capsys.readouterr().err
 
 
 class TestCompare:

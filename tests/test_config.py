@@ -1,8 +1,12 @@
 import math
+from dataclasses import fields
 
 import pytest
 
 from mrexplore.config import ConfigError, ScenarioConfig, load_config
+from mrexplore.frontier import FilterParams
+from mrexplore.posegraph import GraphBuildParams
+from mrexplore.utility import UtilityParams
 
 
 GOOD = """
@@ -70,6 +74,26 @@ class TestLoadConfig:
         assert cfg.filter_params.per_unk == 60.0
         assert cfg.filter_params.max_pts == 10
         assert cfg.goal_skip_wait == 5
+
+    def test_params_sections_default_to_dataclasses(self, tmp_path):
+        path = tmp_path / "min.cfg"
+        path.write_text("[scenario]\nmap = builtin:desk\n")
+        cfg = load_config(str(path))
+        assert cfg.filter_params == FilterParams()
+        assert cfg.utility_params == UtilityParams()
+        assert cfg.graph_params == GraphBuildParams()
+
+    def test_params_read_with_their_default_type(self, tmp_path):
+        # "2" reads as 2 for an int field and as 2.0 for a float field
+        path = tmp_path / "ints.cfg"
+        path.write_text("[filter]\nrad = 2\nper_unk = 50\nmin_pts = 1\n"
+                        "max_pts = 8\n[utility]\ndecay_rate = 1\n"
+                        "[graph]\nloop_weight = 3\n")
+        cfg = load_config(str(path))
+        for params in (cfg.filter_params, cfg.utility_params, cfg.graph_params):
+            for f in fields(params):
+                assert type(getattr(params, f.name)) is type(f.default), f.name
+        assert (cfg.filter_params.rad, cfg.filter_params.max_pts) == (2.0, 8)
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):

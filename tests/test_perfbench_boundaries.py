@@ -1,19 +1,58 @@
 """The traced benchmark run (perfbench/spans.py) times each layer by
 replacing a function name in the namespace of its caller, as listed in
-BOUNDARIES. A refactor that drops one of those names would break only a
-traced run, so this test resolves every one of them."""
+BOUNDARIES, and counts work from the arguments and results of some of
+those calls (COUNTERS). A refactor that drops one of those names, or moves
+an argument a counter reads, would break only a traced run, so these tests
+resolve every name and trace one short run per method."""
 
 import importlib
+import json
 from pathlib import Path
+from time import perf_counter
+
+import pytest
+
+from mrexplore import cli
+from mrexplore.config import METHODS, ScenarioConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_every_boundary_resolves(monkeypatch):
+@pytest.fixture
+def spans(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    spans = importlib.import_module("spans")
+    return importlib.import_module("spans")
+
+
+def test_every_boundary_resolves(spans):
     missing = [
         f"{spec}.{attr}" for spec, attr, _ in spans.BOUNDARIES
         if not hasattr(spans._owner(spec), attr)
     ]
     assert not missing, f"boundaries that no longer resolve: {missing}"
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_traced_run(spans, monkeypatch, tmp_path, method):
+    # the tracer replaces every boundary and the tick hook; put them back after
+    for spec, attr, _ in spans.BOUNDARIES:
+        owner = spans._owner(spec)
+        monkeypatch.setattr(owner, attr, getattr(owner, attr))
+    sim_cls = spans._owner("mrexplore.simulate:ExplorationSim")
+    monkeypatch.setattr(sim_cls, "_sense_all", sim_cls._sense_all)
+    tracer = spans.Tracer()
+    tracer.install()
+
+    cfg = ScenarioConfig(map_source="builtin:two_wings", robot_count=2,
+                         max_sim_time=30, method=method)
+    t0 = perf_counter()
+    cli._run_one(cfg, str(tmp_path))
+    run_s = perf_counter() - t0
+    tracer.dump(str(tmp_path / "trace.json"), run_s, run_s)
+    trace = json.loads((tmp_path / "trace.json").read_text())
+
+    # raises ValueError if some span's self time is negative
+    m = spans.layer_metrics(trace, run_s)
+    assert m["simulate.ticks"] == 30
+    assert m["simulate.run_iteration.goals"] >= 1
+    assert m["planner.plan_many.reached"] <= m["planner.plan_many.goals"]

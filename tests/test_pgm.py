@@ -57,8 +57,30 @@ class TestP2:
         assert g.cells[0, 2] == FREE
         assert g.resolution == 0.5
 
+    def test_maxval_scaled_to_thresholds(self, tmp_path):
+        path = tmp_path / "a.pgm"
+        path.write_text("P2\n3 1\n15\n0 7 15\n")
+        (tmp_path / "a.meta").write_text(
+            "resolution: 1.0\norigin_x: 0\norigin_y: 0\n")
+        g = load_grid(str(path))
+        assert list(g.cells[0]) == [OCCUPIED, UNKNOWN, FREE]
+
 
 class TestErrors:
+    @pytest.mark.parametrize("data", [
+        b"P2\n2 1\n255\n0 300\n",
+        b"P2\n2 1\n255\n-5 255\n",
+        b"P2\n2 1\n15\n0 16\n",
+        b"P5\n2 1\n15\n\x00\xc8",
+    ], ids=["p2_above_255", "p2_negative", "p2_above_maxval", "p5_above_maxval"])
+    def test_sample_outside_maxval(self, tmp_path, data):
+        path = tmp_path / "x.pgm"
+        path.write_bytes(data)
+        (tmp_path / "x.meta").write_text(
+            "resolution = 1.0\norigin_x = 0\norigin_y = 0\n")
+        with pytest.raises(ValueError, match="outside 0.."):
+            load_grid(str(path))
+
     def test_missing_meta_key(self, tmp_path):
         path = tmp_path / "x.pgm"
         path.write_bytes(b"P5\n1 1\n255\n\x80")

@@ -101,7 +101,8 @@ class TestCoverage:
 
 
 class TestNoOpenCandidate:
-    def _offered(self, sim):
+    @staticmethod
+    def _offered(sim):
         from mrexplore.frontier import detect_frontiers, filter_pipeline
         local = [detect_frontiers(r.grid, r.rid) for r in sim.robots]
         raw = [p for pts in local for p in pts]
@@ -175,6 +176,84 @@ class TestNoReachablePoint:
             sim.run_iteration(sim.robots[0])
 
 
+class TestNoAssignable:
+    def test_open_point_unreachable_reachable_point_chosen(self, monkeypatch):
+        # any_open passes, planning reaches only a chosen cell, so
+        # spreading suppresses every row and the request gets no goal
+        import mrexplore.simulate as simulate
+        # two robots at seed 2 offer two points in distinct cells
+        sim = ExplorationSim(small_cfg(max_sim_time=10, robot_count=2, seed=2))
+        sim._sense_all()
+        raw, offered = TestNoOpenCandidate._offered(sim)
+        assert len({sim._cell_key(p) for p in offered}) >= 2
+        open_pt = offered[0]
+        chosen = [p for p in offered if sim._cell_key(p) != sim._cell_key(open_pt)]
+        sim.state.chosen_coords = list(chosen)
+        reachable = offered.index(chosen[0])
+
+        def only_chosen_reachable(grid, start, goals):
+            paths = plan_many(grid, start, goals)
+            assert paths[reachable] is not None
+            return [path if i == reachable else None for i, path in enumerate(paths)]
+
+        monkeypatch.setattr(simulate, "plan_many", only_chosen_reachable)
+        robot = sim.robots[0]
+        assert sim.run_iteration(robot) == (len(raw), len(offered), False)
+        assert sim.state.chosen_coords == chosen
+        assert robot.path is None
+
+
+class TestAdvance:
+    """_advance on the merged map as the robots' scans left it, with cells
+    redrawn by hand."""
+
+    @staticmethod
+    def robot_on_path():
+        sim = ExplorationSim(small_cfg(max_sim_time=10))
+        sim._sense_all()
+        robot = sim.robots[0]
+        assert sim.run_iteration(robot)[2]
+        assert len(robot.path.cells) >= 4
+        return sim, robot
+
+    def test_wall_on_path_replans_to_same_goal(self):
+        sim, robot = self.robot_on_path()
+        old = robot.path
+        wx, wy = old.cells[len(old.cells) // 2]
+        sim.merged.cells[wy, wx] = OCCUPIED
+        sim._advance(robot, sim.config.speed, sim.config.dt)
+        assert robot.path is not None and robot.path is not old
+        assert robot.path.goal == old.goal
+        assert (wx, wy) not in robot.path.cells
+
+    def test_sealed_goal_makes_robot_pending(self):
+        sim, robot = self.robot_on_path()
+        gx, gy = robot.path.cells[-1]
+        sx, sy = robot.path.cells[0]
+        assert max(abs(gx - sx), abs(gy - sy)) >= 2
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                if (dx, dy) != (0, 0) and sim.merged.in_bounds(gx + dx, gy + dy):
+                    sim.merged.cells[gy + dy, gx + dx] = OCCUPIED
+        sim._advance(robot, sim.config.speed, sim.config.dt)
+        assert robot.path is None
+
+    def test_unknown_next_cell_stalls_then_drops_goal(self):
+        from mrexplore.grid import UNKNOWN
+        from mrexplore.simulate import STALL_LIMIT
+        sim, robot = self.robot_on_path()
+        cx, cy = robot.path.cells[1]
+        sim.merged.cells[cy, cx] = UNKNOWN
+        pose = robot.pose
+        for tick in range(1, STALL_LIMIT):
+            sim._advance(robot, sim.config.speed, sim.config.dt)
+            assert robot.pose == pose
+            assert robot.path is not None and robot.stall_ticks == tick
+        sim._advance(robot, sim.config.speed, sim.config.dt)
+        assert robot.pose == pose
+        assert robot.path is None and robot.stall_ticks == 0
+
+
 def reference_planning_grid(sim, robot, goals):
     """Inflated merged map with the robot's and the goals' cells restored,
     and an Occupied robot cell made Free."""
@@ -233,13 +312,14 @@ class TestChoosersMatchReference:
         ("mags", reference_mags), ("greedy_frontier", reference_greedy),
     ], ids=["mags", "greedy_frontier"])
     def test_same_path_on_every_request(self, monkeypatch, world, method, reference):
-        offer, choose = POLICIES[method]
+        offer, rank = POLICIES[method]
         chosen = []
         ties = 0
 
-        def checked(sim, robot, offered):
+        def checked(sim, robot, offered, paths):
             nonlocal ties
-            got = choose(sim, robot, offered)
+            i = rank(sim, robot, offered, paths)
+            got = None if i is None else paths[i]
             want = reference(sim, robot, offered)
             assert (got is None) == (want is None)
             if got is not None:
@@ -248,7 +328,7 @@ class TestChoosersMatchReference:
             d = sorted(math.hypot(p.x - x, p.y - y) for p in offered)
             ties += len(d) > 1 and d[0] == d[1]
             chosen.append(got)
-            return got
+            return i
 
         monkeypatch.setitem(POLICIES, method, (offer, checked))
         run(ScenarioConfig(method=method, **self.CONFIGS[world]))
