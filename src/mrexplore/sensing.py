@@ -1,10 +1,12 @@
 """Simulated lidar: ray casting against the true world and scan integration.
 
-Each scan walks its beams once, all in lockstep with numpy. The walk is an
-exact cell walk (every crossed cell is visited, corner grazes with zero
-chord are skipped), so thin walls cannot be leaked through. It yields the
-ranges and the cells the scan proves free or occupied; integration applies
-those cells to a map and walks no beams itself.
+One walk per call casts the beams of every pose given, all in lockstep with
+numpy over the shared true map; the simulator makes one such call per tick
+for every robot's beams. The walk is an exact cell walk (every crossed cell
+is visited, corner grazes with zero chord are skipped), so thin walls cannot
+be leaked through. It yields each scan's ranges and the cells the scan
+proves free or occupied; integration applies those cells to a map and walks
+no beams itself.
 """
 
 from __future__ import annotations
@@ -27,14 +29,14 @@ _EPS = 1e-12
 
 @dataclass
 class LidarScan:
-    """One 360-degree scan and the cells its beams proved.
+    """One 360-degree scan from one pose and the cells its beams proved.
+    raycast casts several in one walk; each is the scan its pose gives alone.
 
     ranges[k] is the distance along beam k, or max_range + 1 when the beam
     hit nothing within max_range. free_cells and occupied_cells are sorted
     flat indices (col + row * width) in frame, the (resolution, origin_x,
-    origin_y, width, height) of the map the scan was cast in. A cell one
-    beam crossed and another stopped in is in both; integration makes it
-    Occupied.
+    origin_y, width, height) of the map the scan was cast in. They are Free
+    and Occupied cells of the true map, so no cell is in both.
     """
 
     beam_count: int
@@ -54,56 +56,77 @@ def _frame(grid) -> tuple[float, float, float, int, int]:
     return (grid.resolution, grid.origin_x, grid.origin_y, grid.width, grid.height)
 
 
-def raycast(truth: GroundTruthMap, pose, beam_count: int, max_range: float) -> LidarScan:
-    """Cast beam_count equally spaced beams over 360 degrees from pose.
+def raycast(truth: GroundTruthMap, poses, beam_count: int,
+            max_range: float) -> list[LidarScan]:
+    """Cast beam_count equally spaced beams over 360 degrees from each pose
+    in the sequence poses, all in one walk over the shared true map, and
+    return one LidarScan per pose, in order. A pose's scan does not depend
+    on the other poses cast with it; raycast(truth, [pose], n, r)[0] is the
+    scan of one pose.
 
     The reported range is the distance along the beam to the midpoint of its
     chord through the first Occupied cell it crosses: within half a cell of
     that cell's center, and exactly the center distance for walls hit
     square-on. Deterministic, noise free.
 
-    The walk also records what the scan proves: a cell a beam crosses before
-    its stop is free, and the stop cell is occupied, each only when the
-    midpoint of the beam's chord through it lies within max_range.
+    The walk also records what each scan proves: a cell a beam crosses
+    before its stop is free, and the stop cell is occupied, each only when
+    the midpoint of the beam's chord through it lies within max_range.
+    Raises ValueError when some pose lies outside the map or in an obstacle.
     """
-    px, py, heading = pose
-    cx0, cy0 = world_to_grid(px, py, truth)
-    if not truth.in_bounds(cx0, cy0):
-        raise ValueError("robot pose outside the map")
-    if truth.cells[cy0, cx0] == OCCUPIED:
-        raise ValueError("robot embedded in obstacle")
-
     res = truth.resolution
     width, height = truth.width, truth.height
-    n_cells = width * height
-    occ_flat = (truth.cells == OCCUPIED).ravel()
-    theta = heading + 2.0 * math.pi * np.arange(beam_count) / beam_count
-    dx, dy = np.cos(theta), np.sin(theta)
+    # Per-beam walk state, set up pose by pose: distances t_max_x/y to the
+    # next cell boundary, per-cell increments t_dx/y and step directions.
+    starts, per_pose = [], []
+    for px, py, heading in poses:
+        cx0, cy0 = world_to_grid(px, py, truth)
+        if not truth.in_bounds(cx0, cy0):
+            raise ValueError("robot pose outside the map")
+        if truth.cells[cy0, cx0] == OCCUPIED:
+            raise ValueError("robot embedded in obstacle")
+        starts.append((cx0, cy0))
+        theta = heading + 2.0 * math.pi * np.arange(beam_count) / beam_count
+        dx, dy = np.cos(theta), np.sin(theta)
+        # A beam within about 1e-308 rad of an axis has a subnormal
+        # direction component, and its t_dx or t_dy and t_max overflow to
+        # inf, the right limit.
+        with np.errstate(divide="ignore", over="ignore"):
+            t_dx = np.where(dx != 0.0, res / np.abs(dx), np.inf)
+            t_dy = np.where(dy != 0.0, res / np.abs(dy), np.inf)
+            pos_x = truth.origin_x + (cx0 + 1) * res - px
+            neg_x = truth.origin_x + cx0 * res - px
+            t_max_x = np.where(dx > 0, pos_x / np.where(dx != 0, dx, 1.0),
+                               np.where(dx < 0, neg_x / np.where(dx != 0, dx, 1.0),
+                                        np.inf))
+            pos_y = truth.origin_y + (cy0 + 1) * res - py
+            neg_y = truth.origin_y + cy0 * res - py
+            t_max_y = np.where(dy > 0, pos_y / np.where(dy != 0, dy, 1.0),
+                               np.where(dy < 0, neg_y / np.where(dy != 0, dy, 1.0),
+                                        np.inf))
+        per_pose.append((dx, dy, t_dx, t_dy, t_max_x, t_max_y))
+    if not per_pose:
+        return []
+    dx, dy, t_dx, t_dy, t_max_x, t_max_y = map(np.concatenate, zip(*per_pose))
+    n_poses = len(per_pose)
+    n_beams = n_poses * beam_count
 
-    # Per-beam walk state: cell coords, distances t_max_x/y to the next
-    # cell boundary and per-cell increments t_dx/y.
-    cx = np.full(beam_count, cx0, dtype=np.int64)
-    cy = np.full(beam_count, cy0, dtype=np.int64)
-    # A beam within about 1e-308 rad of an axis has a subnormal direction
-    # component, and its t_dx or t_dy and t_max overflow to inf, the
-    # right limit.
-    with np.errstate(divide="ignore", over="ignore"):
-        t_dx = np.where(dx != 0.0, res / np.abs(dx), np.inf)
-        t_dy = np.where(dy != 0.0, res / np.abs(dy), np.inf)
-        pos_x = truth.origin_x + (cx0 + 1) * res - px
-        neg_x = truth.origin_x + cx0 * res - px
-        t_max_x = np.where(dx > 0, pos_x / np.where(dx != 0, dx, 1.0),
-                           np.where(dx < 0, neg_x / np.where(dx != 0, dx, 1.0),
-                                    np.inf))
-        pos_y = truth.origin_y + (cy0 + 1) * res - py
-        neg_y = truth.origin_y + cy0 * res - py
-        t_max_y = np.where(dy > 0, pos_y / np.where(dy != 0, dy, 1.0),
-                           np.where(dy < 0, neg_y / np.where(dy != 0, dy, 1.0),
-                                    np.inf))
+    # Each pose owns one block of a flat layout of the map framed by a ring
+    # of cells outside it: code is 1 for Occupied, 0 for Free and 2 for the
+    # ring. A beam's cell is its flat index idx in its owner's block, so one
+    # gather of code tells whether the beam left the map or hit a wall, and
+    # the proved cells go straight into the owner's block of free/occupied.
+    wp, hp = width + 2, height + 2
+    n_pad = wp * hp
+    code = np.full((hp, wp), 2, dtype=np.int8)
+    code[1:-1, 1:-1] = truth.cells == OCCUPIED
+    code = np.tile(code.ravel(), n_poses)
+    idx = np.repeat([owner * n_pad + (cy0 + 1) * wp + cx0 + 1
+                     for owner, (cx0, cy0) in enumerate(starts)], beam_count)
     step_x = np.sign(dx).astype(np.int64)
-    step_y = np.sign(dy).astype(np.int64)
+    step_y = np.sign(dy).astype(np.int64) * wp
 
-    ranges = np.full(beam_count, max_range + 1.0, dtype=np.float64)
+    ranges = np.full(n_beams, max_range + 1.0, dtype=np.float64)
     t_stop = max_range + 2.0 * res
     # A step by an increment longer than t_stop lands past t_stop and ends
     # the walk, so inf walks the same cells. It also keeps t_max + t_d in
@@ -111,36 +134,52 @@ def raycast(truth: GroundTruthMap, pose, beam_count: int, max_range: float) -> L
     # would slow each of its ufunc calls by about 2%.
     t_dx[t_dx > t_stop] = np.inf
     t_dy[t_dy > t_stop] = np.inf
-    t_entry = np.zeros(beam_count)
-    active = np.ones(beam_count, dtype=bool)
-    free = np.zeros(n_cells, dtype=bool)
-    occupied = np.zeros(n_cells, dtype=bool)
+    t_entry = np.zeros(n_beams)
+    beam = np.arange(n_beams)  # each beam's index into ranges
+    free = np.zeros(n_poses * n_pad, dtype=bool)
+    occupied = np.zeros(n_poses * n_pad, dtype=bool)
+    here = code[idx]
 
-    while active.any():
+    # The walk holds only live beams, all on the map: a beam is dropped on
+    # the step it stops at an occupied cell, passes t_stop or leaves the map.
+    while beam.size:
         t_exit = np.minimum(t_max_x, t_max_y)
-        crossed = active & (t_exit - t_entry > _EPS)
-        idx = np.clip(cy * width + cx, 0, n_cells - 1)
-        occ_here = crossed & occ_flat[idx]
+        crossed = t_exit - t_entry > _EPS
+        occ_here = crossed & (here == 1)
         mid = 0.5 * (t_entry + t_exit)
         seen = crossed & (mid <= max_range)
         free[idx[seen & ~occ_here]] = True
         if occ_here.any():
             hit = occ_here & seen
-            ranges[hit] = mid[hit]
+            ranges[beam[hit]] = mid[hit]
             occupied[idx[hit]] = True
-            active &= ~occ_here  # beams stop at their first occupied cell
 
         take_x = t_max_x < t_max_y
         t_entry = np.where(take_x, t_max_x, t_max_y)
-        cx = np.where(take_x, cx + step_x, cx)
-        cy = np.where(take_x, cy, cy + step_y)
+        idx = np.where(take_x, idx + step_x, idx + step_y)
         t_max_x = np.where(take_x, t_max_x + t_dx, t_max_x)
         t_max_y = np.where(take_x, t_max_y, t_max_y + t_dy)
-        active &= (t_entry <= t_stop)
-        active &= (cx >= 0) & (cx < width) & (cy >= 0) & (cy < height)
+        here = code[idx]
+        live = ~occ_here  # beams stop at their first occupied cell
+        live &= t_entry <= t_stop
+        live &= here != 2
+        if not live.all():
+            keep = np.flatnonzero(live)
+            (idx, here, t_max_x, t_max_y, t_dx, t_dy, step_x, step_y, t_entry,
+             beam) = (a[keep] for a in (idx, here, t_max_x, t_max_y, t_dx, t_dy,
+                                        step_x, step_y, t_entry, beam))
 
-    return LidarScan(beam_count, max_range, (px, py, heading), ranges,
-                     _frame(truth), np.flatnonzero(free), np.flatnonzero(occupied))
+    def on_map(mask):
+        return mask.reshape(n_poses, hp, wp)[:, 1:-1, 1:-1].reshape(n_poses, -1)
+
+    free, occupied = on_map(free), on_map(occupied)
+    frame = _frame(truth)
+    return [
+        LidarScan(beam_count, max_range, (px, py, heading),
+                  ranges[i * beam_count:(i + 1) * beam_count], frame,
+                  np.flatnonzero(free[i]), np.flatnonzero(occupied[i]))
+        for i, (px, py, heading) in enumerate(poses)
+    ]
 
 
 def integrate_scan(grid: OccupancyGrid, scan: LidarScan) -> OccupancyGrid:

@@ -161,8 +161,9 @@ class ExplorationSim:
 
     def _sense_all(self):
         cfg = self.config
-        for r in self.robots:
-            scan = raycast(self.truth, r.pose, cfg.beam_count, cfg.max_range)
+        scans = raycast(self.truth, [r.pose for r in self.robots],
+                        cfg.beam_count, cfg.max_range)
+        for r, scan in zip(self.robots, scans):
             r.grid = integrate_scan(r.grid, scan)
             extend_trajectory(r.graph, r.pose, cfg.graph_params)
         self.merged = merge_maps([r.grid for r in self.robots])
@@ -306,6 +307,9 @@ class ExplorationSim:
 
         metrics.distances = [r.distance for r in self.robots]
         metrics.final_quality = map_quality(self.merged, self.truth)
+        if math.isnan(metrics.final_quality.alignment_error):
+            log.warning("alignment_error is nan: the final merged map holds "
+                        "no Occupied cell to align with the true walls")
         return metrics
 
 

@@ -1,8 +1,12 @@
 import hashlib
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mrexplore
 from mrexplore.cli import EXIT_CONFIG, EXIT_OK, main
 from mrexplore.pgm import load_grid
 
@@ -82,6 +86,25 @@ class TestRun:
             sha(os.path.join(out2, "summary.csv"))
         assert sha(os.path.join(out1, "map_merged.pgm")) == \
             sha(os.path.join(out2, "map_merged.pgm"))
+
+    def test_no_wall_seen_warns_of_nan(self, tmp_path):
+        # a 0.5 m lidar in 2 s proves no wall, so alignment_error is nan;
+        # run as a process so that its log goes to stderr at the default level
+        path = tmp_path / "short.cfg"
+        path.write_text("[scenario]\nmap = builtin:desk\nrobots = 1\n"
+                        "max_sim_time = 2\n\n[lidar]\nmax_range = 0.5\n")
+        env = {k: v for k, v in os.environ.items() if k != "EXPLORER_LOG"}
+        env["PYTHONPATH"] = str(Path(mrexplore.__file__).parents[1])
+        out = tmp_path / "o"
+        proc = subprocess.run(
+            [sys.executable, "-m", "mrexplore.cli", "run", "--config", str(path),
+             "--out", str(out)], env=env, capture_output=True, text=True)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        header, row = (out / "summary.csv").read_text().strip().split("\n")
+        assert dict(zip(header.split(","), row.split(",")))["alignment_error"] == "nan"
+        lines = proc.stderr.strip().split("\n")
+        assert len(lines) == 1
+        assert "alignment_error is nan" in lines[0]
 
 
 class TestConfigErrors:

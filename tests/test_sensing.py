@@ -13,11 +13,18 @@ from mrexplore.grid import (
     UNKNOWN,
     GroundTruthMap,
     OccupancyGrid,
+    coverage_percent,
+    merge_maps,
     world_to_grid,
 )
 from mrexplore.sensing import integrate_scan, raycast
 
 from conftest import truth_from_rows
+
+
+def cast_one(truth, pose, beam_count, max_range):
+    """The scan of one pose: the one-pose form of the batched raycast."""
+    return raycast(truth, [pose], beam_count, max_range)[0]
 
 
 def walk_ray_reference(px, py, dx, dy, grid, t_stop):
@@ -126,6 +133,34 @@ def world_and_pose(draw):
     return truth, pose, grid
 
 
+@st.composite
+def world_and_poses(draw, min_poses=1, max_poses=4):
+    """A small random world and a list of poses in its free cells. A pose
+    may repeat an earlier one, or share its cell with another position and
+    heading; headings vary freely."""
+    w, h = draw(st.integers(3, 12)), draw(st.integers(3, 12))
+    res = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    origin = (draw(st.integers(-4, 4)) * res, draw(st.integers(-4, 4)) * res)
+    cells = draw(arrays(np.int8, (h, w), elements=st.sampled_from([FREE, OCCUPIED])))
+    frac = st.floats(0.05, 0.95)
+    placed = []  # (cell, pose)
+    for _ in range(draw(st.integers(min_poses, max_poses))):
+        kind = draw(st.sampled_from(["new", "repeat", "same_cell"])) if placed else "new"
+        if kind == "repeat":
+            placed.append(draw(st.sampled_from(placed)))
+            continue
+        if kind == "same_cell":
+            cx, cy = draw(st.sampled_from(placed))[0]
+        else:
+            cx, cy = draw(st.integers(0, w - 1)), draw(st.integers(0, h - 1))
+        cells[cy, cx] = FREE
+        pose = (origin[0] + (cx + draw(frac)) * res, origin[1] + (cy + draw(frac)) * res,
+                draw(st.floats(0.0, 2 * math.pi)))
+        placed.append(((cx, cy), pose))
+    truth = GroundTruthMap(res, origin[0], origin[1], w, h, cells)
+    return truth, [pose for _, pose in placed]
+
+
 _beams = st.integers(1, 48)
 _max_range = st.floats(0.3, 6.0)
 
@@ -135,16 +170,16 @@ class TestRaycast:
         rows = ["." * 20] * 20
         rows = [r[:15] + "#" + r[16:] for r in rows]
         truth = truth_from_rows(rows)
-        scan = raycast(truth, (14.5, 10.5, 0.0), 4, 5.0)
+        scan = cast_one(truth, (14.5, 10.5, 0.0), 4, 5.0)
         assert scan.ranges[0] == pytest.approx(1.0, abs=truth.resolution)
 
     def test_open_arena_all_no_hit(self, open_arena):
-        scan = raycast(open_arena, (50.0, 50.0, 0.3), 16, 5.0)
+        scan = cast_one(open_arena, (50.0, 50.0, 0.3), 16, 5.0)
         assert np.all(scan.ranges == scan.no_hit)
 
     def test_single_cell_box(self):
         truth = truth_from_rows(["###", "#.#", "###"])
-        scan = raycast(truth, (1.5, 1.5, 0.0), 8, 5.0)
+        scan = cast_one(truth, (1.5, 1.5, 0.0), 8, 5.0)
         for k in (0, 2, 4, 6):  # axis-aligned beams
             assert scan.ranges[k] == pytest.approx(1.0, abs=0.5)
         for k in (1, 3, 5, 7):
@@ -152,7 +187,7 @@ class TestRaycast:
 
     def test_embedded_pose_rejected(self, box5):
         with pytest.raises(ValueError, match="embedded"):
-            raycast(box5, (0.5, 0.5, 0.0), 8, 5.0)
+            cast_one(box5, (0.5, 0.5, 0.0), 8, 5.0)
 
     def test_matches_scalar_reference(self, box5):
         rng = np.random.RandomState(11)
@@ -165,7 +200,7 @@ class TestRaycast:
                 2.0 + 5.5 * 0.5 + rng.uniform(0.05, 0.45),
                 rng.uniform(0, 2 * math.pi),
             )
-            got = raycast(truth, pose, 24, 3.0).ranges
+            got = cast_one(truth, pose, 24, 3.0).ranges
             want = raycast_reference(truth, pose, 24, 3.0)
             assert np.allclose(got, want, atol=1e-9), (got - want)
 
@@ -176,24 +211,65 @@ class TestRaycast:
         # its t_dy overflows; at 2.5e-309, t_max_y + t_dy would.
         truth = truth_from_rows(["......", ".#..#.", "......", "..#..."])
         pose = (2.5, 2.5)
-        want = raycast(truth, (*pose, 0.0), 16, 4.0)
+        want = cast_one(truth, (*pose, 0.0), 16, 4.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = raycast(truth, (*pose, heading), 16, 4.0)
+            got = cast_one(truth, (*pose, heading), 16, 4.0)
         assert np.array_equal(got.ranges, want.ranges)
         assert np.array_equal(got.free_cells, want.free_cells)
         assert np.array_equal(got.occupied_cells, want.occupied_cells)
 
 
+def assert_same_scan(got, want):
+    assert got.ranges.tobytes() == want.ranges.tobytes()
+    assert np.array_equal(got.free_cells, want.free_cells)
+    assert np.array_equal(got.occupied_cells, want.occupied_cells)
+    assert got.pose == want.pose
+    assert got.frame == want.frame
+
+
+class TestBatchedRaycast:
+    """One call casts every pose's beams in one walk; each scan must be the
+    scan its pose gives alone."""
+
+    @settings(deadline=None)  # timing is not under test; the host may be busy
+    @given(world_and_poses(), _beams, _max_range)
+    def test_batch_equals_single(self, world, beams, max_range):
+        truth, poses = world
+        scans = raycast(truth, poses, beams, max_range)
+        assert len(scans) == len(poses)
+        for pose, got in zip(poses, scans):
+            assert_same_scan(got, cast_one(truth, pose, beams, max_range))
+
+    @settings(deadline=None)  # timing is not under test; the host may be busy
+    @given(world_and_poses(min_poses=0, max_poses=3), st.data())
+    def test_bad_pose_anywhere_rejected(self, world, data):
+        truth, poses = world
+        walls = np.argwhere(truth.cells == OCCUPIED)
+        res, w, h = truth.resolution, truth.width, truth.height
+        outside = [(truth.origin_x - 0.5 * res, truth.origin_y + 0.5 * res),
+                   (truth.origin_x + (w + 0.5) * res, truth.origin_y),
+                   (truth.origin_x, truth.origin_y + (h + 2) * res)]
+        inside = [(truth.origin_x + (cx + 0.5) * res, truth.origin_y + (cy + 0.5) * res)
+                  for cy, cx in walls]
+        x, y = data.draw(st.sampled_from(outside + inside))
+        at = data.draw(st.integers(0, len(poses)))
+        with pytest.raises(ValueError):
+            raycast(truth, poses[:at] + [(x, y, 0.0)] + poses[at:], 8, 3.0)
+
+    def test_no_poses_no_scans(self, box5):
+        assert raycast(box5, [], 8, 5.0) == []
+
+
 class TestIntegrate:
     def test_discovery_monotone(self, box5):
-        scan = raycast(box5, (2.5, 2.5, 0.4), 36, 5.0)
+        scan = cast_one(box5, (2.5, 2.5, 0.4), 36, 5.0)
         before = box5.blank_grid()
         after = integrate_scan(before, scan)
         assert after.unknown_count() < before.unknown_count()
 
     def test_idempotent(self, box5):
-        scan = raycast(box5, (2.5, 2.5, 0.4), 36, 5.0)
+        scan = cast_one(box5, (2.5, 2.5, 0.4), 36, 5.0)
         once = integrate_scan(box5.blank_grid(), scan)
         twice = integrate_scan(once, scan)
         assert np.array_equal(once.cells, twice.cells)
@@ -202,7 +278,7 @@ class TestIntegrate:
         rows = ["." * 20] * 10
         rows[5] = "." * 10 + "#" + "." * 9
         truth = truth_from_rows(rows)
-        scan = raycast(truth, (2.5, 5.5, 0.0), 4, 12.0)
+        scan = cast_one(truth, (2.5, 5.5, 0.0), 4, 12.0)
         g = integrate_scan(truth.blank_grid(), scan)
         assert g.cells[5, 10] == OCCUPIED
         for cx in range(3, 10):
@@ -213,7 +289,7 @@ class TestIntegrate:
         for _ in range(20):
             pose = (rng.uniform(1.1, 3.9), rng.uniform(1.1, 3.9),
                     rng.uniform(0, 2 * math.pi))
-            scan = raycast(box5, pose, 48, 6.0)
+            scan = cast_one(box5, pose, 48, 6.0)
             g = integrate_scan(box5.blank_grid(), scan)
             bad = (g.cells == FREE) & (box5.cells == OCCUPIED)
             assert not bad.any()
@@ -221,12 +297,12 @@ class TestIntegrate:
     def test_occupied_never_demoted(self, box5):
         g = box5.blank_grid()
         g.cells[2, 1] = OCCUPIED  # pretend an earlier scan saw a wall here
-        scan = raycast(box5, (2.5, 2.5, 0.0), 36, 5.0)
+        scan = cast_one(box5, (2.5, 2.5, 0.0), 36, 5.0)
         out = integrate_scan(g, scan)
         assert out.cells[2, 1] == OCCUPIED
 
     def test_no_hit_clears_to_max_range_only(self, open_arena):
-        scan = raycast(open_arena, (50.5, 50.5, 0.0), 90, 5.0)
+        scan = cast_one(open_arena, (50.5, 50.5, 0.0), 90, 5.0)
         g = integrate_scan(open_arena.blank_grid(), scan)
         assert g.cells[50, 50] != UNKNOWN
         free_cells = np.argwhere(g.cells == FREE)
@@ -234,7 +310,7 @@ class TestIntegrate:
         assert d.max() <= 5.0 + 1.0  # within max_range plus one cell of slack
 
     def test_scan_shape_and_range_domain(self, box5):
-        scan = raycast(box5, (2.5, 2.5, 1.1), 17, 4.0)
+        scan = cast_one(box5, (2.5, 2.5, 1.1), 17, 4.0)
         assert len(scan.ranges) == scan.beam_count == 17
         hit = scan.ranges <= scan.max_range
         assert np.all(scan.ranges[hit] > 0.0)
@@ -246,7 +322,7 @@ class TestIntegrate:
                  (3.5, 3.5, 4.0), (1.5, 3.5, 5.5)]
         known = g.known_count()
         for pose in poses:
-            g = integrate_scan(g, raycast(box5, pose, 36, 5.0))
+            g = integrate_scan(g, cast_one(box5, pose, 36, 5.0))
             assert g.known_count() >= known
             known = g.known_count()
 
@@ -258,7 +334,7 @@ class TestIntegrate:
         (0.5, 0.0, 0.0, 5, 5),   # finer cells
     ])
     def test_other_geometry_rejected(self, box5, frame):
-        scan = raycast(box5, (2.5, 2.5, 0.0), 8, 5.0)
+        scan = cast_one(box5, (2.5, 2.5, 0.0), 8, 5.0)
         with pytest.raises(ValueError, match="geometry"):
             integrate_scan(OccupancyGrid(*frame), scan)
 
@@ -268,7 +344,7 @@ class TestIntegrateProperties:
     @given(world_and_pose(), _beams, _max_range)
     def test_idempotent(self, world, beams, max_range):
         truth, pose, grid = world
-        scan = raycast(truth, pose, beams, max_range)
+        scan = cast_one(truth, pose, beams, max_range)
         once = integrate_scan(grid, scan)
         assert np.array_equal(integrate_scan(once, scan).cells, once.cells)
 
@@ -276,13 +352,32 @@ class TestIntegrateProperties:
     @given(world_and_pose(), _beams, _max_range)
     def test_never_demotes_occupied(self, world, beams, max_range):
         truth, pose, grid = world
-        out = integrate_scan(grid, raycast(truth, pose, beams, max_range))
+        out = integrate_scan(grid, cast_one(truth, pose, beams, max_range))
         assert np.all(out.cells[grid.cells == OCCUPIED] == OCCUPIED)
 
     @settings(deadline=None)  # timing is not under test; the host may be busy
     @given(world_and_pose(), _beams, _max_range)
     def test_matches_ranges_based_reference(self, world, beams, max_range):
         truth, pose, grid = world
-        scan = raycast(truth, pose, beams, max_range)
+        scan = cast_one(truth, pose, beams, max_range)
         assert np.array_equal(integrate_scan(grid, scan).cells,
                               integrate_reference(grid, scan).cells)
+
+
+class TestMergedCoverageProperties:
+    @settings(deadline=None)  # timing is not under test; the host may be busy
+    @given(world_and_poses(max_poses=9), _beams, _max_range, st.data())
+    def test_merged_coverage_monotone(self, world, beams, max_range, data):
+        # the poses, in order, are the robots' poses over the ticks
+        truth, poses = world
+        robots = data.draw(st.integers(1, min(3, len(poses))))
+        grids = [truth.blank_grid() for _ in range(robots)]
+        merged = merge_maps(grids)
+        coverage = coverage_percent(merged, truth)
+        for tick in range(0, len(poses) - robots + 1, robots):
+            scans = raycast(truth, poses[tick:tick + robots], beams, max_range)
+            grids = [integrate_scan(g, scan) for g, scan in zip(grids, scans)]
+            now = merge_maps(grids)
+            assert coverage_percent(now, truth) >= coverage
+            assert not np.any((merged.cells == OCCUPIED) & (now.cells == FREE))
+            merged, coverage = now, coverage_percent(now, truth)
