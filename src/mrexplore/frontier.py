@@ -1,6 +1,13 @@
 """Frontier detection and the three-stage point filtering pipeline:
 cross-agent merge with dedup, near-border classification against the
-merged map, and adaptive list-size control."""
+merged map, and adaptive list-size control.
+
+Both layers run as whole-array numpy steps. Detection labels the
+8-connected clusters of frontier cells by hooking roots to the smaller
+root, over the frontier cells' own adjacency table. Filtering counts the
+Unknown and in-bounds cells of every point's disc in one (points x disc
+offsets) gather; a percentage relaxation only rethresholds counts it
+already has."""
 
 from __future__ import annotations
 
@@ -10,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import FREE, UNKNOWN, OccupancyGrid, grid_to_world, world_to_grid
+from .grid import FREE, UNKNOWN, OccupancyGrid, world_to_grid
 
 
 @dataclass(frozen=True)
@@ -65,81 +72,159 @@ class FilterOutcome:
 def detect_frontiers(grid: OccupancyGrid, source_agent: int = -1) -> list[FrontierPoint]:
     """Frontier cells are Free cells 4-adjacent to Unknown; they are grouped
     into 8-connected clusters and each cluster yields one point at the member
-    cell nearest the cluster centroid. Cluster order follows the row-major
-    position of each cluster's seed cell."""
+    cell nearest the cluster centroid, ties to the least (row, col). Cluster
+    order follows each cluster's least row-major cell."""
     cells = grid.cells
-    free = cells == FREE
     unknown = cells == UNKNOWN
-    if not free.any() or not unknown.any():
-        return []
-
     near_unknown = np.zeros_like(unknown)
     near_unknown[1:, :] |= unknown[:-1, :]
     near_unknown[:-1, :] |= unknown[1:, :]
     near_unknown[:, 1:] |= unknown[:, :-1]
     near_unknown[:, :-1] |= unknown[:, 1:]
-    frontier_mask = free & near_unknown
 
-    points: list[FrontierPoint] = []
-    remaining = frontier_mask.copy()
-    seeds = np.argwhere(frontier_mask)  # row-major order
-    for row, col in seeds:
-        if not remaining[row, col]:
-            continue
-        # flood fill this 8-connected cluster
-        stack = [(int(row), int(col))]
-        remaining[row, col] = False
-        members = []
-        while stack:
-            r, c = stack.pop()
-            members.append((r, c))
-            for dr in (-1, 0, 1):
-                for dc in (-1, 0, 1):
-                    rr, cc = r + dr, c + dc
-                    if 0 <= rr < grid.height and 0 <= cc < grid.width and remaining[rr, cc]:
-                        remaining[rr, cc] = False
-                        stack.append((rr, cc))
-        mr = sum(m[0] for m in members) / len(members)
-        mc = sum(m[1] for m in members) / len(members)
-        best = min(members, key=lambda m: ((m[0] - mr) ** 2 + (m[1] - mc) ** 2, m))
-        wx, wy = grid_to_world(best[1], best[0], grid)
-        points.append(FrontierPoint(wx, wy, source_agent))
-    return points
+    # Frontier cells as flat indices of the grid padded with one empty ring,
+    # so no neighbour index wraps to another row; row-major, so sorted.
+    pw = grid.width + 2
+    padded = np.zeros((grid.height + 2, pw), dtype=bool)
+    padded[1:-1, 1:-1] = (cells == FREE) & near_unknown
+    flat = np.flatnonzero(padded)
+    k = flat.size
+    if not k:
+        return []
+    # Position of each frontier cell in `flat`; read only at frontier cells.
+    position = np.empty(padded.size, dtype=np.intp)
+    position[flat] = np.arange(k)
+
+    # Each 8-adjacency once, from the earlier cell to the later one.
+    nb = flat[:, None] + np.array([1, pw - 1, pw, pw + 1])
+    adjacent = padded.reshape(-1)[nb]
+    lo = np.nonzero(adjacent)[0]
+    hi = position[nb[adjacent]]
+    label = _least_member_labels(k, lo, hi)
+
+    # Clusters numbered by their least member, which comes first in `flat`.
+    is_root = label == np.arange(k)
+    cluster = (np.cumsum(is_root) - 1)[label]
+    rows = flat // pw - 1
+    cols = flat % pw - 1
+    size = np.bincount(cluster)
+    n = size.size
+    mr = np.bincount(cluster, rows) / size
+    mc = np.bincount(cluster, cols) / size
+    # Python's float ** 2 calls the C library's pow, which does not always
+    # round as d * d does; float_power calls the same pow, so the distances
+    # and so the choice among near-ties are those of the scalar expression.
+    d2 = np.float_power(rows - mr[cluster], 2) + np.float_power(cols - mc[cluster], 2)
+    least = np.full(n, np.inf)
+    np.minimum.at(least, cluster, d2)
+    tied = np.flatnonzero(d2 == least[cluster])
+    best = np.full(n, k)
+    np.minimum.at(best, cluster[tied], tied)
+
+    # grid_to_world, on every chosen cell at once
+    xs = grid.origin_x + (cols[best] + 0.5) * grid.resolution
+    ys = grid.origin_y + (rows[best] + 0.5) * grid.resolution
+    return [FrontierPoint(x, y, source_agent) for x, y in zip(xs.tolist(), ys.tolist())]
+
+
+def _least_member_labels(k: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Connected components of the graph on nodes 0..k-1 with edges
+    (lo[i], hi[i]): each node's label is the least node of its component.
+
+    Each round hooks the larger root of every edge whose ends have
+    different roots onto the smaller one, then jumps pointers until every
+    node points at its root. A root only ever points to a smaller node, so
+    no cycle forms, and a component's least node stays its root."""
+    label = np.arange(k)
+    while lo.size:
+        ra, rb = label[lo], label[hi]
+        split = ra != rb
+        if not split.any():
+            break
+        lo, hi, ra, rb = lo[split], hi[split], ra[split], rb[split]
+        np.minimum.at(label, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            jumped = label[label]
+            if not (jumped != label).any():
+                break
+            label = jumped
+    return label
 
 
 @lru_cache(maxsize=64)
-def _disc_offsets(rad_cells: float) -> np.ndarray:
-    """Integer offsets (i, j) with i^2 + j^2 <= rad_cells^2, as an (N, 2) array."""
+def _disc_offsets(rad_cells: float) -> tuple[np.ndarray, np.ndarray]:
+    """Integer offsets (i, j) with i^2 + j^2 <= rad_cells^2, as an array of
+    the i and an array of the j."""
     r = int(math.floor(rad_cells))
     span = np.arange(-r, r + 1)
     ii, jj = np.meshgrid(span, span, indexing="ij")
     keep = ii * ii + jj * jj <= rad_cells * rad_cells
-    return np.stack([ii[keep], jj[keep]], axis=1)
+    return ii[keep], jj[keep]
+
+
+# Most (point, disc cell) pairs gathered at once. A radius step can grow the
+# disc towards the map diagonal; gathering a long list of such discs at once
+# would take memory in proportion to both.
+_GATHER_CELLS = 1 << 16
+
+
+def _disc_counts(cells: np.ndarray, grid: OccupancyGrid, rad: float) -> tuple[np.ndarray, np.ndarray]:
+    """(unknown counts, in-bounds counts) over the discretized disc of world
+    radius rad centred on each (cx, cy) row of the (P, 2) cell array."""
+    di, dj = _disc_offsets(rad / grid.resolution)
+    step = max(1, _GATHER_CELLS // di.size)
+    if len(cells) > step:
+        parts = [_disc_counts(cells[s:s + step], grid, rad)
+                 for s in range(0, len(cells), step)]
+        return tuple(np.concatenate(counts) for counts in zip(*parts))
+    xs = cells[:, :1] + di
+    ys = cells[:, 1:] + dj
+    # A negative coordinate reads as a huge unsigned one, so one comparison
+    # bounds each axis.
+    ok = (xs.view(np.uintp) < grid.width) & (ys.view(np.uintp) < grid.height)
+    unknown = np.take(grid.cells.reshape(-1), ys * grid.width + xs, mode="clip") == UNKNOWN
+    unknown &= ok
+    return unknown.sum(axis=1), ok.sum(axis=1)
+
+
+def _near_border(unk, total, per_unk: float):
+    """The near-border rule on disc counts: at least per_unk percent of the
+    in-bounds disc cells are Unknown. A disc wholly outside the map
+    (total 0) is never near the border."""
+    return (total > 0) & (100.0 * unk / np.maximum(total, 1) >= per_unk)
+
+
+def _cells_of(points, grid: OccupancyGrid) -> np.ndarray:
+    """(P, 2) array of the points' (cx, cy) cells."""
+    return np.array([world_to_grid(p.x, p.y, grid) for p in points],
+                    dtype=np.intp).reshape(-1, 2)
 
 
 def disc_unknown_stats(point, grid: OccupancyGrid, rad: float) -> tuple[int, int]:
     """(unknown count, total in-bounds count) over the discretized disc of
     world radius rad centered on the point's cell."""
-    cx, cy = world_to_grid(point.x, point.y, grid)
-    offsets = _disc_offsets(rad / grid.resolution)
-    xs = cx + offsets[:, 0]
-    ys = cy + offsets[:, 1]
-    ok = (xs >= 0) & (xs < grid.width) & (ys >= 0) & (ys < grid.height)
-    total = int(np.count_nonzero(ok))
-    if total == 0:
-        return 0, 0
-    unk = int(np.count_nonzero(grid.cells[ys[ok], xs[ok]] == UNKNOWN))
-    return unk, total
+    unk, total = _disc_counts(_cells_of([point], grid), grid, rad)
+    return int(unk[0]), int(total[0])
 
 
 def is_near_border(point, merged: OccupancyGrid, rad: float, per_unk: float) -> bool:
     """True when at least per_unk percent of the in-bounds disc cells around
     the point are Unknown. A point whose disc falls entirely outside the map
     is never near the border."""
-    unk, total = disc_unknown_stats(point, merged, rad)
-    if total == 0:
-        return False
-    return 100.0 * unk / total >= per_unk
+    return bool(_near_border(*disc_unknown_stats(point, merged, rad), per_unk))
+
+
+def _keep_near(pts, cells: np.ndarray, counts, per_unk: float):
+    """The points, and their cells, whose disc counts pass the near-border
+    rule at per_unk, dropping any whose cell an earlier kept point holds."""
+    near = np.flatnonzero(_near_border(*counts, per_unk))
+    seen: set[tuple[int, int]] = set()
+    kept = []
+    for i, cell in zip(near.tolist(), map(tuple, cells[near].tolist())):
+        if cell not in seen:
+            seen.add(cell)
+            kept.append(i)
+    return [pts[i] for i in kept], cells[kept]
 
 
 def merge_points(
@@ -154,18 +239,9 @@ def merge_points(
     the merged map). First-seen order is preserved."""
     rad = params.rad if rad is None else rad
     per_unk = params.per_unk if per_unk is None else per_unk
-    unique: list[FrontierPoint] = []
-    seen_cells: set[tuple[int, int]] = set()
-    for agent_list in lists:
-        for p in agent_list:
-            if not is_near_border(p, merged, rad, per_unk):
-                continue
-            cell = world_to_grid(p.x, p.y, merged)
-            if cell in seen_cells:
-                continue
-            seen_cells.add(cell)
-            unique.append(p)
-    return unique
+    pts = [p for agent_list in lists for p in agent_list]
+    cells = _cells_of(pts, merged)
+    return _keep_near(pts, cells, _disc_counts(cells, merged, rad), per_unk)[0]
 
 
 def enforce_list_bounds(
@@ -176,16 +252,30 @@ def enforce_list_bounds(
 ) -> FilterOutcome:
     """Keep refiltering until min_pts < |list| < max_pts.
 
-    Too small: refilter the raw list with the acceptance percentage lowered
-    by perc_step. Too large: refilter the current list with the disc radius
-    raised by rad_step. The percentage floors at 0 and the radius ceilings
-    at the map diagonal; when a needed relaxation is already clamped the
-    current best-effort list is returned with exhausted=True.
+    Too small: refilter the raw list at the original radius params.rad,
+    with the acceptance percentage lowered by perc_step. Too large:
+    refilter the current list with the disc radius raised by rad_step, at
+    the original percentage params.per_unk, not at the lowered one. So a
+    list that a lowered percentage has filled past max_pts is retested
+    against params.per_unk and can empty; the loop then goes back to the
+    percentage, which may already be at 0, and ends exhausted.
+    The percentage floors at 0 and the radius ceilings at the map
+    diagonal; when a needed relaxation is already clamped the current
+    best-effort list is returned with exhausted=True.
     """
+    raw_cells = _cells_of(raw_pts, merged)
+    raw = (raw_pts, raw_cells, _disc_counts(raw_cells, merged, params.rad))
+    return _bound_list(uni_pts, _cells_of(uni_pts, merged), raw, merged, params)
+
+
+def _bound_list(pts, cells, raw, merged, params) -> FilterOutcome:
+    """enforce_list_bounds on the current points and their cells, given the
+    raw points with their cells and disc counts at params.rad: a percentage
+    step only rethresholds those counts, and a radius step gathers for the
+    current list alone."""
     rad = params.rad
     perc = params.per_unk
     max_rad = math.hypot(merged.width, merged.height) * merged.resolution
-    pts = list(uni_pts)
     exhausted = False
     iterations = 0
 
@@ -195,13 +285,14 @@ def enforce_list_bounds(
                 exhausted = True
                 break
             perc = max(0.0, perc - params.perc_step)
-            pts = merge_points([raw_pts], merged, params, rad=params.rad, per_unk=perc)
+            pts, cells = _keep_near(*raw, perc)
         else:
             if rad >= max_rad:
                 exhausted = True
                 break
             rad = min(max_rad, rad + params.rad_step)
-            pts = merge_points([pts], merged, params, rad=rad, per_unk=params.per_unk)
+            pts, cells = _keep_near(pts, cells, _disc_counts(cells, merged, rad),
+                                    params.per_unk)
         iterations += 1
     return FilterOutcome(pts, rad, perc, exhausted, iterations)
 
@@ -211,7 +302,9 @@ def filter_pipeline(
     merged: OccupancyGrid,
     params: FilterParams,
 ) -> FilterOutcome:
-    """Full pipeline: merge + dedup, then list-size control."""
-    raw = [p for agent_list in lists for p in agent_list]
-    uni = merge_points(lists, merged, params)
-    return enforce_list_bounds(uni, raw, merged, params)
+    """Full pipeline: merge + dedup, then list-size control. The raw
+    points' disc counts at params.rad are gathered once and serve both."""
+    raw_pts = [p for agent_list in lists for p in agent_list]
+    raw_cells = _cells_of(raw_pts, merged)
+    raw = (raw_pts, raw_cells, _disc_counts(raw_cells, merged, params.rad))
+    return _bound_list(*_keep_near(*raw, params.per_unk), raw, merged, params)

@@ -1,18 +1,31 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from mrexplore import frontier
 from mrexplore.frontier import (
     FilterParams,
     FrontierPoint,
     detect_frontiers,
     disc_unknown_stats,
     enforce_list_bounds,
+    filter_pipeline,
     is_near_border,
     merge_points,
 )
-from mrexplore.grid import FREE, OCCUPIED, UNKNOWN, OccupancyGrid, world_to_grid
+from mrexplore.grid import (
+    FREE,
+    OCCUPIED,
+    UNKNOWN,
+    OccupancyGrid,
+    grid_to_world,
+    world_to_grid,
+)
 
 from conftest import grid_from_rows
 
@@ -289,3 +302,213 @@ class TestPipelineInvariants:
         out_cells = [world_to_grid(p.x, p.y, g) for p in out]
         assert len(set(out_cells)) == len(out_cells)  # duplicate-free
         assert set(out_cells) <= raw_cells
+
+
+def flood_fill_frontiers(grid, source_agent=-1):
+    """Reference: the per-cell flood fill that detect_frontiers replaced.
+    Seeds in row-major order, one cluster per unvisited seed, each cluster's
+    point at the member with the least (d^2 to the centroid, row, col)."""
+    cells = grid.cells
+    free = cells == FREE
+    unknown = cells == UNKNOWN
+    if not free.any() or not unknown.any():
+        return []
+    near_unknown = np.zeros_like(unknown)
+    near_unknown[1:, :] |= unknown[:-1, :]
+    near_unknown[:-1, :] |= unknown[1:, :]
+    near_unknown[:, 1:] |= unknown[:, :-1]
+    near_unknown[:, :-1] |= unknown[:, 1:]
+    remaining = free & near_unknown
+    points = []
+    for row, col in np.argwhere(remaining).tolist():
+        if not remaining[row, col]:
+            continue
+        stack = [(row, col)]
+        remaining[row, col] = False
+        members = []
+        while stack:
+            r, c = stack.pop()
+            members.append((r, c))
+            for dr in (-1, 0, 1):
+                for dc in (-1, 0, 1):
+                    rr, cc = r + dr, c + dc
+                    if (0 <= rr < grid.height and 0 <= cc < grid.width
+                            and remaining[rr, cc]):
+                        remaining[rr, cc] = False
+                        stack.append((rr, cc))
+        mr = sum(m[0] for m in members) / len(members)
+        mc = sum(m[1] for m in members) / len(members)
+        best = min(members, key=lambda m: ((m[0] - mr) ** 2 + (m[1] - mc) ** 2, m))
+        wx, wy = grid_to_world(best[1], best[0], grid)
+        points.append(FrontierPoint(wx, wy, source_agent))
+    return points
+
+
+@st.composite
+def frontier_grid(draw):
+    """A grid with a random frame: uniformly random states; a Free/Unknown
+    checkerboard (every Free cell is a frontier, clusters joined only
+    diagonally); or mostly Unknown with sparse Free cells (single-cell
+    clusters, many on the map edge)."""
+    w, h = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    res = draw(st.sampled_from([0.05, 0.1, 0.3, 1.0]))
+    origin = draw(st.tuples(st.floats(-10, 10), st.floats(-10, 10)))
+    kind = draw(st.sampled_from(["random", "checker", "sparse"]))
+    if kind == "checker":
+        rows, cols = np.indices((h, w))
+        cells = np.where((rows + cols) % 2 == 0, FREE, UNKNOWN).astype(np.int8)
+    else:
+        states = ([UNKNOWN, FREE, OCCUPIED] if kind == "random"
+                  else [UNKNOWN] * 5 + [FREE, OCCUPIED])
+        cells = draw(arrays(np.int8, (h, w), elements=st.sampled_from(states)))
+    return OccupancyGrid(res, origin[0], origin[1], w, h, cells)
+
+
+def as_fields(points):
+    return [(p.x, p.y, p.source_agent) for p in points]
+
+
+class TestDetectMatchesFloodFill:
+    @settings(deadline=None, max_examples=300)  # timing is not under test
+    @given(frontier_grid(), st.integers(-1, 3))
+    @example(grid_from_rows(["?.?", ".?.", "?.?"]), 0)  # diagonal-only joins
+    @example(grid_from_rows([".??", "???", "??."]), 1)  # single cells on corners
+    @example(grid_from_rows(["..", ".."]), 2)  # no Unknown: no frontier
+    @example(grid_from_rows([".?" * 4] * 3), 0)  # clusters along the edges
+    def test_same_points_as_flood_fill(self, grid, agent):
+        got = detect_frontiers(grid, agent)
+        assert as_fields(got) == as_fields(flood_fill_frontiers(grid, agent))
+        assert all(type(p.x) is float and type(p.y) is float for p in got)
+
+
+def reference_disc_stats(point, grid, rad):
+    """Per-point (unknown, in-bounds) disc counts, one cell at a time."""
+    cx, cy = world_to_grid(point.x, point.y, grid)
+    rad_cells = rad / grid.resolution
+    r = math.floor(rad_cells)
+    unk = total = 0
+    for y in range(max(cy - r, 0), min(cy + r + 1, grid.height)):
+        for x in range(max(cx - r, 0), min(cx + r + 1, grid.width)):
+            if (x - cx) ** 2 + (y - cy) ** 2 <= rad_cells * rad_cells:
+                total += 1
+                unk += int(grid.cells[y, x] == UNKNOWN)
+    return unk, total
+
+
+def reference_merge(lists, grid, rad, per_unk):
+    """Per-point near-border test and first-seen dedup by merged-map cell."""
+    out, seen = [], set()
+    for p in (p for agent_list in lists for p in agent_list):
+        unk, total = reference_disc_stats(p, grid, rad)
+        if total == 0 or not 100.0 * unk / total >= per_unk:
+            continue
+        cell = world_to_grid(p.x, p.y, grid)
+        if cell not in seen:
+            seen.add(cell)
+            out.append(p)
+    return out
+
+
+def reference_pipeline(lists, grid, params):
+    """The filter pipeline with every step done per point, as before the
+    batched counts. Returns (points, rad, perc, exhausted, iterations,
+    steps), steps holding 'perc' or 'rad' per relaxation."""
+    raw = [p for agent_list in lists for p in agent_list]
+    pts = reference_merge(lists, grid, params.rad, params.per_unk)
+    rad, perc, steps = params.rad, params.per_unk, []
+    max_rad = math.hypot(grid.width, grid.height) * grid.resolution
+    exhausted = False
+    while len(pts) <= params.min_pts or len(pts) >= params.max_pts:
+        if len(pts) <= params.min_pts:
+            if perc <= 0.0:
+                exhausted = True
+                break
+            perc = max(0.0, perc - params.perc_step)
+            pts = reference_merge([raw], grid, params.rad, perc)
+            steps.append("perc")
+        else:
+            if rad >= max_rad:
+                exhausted = True
+                break
+            rad = min(max_rad, rad + params.rad_step)
+            pts = reference_merge([pts], grid, rad, params.per_unk)
+            steps.append("rad")
+    return pts, rad, perc, exhausted, len(steps), steps
+
+
+@st.composite
+def filter_case(draw):
+    """A random grid, 1-3 agent lists of points (some sharing a cell, some
+    off the map, some with a disc wholly outside it) and random filter
+    parameters, per_unk = 0.0 among them."""
+    w, h = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    res = draw(st.sampled_from([0.5, 1.0]))
+    cells = draw(arrays(np.int8, (h, w),
+                        elements=st.sampled_from([UNKNOWN, FREE, OCCUPIED])))
+    grid = OccupancyGrid(res, 0.0, 0.0, w, h, cells)
+    margin = 4.0
+    coord = st.tuples(st.floats(-margin, w * res + margin),
+                      st.floats(-margin, h * res + margin))
+    xy = draw(st.lists(coord, max_size=12))
+    xy += draw(st.lists(st.sampled_from(xy), max_size=4)) if xy else []
+    lists = [[] for _ in range(draw(st.integers(1, 3)))]
+    for x, y in xy:
+        agent = draw(st.integers(0, len(lists) - 1))
+        lists[agent].append(FrontierPoint(x, y, agent))
+    min_pts = draw(st.integers(0, 3))
+    params = FilterParams(
+        rad=draw(st.sampled_from([0.5, 1.0, 1.5])),
+        per_unk=draw(st.sampled_from([0.0, 30.0, 60.0, 100.0])),
+        min_pts=min_pts,
+        max_pts=min_pts + draw(st.integers(1, 5)),
+        rad_step=draw(st.sampled_from([0.5, 1.0, 2.5])),
+        perc_step=draw(st.sampled_from([10.0, 25.0, 40.0])),
+    )
+    return grid, lists, params
+
+
+def both_directions_case():
+    """Nothing passes 60%; at 50% four points do, which is max_pts, and a
+    radius step then retests them at 60%."""
+    grid = grid_from_rows(["??....", "??....", "......", "......",
+                           "....??", "....??"])
+    pts = [FrontierPoint(x + 0.5, y + 0.5, 0)
+           for x, y in [(2, 0), (2, 1), (3, 4), (3, 5), (2, 3)]]
+    params = FilterParams(rad=1.0, per_unk=60.0, min_pts=0, max_pts=4,
+                          rad_step=0.5, perc_step=10.0)
+    return grid, [pts], params
+
+
+def same_objects(got, want):
+    return len(got) == len(want) and all(a is b for a, b in zip(got, want))
+
+
+class TestFilterMatchesPerPointReference:
+    @settings(deadline=None, max_examples=300)  # timing is not under test
+    @given(filter_case())
+    @example(both_directions_case())
+    def test_pipeline_same_outcome(self, case):
+        grid, lists, params = case
+        out = filter_pipeline(lists, grid, params)
+        pts, rad, perc, exhausted, iterations, _ = reference_pipeline(lists, grid, params)
+        assert same_objects(out.points, pts)
+        assert (out.final_rad, out.final_perc, out.exhausted, out.iterations) == (
+            rad, perc, exhausted, iterations)
+
+    @settings(deadline=None, max_examples=300)  # timing is not under test
+    @given(filter_case(), st.sampled_from([None, 0.5, 2.0, 40.0]),
+           st.sampled_from([None, 0.0, 50.0]))
+    def test_merge_points_same_points(self, case, rad, per_unk):
+        grid, lists, params = case
+        want = reference_merge(lists, grid, params.rad if rad is None else rad,
+                               params.per_unk if per_unk is None else per_unk)
+        assert same_objects(merge_points(lists, grid, params, rad=rad, per_unk=per_unk), want)
+        # the same gather split into chunks of a few points each
+        with mock.patch.object(frontier, "_GATHER_CELLS", 8):
+            chunked = merge_points(lists, grid, params, rad=rad, per_unk=per_unk)
+        assert same_objects(chunked, want)
+
+    def test_both_directions_case_takes_both_steps(self):
+        grid, lists, params = both_directions_case()
+        steps = reference_pipeline(lists, grid, params)[-1]
+        assert "perc" in steps and "rad" in steps

@@ -280,8 +280,11 @@ class TestPlanManyProperties:
     @given(planning_case())
     def test_same_paths_as_heap_reference(self, case):
         grid, start, goals = case
-        assert as_tuples(plan_many(grid, start, goals)) == as_tuples(
-            heap_plan_many(grid, start, goals))
+        got = plan_many(grid, start, goals)
+        assert as_tuples(got) == as_tuples(heap_plan_many(grid, start, goals))
+        for path in filter(None, got):
+            assert {type(v) for cell in path.cells for v in cell} == {int}
+            assert {type(v) for xy in path.waypoints for v in xy} == {float}
 
     @settings(deadline=None)  # timing is not under test; the host may be busy
     @given(planning_case())
