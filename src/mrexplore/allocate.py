@@ -65,20 +65,20 @@ def update_rewards(
     chosen: list[FrontierPoint],
     matrix: RewardMatrix,
     cell_key,
-) -> tuple[RewardMatrix, bool]:
+) -> RewardMatrix:
     """Spread rewards away from already-chosen goals.
 
     K = (max finite reward) / len(chosen); every row loses K/d^2 per chosen
     point at distance d, and rows in the cell of a chosen point (so every
     row at d == 0) are suppressed outright, as is a row so close that d^2
-    underflows to 0. Returns (matrix, applied); when no finite reward
-    exists the matrix comes back unchanged with applied=False.
+    underflows to 0. When no finite reward exists the matrix comes back
+    unchanged.
     """
     if not chosen:
         raise ValueError("update_rewards requires at least one chosen point")
     finite = [r.reward for r in matrix.rows if math.isfinite(r.reward)]
     if not finite:
-        return matrix, False
+        return matrix
     k_scale = max(finite) / len(chosen)
 
     rows = [RewardRow(r.point, r.reward) for r in matrix.rows]
@@ -94,7 +94,7 @@ def update_rewards(
                 row.reward = SUPPRESSED
             else:
                 row.reward -= k_scale / (d * d)
-    return RewardMatrix(rows, matrix.owner), True
+    return RewardMatrix(rows, matrix.owner)
 
 
 def chosen_cells(state: AllocationState, cell_key) -> set:
@@ -125,7 +125,7 @@ def select_goal(
     if not matrix.rows:
         raise NoAssignableGoal("empty reward matrix")
     if state.chosen_coords:
-        matrix, _ = update_rewards(state.chosen_coords, matrix, cell_key)
+        matrix = update_rewards(state.chosen_coords, matrix, cell_key)
 
     best_i, best_r = -1, SUPPRESSED
     for i, row in enumerate(matrix.rows):
@@ -138,11 +138,11 @@ def select_goal(
     return winner
 
 
-def evict_known_goals(state: AllocationState, known) -> int:
-    """Drop chosen goals for which known(goal) holds, that is, whose
-    surroundings are fully mapped; returns how many were evicted. Keeps old
-    goals from permanently poisoning rewards on small maps."""
-    kept = [p for p in state.chosen_coords if not known(p)]
+def evict_known_goals(state: AllocationState, known: list[bool]) -> int:
+    """Drop the chosen goals flagged in known, one flag per goal in order
+    (their surroundings are fully mapped); returns how many were evicted.
+    Keeps old goals from permanently poisoning rewards on small maps."""
+    kept = [p for p, k in zip(state.chosen_coords, known, strict=True) if not k]
     evicted = len(state.chosen_coords) - len(kept)
     state.chosen_coords = kept
     return evicted

@@ -79,7 +79,10 @@ class ScenarioConfig:
         jitter = 0.3 * truth.resolution
         poses = []
         for x, y, heading in starts:
-            cx, cy = world_to_grid(x, y, truth)
+            try:
+                cx, cy = world_to_grid(x, y, truth)
+            except OverflowError:  # so far off the map its cell index is inf
+                cx = cy = -1
             if not truth.in_bounds(cx, cy) or truth.cells[cy, cx] != FREE:
                 raise ConfigError(f"start pose ({x}, {y}) is not in a free cell")
             poses.append((
@@ -138,10 +141,12 @@ def load_config(path: str) -> ScenarioConfig:
     comments. All keys are optional; missing ones take defaults."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
     try:
         with open(path, "r", encoding="utf-8") as f:
             parser.read_file(f)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
@@ -180,7 +185,7 @@ def load_config(path: str) -> ScenarioConfig:
         cfg.filter_params = params("filter", FilterParams)
         cfg.utility_params = params("utility", UtilityParams)
         cfg.graph_params = params("graph", GraphBuildParams)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # an int too large for a float
         raise ConfigError(str(exc)) from exc
 
     cfg.goal_skip_wait = get("allocation", "goal_skip_wait", int, cfg.goal_skip_wait)

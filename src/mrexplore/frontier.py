@@ -200,48 +200,49 @@ def _cells_of(points, grid: OccupancyGrid) -> np.ndarray:
                     dtype=np.intp).reshape(-1, 2)
 
 
-def disc_unknown_stats(point, grid: OccupancyGrid, rad: float) -> tuple[int, int]:
-    """(unknown count, total in-bounds count) over the discretized disc of
-    world radius rad centered on the point's cell."""
-    unk, total = _disc_counts(_cells_of([point], grid), grid, rad)
-    return int(unk[0]), int(total[0])
+def disc_unknown_stats(points, grid: OccupancyGrid, rad: float) -> tuple[np.ndarray, np.ndarray]:
+    """(unknown counts, in-bounds counts), one of each per point, over the
+    discretized disc of world radius rad centred on the point's cell."""
+    return _disc_counts(_cells_of(points, grid), grid, rad)
 
 
-def is_near_border(point, merged: OccupancyGrid, rad: float, per_unk: float) -> bool:
-    """True when at least per_unk percent of the in-bounds disc cells around
-    the point are Unknown. A point whose disc falls entirely outside the map
-    is never near the border."""
-    return bool(_near_border(*disc_unknown_stats(point, merged, rad), per_unk))
+def _first_per_cell(idx: np.ndarray, cells: np.ndarray) -> list[int]:
+    """The entries of idx, in order, whose row of the (P, 2) cell array no
+    earlier entry's row equals: first-seen dedup by cell."""
+    seen: set[tuple[int, int]] = set()
+    kept = []
+    for i, cell in zip(idx.tolist(), map(tuple, cells[idx].tolist())):
+        if cell not in seen:
+            seen.add(cell)
+            kept.append(i)
+    return kept
 
 
 def _keep_near(pts, cells: np.ndarray, counts, per_unk: float):
     """The points, and their cells, whose disc counts pass the near-border
     rule at per_unk, dropping any whose cell an earlier kept point holds."""
-    near = np.flatnonzero(_near_border(*counts, per_unk))
-    seen: set[tuple[int, int]] = set()
-    kept = []
-    for i, cell in zip(near.tolist(), map(tuple, cells[near].tolist())):
-        if cell not in seen:
-            seen.add(cell)
-            kept.append(i)
+    kept = _first_per_cell(np.flatnonzero(_near_border(*counts, per_unk)), cells)
     return [pts[i] for i in kept], cells[kept]
+
+
+def dedup_points(lists: list[list[FrontierPoint]], merged: OccupancyGrid) -> list[FrontierPoint]:
+    """Concatenate per-agent lists and drop duplicates (points in the same
+    cell of the merged map). First-seen order is preserved."""
+    pts = [p for agent_list in lists for p in agent_list]
+    return [pts[i] for i in _first_per_cell(np.arange(len(pts)), _cells_of(pts, merged))]
 
 
 def merge_points(
     lists: list[list[FrontierPoint]],
     merged: OccupancyGrid,
     params: FilterParams,
-    rad: float | None = None,
-    per_unk: float | None = None,
 ) -> list[FrontierPoint]:
     """Concatenate per-agent lists, keep near-border points only, and drop
     duplicates (two points are duplicates when they land in the same cell of
     the merged map). First-seen order is preserved."""
-    rad = params.rad if rad is None else rad
-    per_unk = params.per_unk if per_unk is None else per_unk
     pts = [p for agent_list in lists for p in agent_list]
     cells = _cells_of(pts, merged)
-    return _keep_near(pts, cells, _disc_counts(cells, merged, rad), per_unk)[0]
+    return _keep_near(pts, cells, _disc_counts(cells, merged, params.rad), params.per_unk)[0]
 
 
 def enforce_list_bounds(

@@ -21,10 +21,10 @@ from .allocate import (
 from .config import ScenarioConfig
 from .frontier import (
     FrontierPoint,
+    dedup_points,
     detect_frontiers,
     disc_unknown_stats,
     filter_pipeline,
-    merge_points,
 )
 from .grid import (
     FREE,
@@ -186,12 +186,12 @@ class ExplorationSim:
             log.info("agent %d: no reachable goal", robot.rid)
         return paths
 
-    def _goal_area_known(self, point) -> bool:
-        """Whether the disc around the point on the merged map holds no
-        Unknown cell: the stale-goal rule for robots' and chosen goals."""
-        unk, total = disc_unknown_stats(point, self.merged,
+    def _goal_areas_known(self, points) -> list[bool]:
+        """Per point, whether its disc on the merged map holds no Unknown
+        cell: the stale-goal rule for robots' and chosen goals."""
+        unk, total = disc_unknown_stats(points, self.merged,
                                         self.config.filter_params.rad)
-        return total > 0 and unk == 0
+        return ((total > 0) & (unk == 0)).tolist()
 
     def run_iteration(self, robot: Robot) -> tuple[int, int, bool]:
         """Serve one agent's request: detect frontiers on every robot's map,
@@ -267,15 +267,16 @@ class ExplorationSim:
             t = (k + 1) * cfg.dt
             self._sense_all()
 
-            if self.state.chosen_coords:
-                evicted = evict_known_goals(self.state, self._goal_area_known)
+            # one count finds every stale goal, chosen or held
+            chosen = self.state.chosen_coords
+            held = [r for r in self.robots if r.path is not None]
+            known = self._goal_areas_known(chosen + [FrontierPoint(*r.path.goal) for r in held])
+            if chosen:
+                evicted = evict_known_goals(self.state, known[:len(chosen)])
                 if evicted:
                     log.debug("t=%.1f evicted %d stale goals", t, evicted)
-
-            # abandon goals whose surroundings are already fully mapped
-            for r in self.robots:
-                if (r.path is not None
-                        and self._goal_area_known(FrontierPoint(*r.path.goal))):
+            for r, stale in zip(held, known[len(chosen):]):
+                if stale:
                     r.drop_goal()
 
             raw_n = filtered_n = 0
@@ -335,8 +336,7 @@ def _offer_raw(sim: ExplorationSim, local_lists):
 
 
 def _offer_deduplicated(sim: ExplorationSim, local_lists):
-    return merge_points(local_lists, sim.merged, sim.config.filter_params,
-                        per_unk=0.0)
+    return dedup_points(local_lists, sim.merged)
 
 
 def _rank_spread(sim: ExplorationSim, robot: Robot, offered, paths):

@@ -85,8 +85,7 @@ class TestUpdateRewards:
                   FrontierPoint(30, 30), FrontierPoint(40, 40),
                   FrontierPoint(50, 50)]
         h = matrix([(2.0, 0.0, 10.0)])
-        out, applied = update_rewards(chosen, h, cell_key)
-        assert applied
+        out = update_rewards(chosen, h, cell_key)
         # the near point at distance 2 costs 0.5; distant chosen points cost
         # their own tiny K/d^2 shares
         far_losses = sum(2.0 / ((c.x - 2.0) ** 2 + c.y ** 2) for c in chosen[1:])
@@ -95,7 +94,7 @@ class TestUpdateRewards:
     def test_chosen_cell_suppressed(self):
         chosen = [FrontierPoint(1.2, 1.2)]
         h = matrix([(1.4, 1.4, 5.0), (3.0, 3.0, 4.0)])
-        out, _ = update_rewards(chosen, h, cell_key)
+        out = update_rewards(chosen, h, cell_key)
         assert out.rows[0].reward == SUPPRESSED
         assert math.isfinite(out.rows[1].reward)
 
@@ -103,36 +102,35 @@ class TestUpdateRewards:
         d = 2.0
         chosen = [FrontierPoint(0.0, d), FrontierPoint(0.0, -d)]
         h = matrix([(0.0, 0.0, 8.0), (40.0, 0.0, 8.0)])
-        out, _ = update_rewards(chosen, h, cell_key)
+        out = update_rewards(chosen, h, cell_key)
         k_scale = 8.0 / 2
         assert out.rows[0].reward == pytest.approx(8.0 - 2 * k_scale / d**2)
 
     def test_equal_rewards_post_update_increase_with_distance(self):
         chosen = [FrontierPoint(0.0, 0.0)]
         h = matrix([(2.0, 0.0, 6.0), (5.0, 0.0, 6.0), (9.0, 0.0, 6.0)])
-        out, _ = update_rewards(chosen, h, cell_key)
+        out = update_rewards(chosen, h, cell_key)
         rewards = [r.reward for r in out.rows]
         assert rewards[0] < rewards[1] < rewards[2]
 
     def test_never_increases_rewards(self):
         chosen = [FrontierPoint(5.0, 5.0)]
         h = matrix([(1.0, 1.0, 3.0), (9.0, 9.0, 1.0), (4.0, 4.0, SUPPRESSED)])
-        out, _ = update_rewards(chosen, h, cell_key)
+        out = update_rewards(chosen, h, cell_key)
         for before, after in zip(h.rows, out.rows):
             assert after.reward <= before.reward
 
     def test_all_suppressed_unchanged(self):
         h = matrix([(1.0, 1.0, SUPPRESSED)])
-        out, applied = update_rewards([FrontierPoint(0, 0)], h, cell_key)
-        assert not applied
+        out = update_rewards([FrontierPoint(0, 0)], h, cell_key)
+        assert [r.reward for r in out.rows] == [r.reward for r in h.rows]
         assert out.rows[0].reward == SUPPRESSED
 
     def test_underflowing_distance_suppressed(self):
         # different floor cells, but d^2 = 4e-340 underflows to 0
         chosen = [FrontierPoint(1e-170, 0.0)]
         h = matrix([(-1e-170, 0.0, 5.0), (3.0, 0.0, 4.0)])
-        out, applied = update_rewards(chosen, h, cell_key)
-        assert applied
+        out = update_rewards(chosen, h, cell_key)
         assert out.rows[0].reward == SUPPRESSED
         assert out.rows[1].reward == pytest.approx(4.0 - 5.0 / 9.0)
 
@@ -238,12 +236,18 @@ class TestEviction:
         ])
         state = AllocationState()
         state.chosen_coords = [FrontierPoint(1.5, 1.5), FrontierPoint(4.5, 1.5)]
-
-        def known(p):
-            unk, total = disc_unknown_stats(p, g, 1.0)
-            return total > 0 and unk == 0
+        unk, total = disc_unknown_stats(state.chosen_coords, g, 1.0)
+        known = ((total > 0) & (unk == 0)).tolist()
+        assert known == [True, False]
 
         evicted = evict_known_goals(state, known)
         assert evicted == 1
         assert [cell_key(p) for p in state.chosen_coords] == [(4, 1)]
 
+
+    def test_flags_must_match_goals(self):
+        state = AllocationState()
+        state.chosen_coords = [FrontierPoint(1.5, 1.5)]
+        with pytest.raises(ValueError):
+            evict_known_goals(state, [True, False])
+        assert len(state.chosen_coords) == 1

@@ -117,12 +117,28 @@ class TestConfigErrors:
         "[scenario]\nmap = builtin:desk\nrobots = 5\n",
         "[filter]\nperc_step = 1e-300\n",
         "[filter]\nper_unk = 0\nrad_step = 1e-300\n",
+        "[scenario]\nseed = 5%\n",
     ], ids=["speed_nan", "decay_rate_inf", "rad_nan", "node_spacing_nan",
             "unknown_world", "too_many_robots", "perc_step_absorbed",
-            "rad_step_absorbed"])
+            "rad_step_absorbed", "percent_sign"])
     def test_one_line_and_exit_1(self, tmp_path, capsys, text):
         path = tmp_path / "bad.cfg"
         path.write_text(text)
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "Traceback" not in err
+        lines = err.strip().split("\n")
+        assert len(lines) == 1
+        assert lines[0].startswith("config error: ")
+
+    @pytest.mark.parametrize("make", [
+        lambda path: path.mkdir(),
+        lambda path: path.write_bytes(b"[scenario]\nseed = 1\xff\n"),
+    ], ids=["directory", "not_utf8"])
+    def test_unreadable_config_file(self, tmp_path, capsys, make):
+        path = tmp_path / "bad.cfg"
+        make(path)
         code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG

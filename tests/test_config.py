@@ -1,7 +1,11 @@
 import math
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mrexplore.config import ConfigError, ScenarioConfig, load_config
 from mrexplore.frontier import FilterParams
@@ -189,3 +193,63 @@ class TestStartResolution:
         cfg = ScenarioConfig(map_source="builtin:desk", robot_count=5)
         with pytest.raises(ConfigError, match="5 robots"):
             cfg.resolve_starts(cfg.load_world())
+
+
+KEYS = {
+    "scenario": ["robots", "start_poses", "method", "seed", "speed", "dt",
+                 "max_sim_time"],
+    "lidar": ["beam_count", "max_range"],
+    "filter": [f.name for f in fields(FilterParams)],
+    "utility": [f.name for f in fields(UtilityParams)],
+    "graph": [f.name for f in fields(GraphBuildParams)],
+    "allocation": ["goal_skip_wait"],
+    "planner": ["inflation_cells"],
+}
+# The map key names a file to read, so it takes fixed values: a builtin
+# world, a bad name, a missing file and a directory.
+MAPS = ["builtin:desk", "builtin:open20", "builtin:two_wings", "builtin:",
+        "builtin:nosuch", "", "/no/such/map.pgm", "."]
+
+number = st.one_of(st.integers(-5, 12), st.integers(), st.floats(),
+                   st.floats(-30.0, 30.0)).map(str)
+value = st.one_of(number, st.text(max_size=12),
+                  st.lists(st.tuples(number, number, number), max_size=5).map(
+                      lambda poses: ";".join(f"{x}, {y}, {h}" for x, y, h in poses)))
+
+
+@st.composite
+def config_text(draw):
+    """A config built from the real sections and keys, with arbitrary
+    values, some lines of arbitrary text among them."""
+    lines = []
+    for section in draw(st.lists(st.sampled_from(sorted(KEYS)), max_size=4)):
+        lines.append(f"[{section}]")
+        if section == "scenario" and draw(st.booleans()):
+            lines.append(f"map = {draw(st.sampled_from(MAPS))}")
+        for key in draw(st.lists(st.sampled_from(KEYS[section]), max_size=4)):
+            lines.append(f"{key} = {draw(value)}")
+        lines += draw(st.lists(st.text(max_size=20), max_size=1))
+    return "\n".join(lines) + "\n"
+
+
+class TestFuzzConfig:
+    """Whatever a config file holds, the checks made before a run either
+    pass or raise ConfigError: never another exception."""
+
+    @settings(deadline=None, max_examples=150)  # timing is not under test
+    @given(st.one_of(config_text().map(str.encode),
+                     st.text(max_size=60).map(str.encode), st.binary(max_size=60)))
+    @example(b"[scenario]\nseed = 5%\n")
+    @example(b"[scenario]\nseed = 1\xff\n")
+    @example(b"[filter]\nmin_pts = 1" + b"0" * 400 + b"\n")
+    @example(b"[scenario]\nmap = builtin:open20\nrobots = 1\n"
+             b"start_poses = 1e308, 1, 0\n")
+    def test_load_and_resolve_or_config_error(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.cfg"
+            path.write_bytes(data)
+            try:
+                cfg = load_config(str(path))
+                cfg.resolve_starts(cfg.load_world())
+            except ConfigError:
+                pass

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -14,8 +15,8 @@ from mrexplore.frontier import (
     detect_frontiers,
     disc_unknown_stats,
     enforce_list_bounds,
+    dedup_points,
     filter_pipeline,
-    is_near_border,
     merge_points,
 )
 from mrexplore.grid import (
@@ -107,6 +108,11 @@ class TestDetect:
         assert (cx, cy) == (1, 1)  # middle of the boundary column
 
 
+def is_near_border(point, grid, rad, per_unk):
+    """The near-border test on one point, through merge_points."""
+    return merge_points([[point]], grid, FilterParams(rad=rad, per_unk=per_unk)) == [point]
+
+
 class TestNearBorder:
     def test_all_unknown_disc(self):
         g = grid_from_rows(["???" * 3] * 9)
@@ -125,8 +131,8 @@ class TestNearBorder:
             if i * i + j * j <= 2.25 * 2.25
         )
         assert len(offsets) == 21
-        unk, total = disc_unknown_stats(pt(10.5, 10.5), g, 2.25)
-        assert (unk, total) == (0, 21)
+        unk, total = disc_unknown_stats([pt(10.5, 10.5)], g, 2.25)
+        assert (unk.tolist(), total.tolist()) == ([0], [21])
         for i, j in offsets[:13]:
             g.cells[10 + j, 10 + i] = UNKNOWN
         assert is_near_border(pt(10.5, 10.5), g, 2.25, 60.0)
@@ -286,7 +292,7 @@ class TestPipelineInvariants:
         rad = 0.5
         while rad < 3.0:
             rad += params.rad_step
-            smaller = merge_points([accepted], g, params, rad=rad)
+            smaller = merge_points([accepted], g, replace(params, rad=rad))
             by_cell = lambda pts: {world_to_grid(p.x, p.y, g) for p in pts}
             assert by_cell(smaller) <= by_cell(accepted)
             accepted = smaller
@@ -496,19 +502,43 @@ class TestFilterMatchesPerPointReference:
             rad, perc, exhausted, iterations)
 
     @settings(deadline=None, max_examples=300)  # timing is not under test
-    @given(filter_case(), st.sampled_from([None, 0.5, 2.0, 40.0]),
-           st.sampled_from([None, 0.0, 50.0]))
+    @given(filter_case(),
+           st.sampled_from([{}, dict(rad=0.5), dict(rad=2.0), dict(rad=40.0)]),
+           st.sampled_from([{}, dict(per_unk=0.0), dict(per_unk=50.0)]))
     def test_merge_points_same_points(self, case, rad, per_unk):
         grid, lists, params = case
-        want = reference_merge(lists, grid, params.rad if rad is None else rad,
-                               params.per_unk if per_unk is None else per_unk)
-        assert same_objects(merge_points(lists, grid, params, rad=rad, per_unk=per_unk), want)
+        params = replace(params, **rad, **per_unk)
+        want = reference_merge(lists, grid, params.rad, params.per_unk)
+        assert same_objects(merge_points(lists, grid, params), want)
         # the same gather split into chunks of a few points each
         with mock.patch.object(frontier, "_GATHER_CELLS", 8):
-            chunked = merge_points(lists, grid, params, rad=rad, per_unk=per_unk)
+            chunked = merge_points(lists, grid, params)
         assert same_objects(chunked, want)
 
     def test_both_directions_case_takes_both_steps(self):
         grid, lists, params = both_directions_case()
         steps = reference_pipeline(lists, grid, params)[-1]
         assert "perc" in steps and "rad" in steps
+
+    @settings(deadline=None, max_examples=100)  # timing is not under test
+    @given(filter_case())
+    def test_dedup_points_first_seen(self, case):
+        grid, lists, _ = case
+        want, seen = [], set()
+        for p in (p for agent_list in lists for p in agent_list):
+            cell = world_to_grid(p.x, p.y, grid)
+            if cell not in seen:
+                seen.add(cell)
+                want.append(p)
+        assert same_objects(dedup_points(lists, grid), want)
+
+
+@settings(deadline=None, max_examples=100)  # timing is not under test
+@given(frontier_grid(), st.sampled_from([0.05, 0.5, 3.0]))
+def test_detected_points_pass_zero_percent(grid, rad):
+    # A detected point is the centre of an in-bounds cell, so its disc is
+    # never wholly off the map, and a 0% near-border test keeps it: on
+    # detected points, dedup alone is the near-border merge at 0%.
+    lists = [detect_frontiers(grid, 0), detect_frontiers(grid, 1)]
+    at_zero = merge_points(lists, grid, FilterParams(rad=rad, per_unk=0.0))
+    assert same_objects(dedup_points(lists, grid), at_zero)

@@ -54,6 +54,8 @@ def test_traced_run(spans, monkeypatch, tmp_path, method):
     # raises ValueError if some span's self time is negative
     m = spans.layer_metrics(trace, run_s)
     assert m["simulate.ticks"] == 30
+    # one batched disc count per tick decides every stale goal
+    assert m["frontier.disc_unknown_stats.calls"] <= m["simulate.ticks"]
     # one beam walk per tick casts every robot's beams
     assert m["sensing.raycast.calls"] == 30
     assert m["sensing.beams"] == 30 * cfg.beam_count

@@ -1,10 +1,22 @@
 import hashlib
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mrexplore.config import METHODS, ScenarioConfig
-from mrexplore.grid import FREE, OCCUPIED, inflate_obstacles, world_to_grid
+from mrexplore.frontier import FilterParams, FrontierPoint
+from mrexplore.grid import (
+    FREE,
+    OCCUPIED,
+    UNKNOWN,
+    OccupancyGrid,
+    inflate_obstacles,
+    world_to_grid,
+)
 from mrexplore.planner import plan_many
 from mrexplore.simulate import POLICIES, ExplorationSim, run
 from mrexplore.utility import score_candidates
@@ -366,15 +378,54 @@ class TestSpread:
         assert sides[0] != sides[1], first_goals
 
 
+def reference_goal_known(point, grid, rad):
+    """The stale-goal rule on one point, one disc cell at a time: the disc
+    has some in-bounds cell and none of them is Unknown."""
+    cx, cy = world_to_grid(point.x, point.y, grid)
+    rad_cells = rad / grid.resolution
+    r = math.floor(rad_cells)
+    states = [grid.cells[y, x]
+              for y in range(max(cy - r, 0), min(cy + r + 1, grid.height))
+              for x in range(max(cx - r, 0), min(cx + r + 1, grid.width))
+              if (x - cx) ** 2 + (y - cy) ** 2 <= rad_cells * rad_cells]
+    return bool(states) and UNKNOWN not in states
+
+
+@st.composite
+def stale_case(draw):
+    """A random grid mostly Free, and points on it and off it (some with a
+    disc wholly outside the map)."""
+    w, h = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    res = draw(st.sampled_from([0.5, 1.0]))
+    cells = draw(arrays(np.int8, (h, w),
+                        elements=st.sampled_from([FREE] * 4 + [UNKNOWN, OCCUPIED])))
+    grid = OccupancyGrid(res, 0.0, 0.0, w, h, cells)
+    coord = st.tuples(st.floats(-4.0, w * res + 4.0), st.floats(-4.0, h * res + 4.0))
+    points = [FrontierPoint(x, y) for x, y in draw(st.lists(coord, max_size=12))]
+    return grid, points, draw(st.sampled_from([0.5, 1.0, 2.5]))
+
+
+class TestStaleGoalRule:
+    @settings(deadline=None, max_examples=200)  # timing is not under test
+    @given(stale_case())
+    def test_batched_equals_per_point(self, case):
+        grid, points, rad = case
+        sim = ExplorationSim(small_cfg(filter_params=FilterParams(rad=rad)))
+        sim.merged = grid
+        assert sim._goal_areas_known(points) == [
+            reference_goal_known(p, grid, rad) for p in points]
+
+
 class TestBaselines:
     def test_greedy_picks_nearest(self):
         cfg = small_cfg(method="greedy_frontier", max_sim_time=10)
         sim = ExplorationSim(cfg)
         sim._sense_all()
         robot = sim.robots[0]
-        from mrexplore.frontier import detect_frontiers, merge_points
-        local = detect_frontiers(robot.grid, 0)
-        offered = merge_points([local], sim.merged, cfg.filter_params, per_unk=0.0)
+        from mrexplore.frontier import detect_frontiers
+        # one robot's detected points lie in distinct cells of its map,
+        # which is the merged map's frame, so the dedup offers them all
+        offered = detect_frontiers(robot.grid, 0)
         _, _, got = sim.run_iteration(robot)
         assert got
         dists = sorted(
