@@ -13,18 +13,6 @@ SUPPRESSED = float("-inf")
 
 
 @dataclass
-class RewardRow:
-    point: FrontierPoint
-    reward: float
-
-
-@dataclass
-class RewardMatrix:
-    rows: list[RewardRow]
-    owner: int
-
-
-@dataclass
 class AllocationState:
     """Server-side memory: previously assigned goals and per-agent
     deferred-request counters."""
@@ -35,7 +23,7 @@ class AllocationState:
 
 
 class NoAssignableGoal(Exception):
-    """Every reward row is suppressed; the caller should refresh frontiers."""
+    """Every reward is suppressed; the caller should refresh frontiers."""
 
 
 def schedule(pending: set[int], state: AllocationState) -> int:
@@ -63,79 +51,73 @@ def schedule(pending: set[int], state: AllocationState) -> int:
 
 def update_rewards(
     chosen: list[FrontierPoint],
-    matrix: RewardMatrix,
+    points: list[FrontierPoint],
+    rewards: list[float],
     cell_key,
-) -> RewardMatrix:
-    """Spread rewards away from already-chosen goals.
+) -> list[float]:
+    """Spread rewards away from already-chosen goals; one reward per point.
 
-    K = (max finite reward) / len(chosen); every row loses K/d^2 per chosen
-    point at distance d, and rows in the cell of a chosen point (so every
-    row at d == 0) are suppressed outright, as is a row so close that d^2
-    underflows to 0. When no finite reward exists the matrix comes back
-    unchanged.
+    K = (max finite reward) / len(chosen); every point loses K/d^2 per
+    chosen point at distance d, in chosen order, and points in the cell of a
+    chosen point (so every point at d == 0) are suppressed outright, as is a
+    point so close that d^2 underflows to 0. When no finite reward exists
+    the rewards come back unchanged.
     """
     if not chosen:
         raise ValueError("update_rewards requires at least one chosen point")
-    finite = [r.reward for r in matrix.rows if math.isfinite(r.reward)]
+    finite = [r for r in rewards if math.isfinite(r)]
     if not finite:
-        return matrix
+        return list(rewards)
     k_scale = max(finite) / len(chosen)
+    taken = {cell_key(c) for c in chosen}
 
-    rows = [RewardRow(r.point, r.reward) for r in matrix.rows]
-    for c in chosen:
-        c_cell = cell_key(c)
-        for row in rows:
-            if cell_key(row.point) == c_cell:
-                row.reward = SUPPRESSED
-            if not math.isfinite(row.reward):
-                continue
-            d = math.hypot(c.x - row.point.x, c.y - row.point.y)
+    out = []
+    for p, reward in zip(points, rewards, strict=True):
+        if cell_key(p) in taken:
+            reward = SUPPRESSED
+        for c in chosen:
+            if not math.isfinite(reward):
+                break
+            d = math.hypot(c.x - p.x, c.y - p.y)
             if d * d == 0.0:  # underflow: -K/d^2 tends to -inf
-                row.reward = SUPPRESSED
+                reward = SUPPRESSED
             else:
-                row.reward -= k_scale / (d * d)
-    return RewardMatrix(rows, matrix.owner)
-
-
-def chosen_cells(state: AllocationState, cell_key) -> set:
-    """Cells of the goals already handed out. select_goal never assigns a
-    point whose cell is in this set."""
-    return {cell_key(c) for c in state.chosen_coords}
+                reward -= k_scale / (d * d)
+        out.append(reward)
+    return out
 
 
 def any_open(points, state: AllocationState, cell_key) -> bool:
-    """Whether some point lies outside every chosen cell. When none does,
-    select_goal can only raise NoAssignableGoal, whatever the rewards, so a
-    caller may answer "no goal" without scoring the points."""
-    taken = chosen_cells(state, cell_key)
+    """Whether some point lies outside every chosen goal's cell. When none
+    does, select_goal can only raise NoAssignableGoal, whatever the rewards,
+    so a caller may answer "no goal" without scoring the points."""
+    taken = {cell_key(c) for c in state.chosen_coords}
     return any(cell_key(p) not in taken for p in points)
 
 
 def select_goal(
-    matrix: RewardMatrix,
+    points: list[FrontierPoint],
+    rewards: list[float],
     state: AllocationState,
     cell_key,
-) -> FrontierPoint:
-    """Pick the highest-reward row, spreading first when history exists.
+) -> int:
+    """Index of the highest-reward point, spreading first when history
+    exists; the winning point is recorded in chosen_coords.
 
-    The winner is recorded in chosen_coords. Spreading suppresses every row
-    cell-equal to an existing goal, so none of them can win. Ties break to
-    the lowest row index.
+    Spreading suppresses every point cell-equal to an existing goal, so none
+    of them can win. Ties break to the lowest index.
     """
-    if not matrix.rows:
-        raise NoAssignableGoal("empty reward matrix")
     if state.chosen_coords:
-        matrix = update_rewards(state.chosen_coords, matrix, cell_key)
+        rewards = update_rewards(state.chosen_coords, points, rewards, cell_key)
 
     best_i, best_r = -1, SUPPRESSED
-    for i, row in enumerate(matrix.rows):
-        if math.isfinite(row.reward) and row.reward > best_r:
-            best_i, best_r = i, row.reward
+    for i, reward in enumerate(rewards):
+        if math.isfinite(reward) and reward > best_r:
+            best_i, best_r = i, reward
     if best_i < 0:
         raise NoAssignableGoal("no assignable goal")
-    winner = matrix.rows[best_i].point
-    state.chosen_coords.append(winner)
-    return winner
+    state.chosen_coords.append(points[best_i])
+    return best_i
 
 
 def evict_known_goals(state: AllocationState, known: list[bool]) -> int:

@@ -56,9 +56,11 @@ class ScenarioConfig:
     def resolve_starts(self, truth: GroundTruthMap) -> list[tuple[float, float, float]]:
         """Start poses for all robots, with a seed-dependent jitter.
 
-        The jitter perturbs heading freely and position within the start
-        cell, so distinct seeds explore differently while the Free-cell
-        requirement is preserved. Fully deterministic per seed.
+        The jitter perturbs heading freely and position by up to 0.3 of a
+        cell, so distinct seeds explore differently. A jittered position
+        outside every Free cell (off the map or in a wall, as near a map
+        edge in a coarse map) falls back to the given one, so every pose
+        starts in a Free cell. Fully deterministic per seed.
         """
         if self.start_poses is not None:
             starts = self.start_poses
@@ -79,17 +81,14 @@ class ScenarioConfig:
         jitter = 0.3 * truth.resolution
         poses = []
         for x, y, heading in starts:
-            try:
-                cx, cy = world_to_grid(x, y, truth)
-            except OverflowError:  # so far off the map its cell index is inf
-                cx = cy = -1
-            if not truth.in_bounds(cx, cy) or truth.cells[cy, cx] != FREE:
+            if not _in_free_cell(truth, x, y):
                 raise ConfigError(f"start pose ({x}, {y}) is not in a free cell")
-            poses.append((
-                x + rng.uniform(-jitter, jitter),
-                y + rng.uniform(-jitter, jitter),
-                (heading + rng.uniform(0.0, 2.0 * math.pi)) % (2.0 * math.pi),
-            ))
+            jx = x + rng.uniform(-jitter, jitter)
+            jy = y + rng.uniform(-jitter, jitter)
+            if not _in_free_cell(truth, jx, jy):
+                jx, jy = x, y
+            heading = (heading + rng.uniform(0.0, 2.0 * math.pi)) % (2.0 * math.pi)
+            poses.append((jx, jy, heading))
         return poses
 
     def validate(self) -> None:
@@ -105,6 +104,14 @@ class ScenarioConfig:
             raise ConfigError("goal_skip_wait must be >= 1")
         if self.inflation_cells < 0:
             raise ConfigError("inflation_cells must be >= 0")
+
+
+def _in_free_cell(truth: GroundTruthMap, x: float, y: float) -> bool:
+    try:
+        cx, cy = world_to_grid(x, y, truth)
+    except OverflowError:  # so far off the map its cell index is inf
+        return False
+    return truth.in_bounds(cx, cy) and truth.cells[cy, cx] == FREE
 
 
 def _positive(value: float) -> bool:
@@ -175,18 +182,19 @@ def load_config(path: str) -> ScenarioConfig:
 
     def params(section, cls):
         # the dataclass holds each key's default; an int default reads as int
-        return cls(**{
+        values = {
             f.name: get(section, f.name,
                         int if isinstance(f.default, int) else _finite, f.default)
             for f in fields(cls)
-        })
+        }
+        try:
+            return cls(**values)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {exc}") from exc
 
-    try:
-        cfg.filter_params = params("filter", FilterParams)
-        cfg.utility_params = params("utility", UtilityParams)
-        cfg.graph_params = params("graph", GraphBuildParams)
-    except (ValueError, OverflowError) as exc:  # an int too large for a float
-        raise ConfigError(str(exc)) from exc
+    cfg.filter_params = params("filter", FilterParams)
+    cfg.utility_params = params("utility", UtilityParams)
+    cfg.graph_params = params("graph", GraphBuildParams)
 
     cfg.goal_skip_wait = get("allocation", "goal_skip_wait", int, cfg.goal_skip_wait)
     cfg.inflation_cells = get("planner", "inflation_cells", int, cfg.inflation_cells)

@@ -12,19 +12,18 @@ already has."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
 
-from .grid import FREE, UNKNOWN, OccupancyGrid, world_to_grid
+from .grid import FREE, UNKNOWN, OccupancyGrid, require_finite, world_to_grid
 
 
 @dataclass(frozen=True)
 class FrontierPoint:
     x: float
     y: float
-    source_agent: int = -1
 
 
 @dataclass
@@ -44,9 +43,7 @@ class FilterParams:
     perc_step: float = 10.0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.rad, self.per_unk, self.min_pts,
-                                       self.max_pts, self.rad_step, self.perc_step))):
-            raise ValueError("filter parameters must be finite")
+        require_finite(self, [f.name for f in fields(self)])
         if self.rad <= 0 or self.rad_step <= 0 or self.perc_step <= 0:
             raise ValueError("rad, rad_step and perc_step must be positive")
         # a step that float arithmetic absorbs would relax the list forever
@@ -69,7 +66,7 @@ class FilterOutcome:
     iterations: int
 
 
-def detect_frontiers(grid: OccupancyGrid, source_agent: int = -1) -> list[FrontierPoint]:
+def detect_frontiers(grid: OccupancyGrid) -> list[FrontierPoint]:
     """Frontier cells are Free cells 4-adjacent to Unknown; they are grouped
     into 8-connected clusters and each cluster yields one point at the member
     cell nearest the cluster centroid, ties to the least (row, col). Cluster
@@ -124,7 +121,7 @@ def detect_frontiers(grid: OccupancyGrid, source_agent: int = -1) -> list[Fronti
     # grid_to_world, on every chosen cell at once
     xs = grid.origin_x + (cols[best] + 0.5) * grid.resolution
     ys = grid.origin_y + (rows[best] + 0.5) * grid.resolution
-    return [FrontierPoint(x, y, source_agent) for x, y in zip(xs.tolist(), ys.tolist())]
+    return [FrontierPoint(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
 
 
 def _least_member_labels(k: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -232,6 +229,15 @@ def dedup_points(lists: list[list[FrontierPoint]], merged: OccupancyGrid) -> lis
     return [pts[i] for i in _first_per_cell(np.arange(len(pts)), _cells_of(pts, merged))]
 
 
+def _gather(lists: list[list[FrontierPoint]], merged: OccupancyGrid, rad: float):
+    """The per-agent lists concatenated, with each point's merged-map cell
+    and the disc counts at rad: the arguments of _keep_near but for the
+    percentage."""
+    pts = [p for agent_list in lists for p in agent_list]
+    cells = _cells_of(pts, merged)
+    return pts, cells, _disc_counts(cells, merged, rad)
+
+
 def merge_points(
     lists: list[list[FrontierPoint]],
     merged: OccupancyGrid,
@@ -240,18 +246,16 @@ def merge_points(
     """Concatenate per-agent lists, keep near-border points only, and drop
     duplicates (two points are duplicates when they land in the same cell of
     the merged map). First-seen order is preserved."""
-    pts = [p for agent_list in lists for p in agent_list]
-    cells = _cells_of(pts, merged)
-    return _keep_near(pts, cells, _disc_counts(cells, merged, params.rad), params.per_unk)[0]
+    return _keep_near(*_gather(lists, merged, params.rad), params.per_unk)[0]
 
 
-def enforce_list_bounds(
-    uni_pts: list[FrontierPoint],
-    raw_pts: list[FrontierPoint],
+def filter_pipeline(
+    lists: list[list[FrontierPoint]],
     merged: OccupancyGrid,
     params: FilterParams,
 ) -> FilterOutcome:
-    """Keep refiltering until min_pts < |list| < max_pts.
+    """Full pipeline: merge_points, then refilter until
+    min_pts < |list| < max_pts.
 
     Too small: refilter the raw list at the original radius params.rad,
     with the acceptance percentage lowered by perc_step. Too large:
@@ -263,17 +267,13 @@ def enforce_list_bounds(
     The percentage floors at 0 and the radius ceilings at the map
     diagonal; when a needed relaxation is already clamped the current
     best-effort list is returned with exhausted=True.
+
+    The raw points' disc counts at params.rad are gathered once: the merge
+    and every percentage step only threshold them, and a radius step
+    gathers for the current list alone.
     """
-    raw_cells = _cells_of(raw_pts, merged)
-    raw = (raw_pts, raw_cells, _disc_counts(raw_cells, merged, params.rad))
-    return _bound_list(uni_pts, _cells_of(uni_pts, merged), raw, merged, params)
-
-
-def _bound_list(pts, cells, raw, merged, params) -> FilterOutcome:
-    """enforce_list_bounds on the current points and their cells, given the
-    raw points with their cells and disc counts at params.rad: a percentage
-    step only rethresholds those counts, and a radius step gathers for the
-    current list alone."""
+    raw = _gather(lists, merged, params.rad)
+    pts, cells = _keep_near(*raw, params.per_unk)
     rad = params.rad
     perc = params.per_unk
     max_rad = math.hypot(merged.width, merged.height) * merged.resolution
@@ -296,16 +296,3 @@ def _bound_list(pts, cells, raw, merged, params) -> FilterOutcome:
                                     params.per_unk)
         iterations += 1
     return FilterOutcome(pts, rad, perc, exhausted, iterations)
-
-
-def filter_pipeline(
-    lists: list[list[FrontierPoint]],
-    merged: OccupancyGrid,
-    params: FilterParams,
-) -> FilterOutcome:
-    """Full pipeline: merge + dedup, then list-size control. The raw
-    points' disc counts at params.rad are gathered once and serve both."""
-    raw_pts = [p for agent_list in lists for p in agent_list]
-    raw_cells = _cells_of(raw_pts, merged)
-    raw = (raw_pts, raw_cells, _disc_counts(raw_cells, merged, params.rad))
-    return _bound_list(*_keep_near(*raw, params.per_unk), raw, merged, params)

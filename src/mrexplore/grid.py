@@ -13,11 +13,23 @@ FREE = 0
 OCCUPIED = 1
 
 
+def require_finite(obj, names) -> None:
+    """Raise ValueError naming the first of obj's attributes in names that is
+    not a finite float value; an int too large for a float counts as not
+    finite (math.isfinite raises OverflowError on it)."""
+    for name in names:
+        try:
+            finite = math.isfinite(getattr(obj, name))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"{name}: must be finite and fit in a float")
+
+
 def _check_frame(grid) -> None:
     if grid.width <= 0 or grid.height <= 0:
         raise ValueError("grid dimensions must be positive")
-    if not all(map(math.isfinite, (grid.resolution, grid.origin_x, grid.origin_y))):
-        raise ValueError("resolution and origin must be finite")
+    require_finite(grid, ("resolution", "origin_x", "origin_y"))
     if grid.resolution <= 0:
         raise ValueError("resolution must be positive")
 

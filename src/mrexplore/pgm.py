@@ -61,6 +61,8 @@ def _read_pgm(path: str) -> np.ndarray:
         raise ValueError(f"{path}: truncated PGM header")
     magic = tokens[0]
     width, height, maxval = (int(t) for t in tokens[1:4])
+    if width <= 0 or height <= 0:  # reshape would infer a -1
+        raise ValueError(f"{path}: non-positive size {width}x{height}")
     if maxval <= 0 or maxval > 255:
         raise ValueError(f"{path}: unsupported maxval {maxval}")
 

@@ -8,9 +8,11 @@ graphs (more/heavier loop closures) admit more spanning trees.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
+
+from .grid import require_finite
 
 ODOMETRY = "odometry"
 LOOP_CLOSURE = "loop_closure"
@@ -32,10 +34,9 @@ class GraphBuildParams:
     loop_weight: float = 2.0
 
     def __post_init__(self):
-        values = (self.node_spacing, self.loop_closure_radius,
-                  self.odometry_weight, self.loop_weight)
-        if not all(math.isfinite(v) and v > 0 for v in values):
-            raise ValueError("graph build parameters must be finite and positive")
+        require_finite(self, [f.name for f in fields(self)])
+        if not all(getattr(self, f.name) > 0 for f in fields(self)):
+            raise ValueError("graph build parameters must be positive")
         if self.loop_closure_radius < self.node_spacing:
             raise ValueError("loop_closure_radius must be >= node_spacing")
 

@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 from .allocate import (
     AllocationState,
     NoAssignableGoal,
-    RewardMatrix,
-    RewardRow,
     any_open,
     evict_known_goals,
     schedule,
@@ -200,7 +198,7 @@ class ExplorationSim:
         the robot. Every way a request ends without a goal is decided here.
         Returns (raw count, offered count, got_goal)."""
         offer, rank = POLICIES[self.config.method]
-        local_lists = [detect_frontiers(r.grid, r.rid) for r in self.robots]
+        local_lists = [detect_frontiers(r.grid) for r in self.robots]
         raw_n = sum(len(pts) for pts in local_lists)
         offered = offer(self, local_lists)
         if not offered:
@@ -345,12 +343,10 @@ def _rank_spread(sim: ExplorationSim, robot: Robot, offered, paths):
     cfg = sim.config
     scores = score_candidates(robot.pose, sim.merged, robot.graph, offered, paths,
                               cfg.utility_params, cfg.graph_params)
-    matrix = RewardMatrix([RewardRow(s.point, s.reward) for s in scores], robot.rid)
     try:
-        goal_pt = select_goal(matrix, sim.state, sim._cell_key)
+        return select_goal(offered, [s.reward for s in scores], sim.state, sim._cell_key)
     except NoAssignableGoal:
         return None
-    return next(i for i, s in enumerate(scores) if s.point is goal_pt)
 
 
 def _rank_graph_gain(sim: ExplorationSim, robot: Robot, offered, paths):

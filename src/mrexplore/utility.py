@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 
 from .allocate import SUPPRESSED
-from .grid import ENTROPY_BITS, UNKNOWN, OccupancyGrid
+from .grid import ENTROPY_BITS, UNKNOWN, OccupancyGrid, require_finite
 from .posegraph import (
     GraphBuildParams,
     PoseGraph,
@@ -23,8 +23,7 @@ class UtilityParams:
     u1_weight: float = 1.0      # weighting of the graph-connectivity term
 
     def __post_init__(self):
-        if not (math.isfinite(self.decay_rate) and math.isfinite(self.u1_weight)):
-            raise ValueError("utility parameters must be finite")
+        require_finite(self, ("decay_rate", "u1_weight"))
         if self.decay_rate <= 0:
             raise ValueError("decay_rate must be positive")
 

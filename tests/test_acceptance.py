@@ -9,10 +9,10 @@ import time
 
 import numpy as np
 
-from mrexplore.allocate import AllocationState, RewardMatrix, RewardRow, schedule, select_goal
+from mrexplore.allocate import AllocationState, schedule, select_goal
 from mrexplore.cli import EXIT_OK, main
 from mrexplore.config import ScenarioConfig
-from mrexplore.frontier import FilterParams, FrontierPoint, enforce_list_bounds, merge_points
+from mrexplore.frontier import FilterParams, FrontierPoint, filter_pipeline
 from mrexplore.grid import (
     OccupancyGrid,
     UNKNOWN,
@@ -116,8 +116,7 @@ def test_05_list_bound_enforcement_terminates():
             min_pts=min_pts, max_pts=min_pts + int(rng.randint(1, 8)),
             rad_step=0.25, perc_step=10.0,
         )
-        uni = merge_points([raw], g, params)
-        out = enforce_list_bounds(uni, raw, g, params)
+        out = filter_pipeline([raw], g, params)
         bound = (math.ceil(params.per_unk / params.perc_step)
                  + math.ceil(math.hypot(w, h) / params.rad_step) + 2)
         in_bounds = params.min_pts < len(out.points) < params.max_pts
@@ -152,8 +151,8 @@ def test_07_reward_spread_prefers_farthest():
     state.chosen_coords.append(FrontierPoint(0.0, 0.0))
     candidates = [FrontierPoint(3.0, 0.0), FrontierPoint(14.0, 0.0),
                   FrontierPoint(7.0, 0.0)]
-    matrix = RewardMatrix([RewardRow(p, 5.0) for p in candidates], owner=0)
-    goal = select_goal(matrix, state, lambda p: (math.floor(p.x), math.floor(p.y)))
+    goal = candidates[select_goal(candidates, [5.0] * len(candidates), state,
+                                  lambda p: (math.floor(p.x), math.floor(p.y)))]
     report(7, "equal-reward candidates: farthest from chosen goal wins",
            (goal.x, goal.y) == (14.0, 0.0), f"picked ({goal.x}, {goal.y})")
 

@@ -1,17 +1,14 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mrexplore.allocate import (
     SUPPRESSED,
     AllocationState,
     NoAssignableGoal,
-    RewardMatrix,
-    RewardRow,
     any_open,
-    chosen_cells,
     evict_known_goals,
     schedule,
     select_goal,
@@ -26,8 +23,14 @@ def cell_key(p):
     return (math.floor(p.x), math.floor(p.y))
 
 
-def matrix(rows, owner=0):
-    return RewardMatrix([RewardRow(FrontierPoint(x, y), r) for x, y, r in rows], owner)
+def matrix(rows):
+    """(points, rewards) from (x, y, reward) rows."""
+    return ([FrontierPoint(x, y) for x, y, _ in rows], [r for _, _, r in rows])
+
+
+def pick(h, state):
+    """The point select_goal chooses from the (points, rewards) pair h."""
+    return h[0][select_goal(*h, state, cell_key)]
 
 
 class TestSchedule:
@@ -85,96 +88,93 @@ class TestUpdateRewards:
                   FrontierPoint(30, 30), FrontierPoint(40, 40),
                   FrontierPoint(50, 50)]
         h = matrix([(2.0, 0.0, 10.0)])
-        out = update_rewards(chosen, h, cell_key)
+        out = update_rewards(chosen, *h, cell_key)
         # the near point at distance 2 costs 0.5; distant chosen points cost
         # their own tiny K/d^2 shares
         far_losses = sum(2.0 / ((c.x - 2.0) ** 2 + c.y ** 2) for c in chosen[1:])
-        assert out.rows[0].reward == pytest.approx(10.0 - 0.5 - far_losses)
+        assert out[0] == pytest.approx(10.0 - 0.5 - far_losses)
 
     def test_chosen_cell_suppressed(self):
         chosen = [FrontierPoint(1.2, 1.2)]
         h = matrix([(1.4, 1.4, 5.0), (3.0, 3.0, 4.0)])
-        out = update_rewards(chosen, h, cell_key)
-        assert out.rows[0].reward == SUPPRESSED
-        assert math.isfinite(out.rows[1].reward)
+        out = update_rewards(chosen, *h, cell_key)
+        assert out[0] == SUPPRESSED
+        assert math.isfinite(out[1])
 
     def test_two_chosen_accumulate(self):
         d = 2.0
         chosen = [FrontierPoint(0.0, d), FrontierPoint(0.0, -d)]
         h = matrix([(0.0, 0.0, 8.0), (40.0, 0.0, 8.0)])
-        out = update_rewards(chosen, h, cell_key)
+        out = update_rewards(chosen, *h, cell_key)
         k_scale = 8.0 / 2
-        assert out.rows[0].reward == pytest.approx(8.0 - 2 * k_scale / d**2)
+        assert out[0] == pytest.approx(8.0 - 2 * k_scale / d**2)
 
     def test_equal_rewards_post_update_increase_with_distance(self):
         chosen = [FrontierPoint(0.0, 0.0)]
         h = matrix([(2.0, 0.0, 6.0), (5.0, 0.0, 6.0), (9.0, 0.0, 6.0)])
-        out = update_rewards(chosen, h, cell_key)
-        rewards = [r.reward for r in out.rows]
-        assert rewards[0] < rewards[1] < rewards[2]
+        out = update_rewards(chosen, *h, cell_key)
+        assert out[0] < out[1] < out[2]
 
     def test_never_increases_rewards(self):
         chosen = [FrontierPoint(5.0, 5.0)]
         h = matrix([(1.0, 1.0, 3.0), (9.0, 9.0, 1.0), (4.0, 4.0, SUPPRESSED)])
-        out = update_rewards(chosen, h, cell_key)
-        for before, after in zip(h.rows, out.rows):
-            assert after.reward <= before.reward
+        out = update_rewards(chosen, *h, cell_key)
+        for before, after in zip(h[1], out):
+            assert after <= before
 
     def test_all_suppressed_unchanged(self):
         h = matrix([(1.0, 1.0, SUPPRESSED)])
-        out = update_rewards([FrontierPoint(0, 0)], h, cell_key)
-        assert [r.reward for r in out.rows] == [r.reward for r in h.rows]
-        assert out.rows[0].reward == SUPPRESSED
+        out = update_rewards([FrontierPoint(0, 0)], *h, cell_key)
+        assert out == h[1]
+        assert out[0] == SUPPRESSED
 
     def test_underflowing_distance_suppressed(self):
         # different floor cells, but d^2 = 4e-340 underflows to 0
         chosen = [FrontierPoint(1e-170, 0.0)]
         h = matrix([(-1e-170, 0.0, 5.0), (3.0, 0.0, 4.0)])
-        out = update_rewards(chosen, h, cell_key)
-        assert out.rows[0].reward == SUPPRESSED
-        assert out.rows[1].reward == pytest.approx(4.0 - 5.0 / 9.0)
+        out = update_rewards(chosen, *h, cell_key)
+        assert out[0] == SUPPRESSED
+        assert out[1] == pytest.approx(4.0 - 5.0 / 9.0)
 
     def test_requires_chosen(self):
         with pytest.raises(ValueError):
-            update_rewards([], matrix([(0, 0, 1.0)]), cell_key)
+            update_rewards([], *matrix([(0, 0, 1.0)]), cell_key)
 
 
 class TestSelectGoal:
     def test_max_reward_chosen_and_recorded(self):
         state = AllocationState()
         h = matrix([(1.0, 1.0, 5.0), (2.0, 2.0, 3.0)])
-        goal = select_goal(h, state, cell_key)
+        goal = pick(h, state)
         assert (goal.x, goal.y) == (1.0, 1.0)
         assert state.chosen_coords == [goal]
 
     def test_already_chosen_falls_to_next(self):
         state = AllocationState()
-        first = select_goal(matrix([(1.0, 1.0, 5.0), (9.0, 9.0, 3.0)]),
-                            state, cell_key)
+        first = pick(matrix([(1.0, 1.0, 5.0), (9.0, 9.0, 3.0)]), state)
         assert (first.x, first.y) == (1.0, 1.0)
         # same matrix again: the recorded goal is suppressed by the update
-        second = select_goal(matrix([(1.0, 1.0, 5.0), (9.0, 9.0, 3.0)]),
-                             state, cell_key)
+        second = pick(matrix([(1.0, 1.0, 5.0), (9.0, 9.0, 3.0)]), state)
         assert (second.x, second.y) == (9.0, 9.0)
 
     def test_equal_rewards_lowest_index(self):
         state = AllocationState()
         h = matrix([(3.0, 0.0, 2.0), (1.0, 0.0, 2.0), (2.0, 0.0, 2.0)])
-        goal = select_goal(h, state, cell_key)
+        goal = pick(h, state)
         assert (goal.x, goal.y) == (3.0, 0.0)
 
     def test_all_suppressed_raises(self):
         state = AllocationState()
         with pytest.raises(NoAssignableGoal):
-            select_goal(matrix([(1.0, 1.0, SUPPRESSED)]), state, cell_key)
+            select_goal(*matrix([(1.0, 1.0, SUPPRESSED)]), state, cell_key)
 
     def test_never_returns_cell_equal_to_history(self):
         state = AllocationState()
         h1 = matrix([(1.0, 1.0, 5.0)])
-        select_goal(h1, state, cell_key)
+        select_goal(*h1, state, cell_key)
         for i in range(3):
             h = matrix([(1.3, 1.3, 50.0), (6.0 + i, 6.0, 1.0)])
-            goal = select_goal(h, state, cell_key)
+            goal = pick(h, state)
             assert cell_key(goal) != (1, 1)
 
     def test_spread_prefers_farthest_among_equals(self):
@@ -183,7 +183,7 @@ class TestSelectGoal:
         state = AllocationState()
         state.chosen_coords.append(FrontierPoint(0.0, 0.0))
         h = matrix([(2.0, 0.0, 7.0), (11.0, 0.0, 7.0), (5.0, 0.0, 7.0)])
-        goal = select_goal(h, state, cell_key)
+        goal = pick(h, state)
         assert (goal.x, goal.y) == (11.0, 0.0)
 
 
@@ -201,7 +201,10 @@ class TestOpenCandidates:
     def test_all_in_chosen_cells_is_closed(self):
         state = AllocationState(chosen_coords=[FrontierPoint(1.2, 1.2),
                                                FrontierPoint(3.5, 0.5)])
-        assert chosen_cells(state, cell_key) == {(1, 1), (3, 0)}
+        assert not any_open([FrontierPoint(1.0, 1.0), FrontierPoint(3.9, 0.9)],
+                            state, cell_key)
+        assert any_open([FrontierPoint(1.0, 2.0)], state, cell_key)
+        assert any_open([FrontierPoint(3.0, 1.0)], state, cell_key)
         assert not any_open([FrontierPoint(1.9, 1.0), FrontierPoint(3.0, 0.0)],
                             state, cell_key)
         assert any_open([FrontierPoint(1.9, 1.0), FrontierPoint(2.0, 0.0)],
@@ -211,20 +214,82 @@ class TestOpenCandidates:
            st.lists(_point, max_size=6))
     def test_select_goal_agrees_with_any_open(self, rows, chosen):
         state = AllocationState(chosen_coords=list(chosen))
-        h = RewardMatrix([RewardRow(p, r) for p, r in rows], owner=0)
-        taken = chosen_cells(state, cell_key)
+        h = ([p for p, _ in rows], [r for _, r in rows])
         if not any_open([p for p, _ in rows], state, cell_key):
             with pytest.raises(NoAssignableGoal):
-                select_goal(h, state, cell_key)
+                select_goal(*h, state, cell_key)
             assert state.chosen_coords == chosen
             return
         try:
-            goal = select_goal(h, state, cell_key)
+            goal = pick(h, state)
         except NoAssignableGoal:
             assert state.chosen_coords == chosen
             return
-        assert cell_key(goal) not in taken
+        assert any_open([goal], AllocationState(chosen_coords=list(chosen)), cell_key)
         assert state.chosen_coords == chosen + [goal]
+
+
+def reference_update(chosen, points, rewards):
+    """The spreading loop select_goal ran before it took plain lists: per
+    chosen goal, per point, suppress a point in the goal's cell, then take
+    K/d^2 off every finite reward."""
+    finite = [r for r in rewards if math.isfinite(r)]
+    if not finite:
+        return list(rewards)
+    k_scale = max(finite) / len(chosen)
+    out = list(rewards)
+    for c in chosen:
+        for i, p in enumerate(points):
+            if cell_key(p) == cell_key(c):
+                out[i] = SUPPRESSED
+            if not math.isfinite(out[i]):
+                continue
+            d = math.hypot(c.x - p.x, c.y - p.y)
+            if d * d == 0.0:
+                out[i] = SUPPRESSED
+            else:
+                out[i] -= k_scale / (d * d)
+    return out
+
+
+# Quarter-cell coordinates, plus values near 0 whose differences square to
+# a subnormal or underflow to 0, on either side of the cell boundary at 0.
+_spread_coord = st.one_of(_coord, st.sampled_from(
+    [0.0, 1e-170, -1e-170, 1e-162, -1e-162, 5e-324, -5e-324, 1e-300]))
+_spread_point = st.builds(FrontierPoint, _spread_coord, _spread_coord)
+_spread_reward = st.one_of(st.floats(allow_nan=False), st.just(SUPPRESSED),
+                           st.sampled_from([0.0, 1e308, -1e308, 1e-300]))
+
+
+class TestSpreadMatchesReference:
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(_spread_point, _spread_reward), min_size=1, max_size=8),
+           st.lists(_spread_point, min_size=1, max_size=6),
+           st.data())
+    @example([(FrontierPoint(-1e-170, 0.0), 5.0), (FrontierPoint(3.0, 0.0), 4.0)],
+             [FrontierPoint(1e-170, 0.0)], None)  # d^2 underflows across cells
+    @example([(FrontierPoint(1.4, 1.4), 5.0), (FrontierPoint(3.0, 3.0), SUPPRESSED)],
+             [FrontierPoint(1.2, 1.2), FrontierPoint(1.2, 1.2)], None)  # duplicate goals
+    def test_same_rewards_and_choice(self, rows, chosen, data):
+        if data is not None:  # sometimes repeat a chosen goal or offer one
+            chosen = chosen + data.draw(st.lists(st.sampled_from(chosen), max_size=2))
+            rows = rows + [(p, 1.0) for p in data.draw(
+                st.lists(st.sampled_from(chosen), max_size=2))]
+        points = [p for p, _ in rows]
+        rewards = [r for _, r in rows]
+        want = reference_update(chosen, points, rewards)
+        assert update_rewards(chosen, points, rewards, cell_key) == want
+
+        state = AllocationState(chosen_coords=list(chosen))
+        finite = [i for i, r in enumerate(want) if math.isfinite(r)]
+        if not finite:
+            with pytest.raises(NoAssignableGoal):
+                select_goal(points, rewards, state, cell_key)
+            assert state.chosen_coords == chosen
+            return
+        best = max(finite, key=lambda i: (want[i], -i))
+        assert select_goal(points, rewards, state, cell_key) == best
+        assert state.chosen_coords == chosen + [points[best]]
 
 
 class TestEviction:

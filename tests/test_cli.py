@@ -1,10 +1,15 @@
+import contextlib
 import hashlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mrexplore
 from mrexplore.cli import EXIT_CONFIG, EXIT_OK, main
@@ -132,6 +137,17 @@ class TestConfigErrors:
         assert len(lines) == 1
         assert lines[0].startswith("config error: ")
 
+    def test_int_too_large_for_float_names_its_key(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("[filter]\nmin_pts = 1" + "0" * 400 + "\n")
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "Traceback" not in err
+        lines = err.strip().split("\n")
+        assert len(lines) == 1
+        assert lines[0].startswith("config error: [filter] min_pts: ")
+
     @pytest.mark.parametrize("make", [
         lambda path: path.mkdir(),
         lambda path: path.write_bytes(b"[scenario]\nseed = 1\xff\n"),
@@ -179,6 +195,100 @@ class TestConfigErrors:
                         "[lidar]\nbeam_count = 8\n[planner]\ninflation_cells = 0\n")
         code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == EXIT_OK, capsys.readouterr().err
+
+
+_number = st.one_of(st.sampled_from(["1.0", "0.5", "0", "-1", "nan", "inf", "1e-300",
+                                      "1e308", "abc", ""]),
+                    st.floats().map(repr))
+
+
+@st.composite
+def pgm_bytes(draw):
+    """A valid, all-white PGM (so the start cell is Free and the run goes
+    ahead) with up to two of its parts changed: the magic, a size (zero
+    and negative among them), the maxval, the raster's length or its
+    samples. One draw in four is arbitrary bytes."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.binary(max_size=40))
+    magic = draw(st.sampled_from([b"P5", b"P2"]))
+    width, height, maxval = draw(st.integers(1, 5)), draw(st.integers(1, 5)), 255
+    count_change, random_samples = 0, False
+    for part in draw(st.lists(st.sampled_from(
+            ["magic", "width", "height", "maxval", "count", "samples"]), max_size=2)):
+        if part == "magic":
+            magic = draw(st.sampled_from([b"P6", b"P", b"5P"]))
+        elif part == "width":
+            width = draw(st.integers(-2, 0))
+        elif part == "height":
+            height = draw(st.integers(-2, 0))
+        elif part == "maxval":
+            maxval = draw(st.sampled_from([15, 0, -1, 300]))
+        elif part == "count":
+            count_change = draw(st.sampled_from([-1, 1, -100]))
+        else:
+            random_samples = True
+    count = max(max(width * height, 0) + count_change, 0)
+    samples = (draw(st.lists(st.integers(-5, 300), min_size=count, max_size=count))
+               if random_samples else [maxval] * count)
+    if magic == b"P2":
+        raster = " ".join(map(str, samples)).encode()
+    else:
+        raster = bytes(v % 256 for v in samples)
+    return b"%s\n%d %d\n%d\n" % (magic, width, height, maxval) + raster
+
+
+@st.composite
+def meta_text(draw):
+    """A valid sidecar with some keys dropped, added or given an arbitrary
+    value. One draw in four is arbitrary bytes."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.binary(max_size=40))
+    meta = {"resolution": "1.0", "origin_x": "0", "origin_y": "0"}
+    keys = ["resolution", "origin_x", "origin_y", "occupied_threshold", "free_threshold"]
+    for key in draw(st.lists(st.sampled_from(keys), max_size=3)):
+        if draw(st.booleans()):
+            meta.pop(key, None)
+        else:
+            meta[key] = draw(_number)
+    sep = draw(st.sampled_from([" = ", ": ", " "]))
+    return "".join(f"{k}{sep}{v}\n" for k, v in meta.items()).encode()
+
+
+class TestFuzzMapFiles:
+    """Whatever a map file and its sidecar hold, a run exits 0, or exits 1
+    with one config error line; it never fails at run time and never
+    prints a traceback."""
+
+    @settings(deadline=None, max_examples=200)  # timing is not under test
+    @given(pgm_bytes(), meta_text(),
+           st.sampled_from(["0.5, 0.5, 0", "1.5, 0.5, 1", "-3, 2, 0"]))
+    # a negative width that reshape would infer from the raster length
+    @example(b"P5\n-1 4\n255\n" + b"\xff" * 8,
+             b"resolution = 1.0\norigin_x = 0\norigin_y = 0\n", "0.5, 0.5, 0")
+    # a 3 m cell whose start pose lies 0.5 m from the map edge: the jitter
+    # of up to 0.9 m moved it off the map, and the run failed
+    @example(b"P5\n1 1\n255\n\xff",
+             b"resolution = 3.0\norigin_x = 0\norigin_y = 0\n", "0.5, 0.5, 0")
+    def test_exit_0_or_one_config_error(self, raster, meta, start):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "m.pgm").write_bytes(raster)
+            (tmp / "m.meta").write_bytes(meta)
+            (tmp / "s.cfg").write_text(
+                f"[scenario]\nmap = {tmp / 'm.pgm'}\nrobots = 1\n"
+                f"start_poses = {start}\nmax_sim_time = 3\n"
+                "[lidar]\nbeam_count = 16\n[planner]\ninflation_cells = 0\n")
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["run", "--config", str(tmp / "s.cfg"),
+                             "--out", str(tmp / "o")])
+        lines = err.getvalue().splitlines()
+        assert "Traceback" not in err.getvalue()
+        assert len(lines) <= 1
+        if code == EXIT_OK:
+            return
+        assert code == EXIT_CONFIG, err.getvalue()
+        assert lines[0].startswith("config error: ")
 
 
 class TestCompare:

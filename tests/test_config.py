@@ -3,12 +3,14 @@ import tempfile
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mrexplore.config import ConfigError, ScenarioConfig, load_config
 from mrexplore.frontier import FilterParams
+from mrexplore.grid import FREE, GroundTruthMap
 from mrexplore.posegraph import GraphBuildParams
 from mrexplore.utility import UtilityParams
 
@@ -165,6 +167,16 @@ class TestStartResolution:
                                           [(10.5, 10.5, 0), (5.5, 5.5, 0)]):
             assert math.floor(jx) == math.floor(x)
             assert math.floor(jy) == math.floor(y)
+
+    def test_jitter_never_leaves_the_free_cells(self):
+        # one 3 m Free cell; a jitter of up to 0.9 m from x = y = 0.5 can
+        # leave the map, and then the given position is kept
+        truth = GroundTruthMap(3.0, 0.0, 0.0, 1, 1, np.array([[FREE]], dtype=np.int8))
+        for seed in range(1, 21):
+            cfg = ScenarioConfig(map_source="m.pgm", robot_count=1, seed=seed,
+                                 start_poses=[(0.5, 0.5, 0.0)])
+            (x, y, _), = cfg.resolve_starts(truth)
+            assert 0.0 <= x < 3.0 and 0.0 <= y < 3.0, seed
 
     def test_pose_in_wall_rejected(self):
         cfg = ScenarioConfig(map_source="builtin:open20", robot_count=1,

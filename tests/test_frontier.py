@@ -14,7 +14,6 @@ from mrexplore.frontier import (
     FrontierPoint,
     detect_frontiers,
     disc_unknown_stats,
-    enforce_list_bounds,
     dedup_points,
     filter_pipeline,
     merge_points,
@@ -31,14 +30,15 @@ from mrexplore.grid import (
 from conftest import grid_from_rows
 
 
-def pt(x, y, agent=0):
-    return FrontierPoint(x, y, agent)
+def pt(x, y):
+    return FrontierPoint(x, y)
 
 
 class TestFilterParams:
     @pytest.mark.parametrize("name", ["rad", "per_unk", "min_pts", "max_pts",
                                       "rad_step", "perc_step"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                       pytest.param(10**400, id="int_too_large_for_float")])
     def test_non_finite_rejected(self, name, value):
         with pytest.raises(ValueError, match="finite"):
             FilterParams(**{name: value})
@@ -68,9 +68,8 @@ class TestDetect:
 
     def test_vertical_split_single_cluster(self):
         g = grid_from_rows(["..??"] * 6)
-        pts = detect_frontiers(g, source_agent=3)
+        pts = detect_frontiers(g)
         assert len(pts) == 1
-        assert pts[0].source_agent == 3
         cx, cy = world_to_grid(pts[0].x, pts[0].y, g)
         assert cx == 1  # boundary column of the free side
 
@@ -162,7 +161,7 @@ class TestMergePoints:
     def test_duplicate_collapsed(self):
         g = grid_from_rows(["??", "??"])
         p = pt(0.5, 0.5)
-        out = merge_points([[p], [pt(0.6, 0.6, 1)]], g, self.params())
+        out = merge_points([[p], [pt(0.6, 0.6)]], g, self.params())
         assert len(out) == 1
         assert out[0] is p  # first seen wins
 
@@ -202,7 +201,7 @@ class TestEnforceBounds:
         g = grid_from_rows(["??" * 5] * 10)
         params = FilterParams(rad=1.0, per_unk=60.0, min_pts=0, max_pts=10)
         pts = [pt(x + 0.5, 0.5) for x in range(5)]
-        out = enforce_list_bounds(pts, pts, g, params)
+        out = filter_pipeline([pts], g, params)
         assert out.points == pts
         assert out.final_rad == 1.0
         assert out.final_perc == 60.0
@@ -220,7 +219,7 @@ class TestEnforceBounds:
                               rad_step=0.25, perc_step=10.0)
         uni = merge_points([centers], g, params)
         assert len(uni) == 15  # all pockets pass at rad 1.0
-        out = enforce_list_bounds(uni, centers, g, params)
+        out = filter_pipeline([centers], g, params)
         assert out.final_rad == pytest.approx(1.25)
         assert out.iterations == 1
         assert not out.exhausted
@@ -241,7 +240,7 @@ class TestEnforceBounds:
                               perc_step=10.0)
         uni = merge_points([raw], g, params)
         assert uni == []
-        out = enforce_list_bounds(uni, raw, g, params)
+        out = filter_pipeline([raw], g, params)
         assert out.final_perc == pytest.approx(40.0)
         assert out.iterations == 2
         assert len(out.points) == 2  # dedup collapses the near-duplicate
@@ -268,8 +267,7 @@ class TestEnforceBounds:
                 rad_step=0.25,
                 perc_step=10.0,
             )
-            uni = merge_points([raw], g, params)
-            out = enforce_list_bounds(uni, raw, g, params)
+            out = filter_pipeline([raw], g, params)
             bound = (
                 math.ceil(params.per_unk / params.perc_step)
                 + math.ceil(math.hypot(w, h) / params.rad_step)
@@ -310,7 +308,7 @@ class TestPipelineInvariants:
         assert set(out_cells) <= raw_cells
 
 
-def flood_fill_frontiers(grid, source_agent=-1):
+def flood_fill_frontiers(grid):
     """Reference: the per-cell flood fill that detect_frontiers replaced.
     Seeds in row-major order, one cluster per unvisited seed, each cluster's
     point at the member with the least (d^2 to the centroid, row, col)."""
@@ -346,7 +344,7 @@ def flood_fill_frontiers(grid, source_agent=-1):
         mc = sum(m[1] for m in members) / len(members)
         best = min(members, key=lambda m: ((m[0] - mr) ** 2 + (m[1] - mc) ** 2, m))
         wx, wy = grid_to_world(best[1], best[0], grid)
-        points.append(FrontierPoint(wx, wy, source_agent))
+        points.append(FrontierPoint(wx, wy))
     return points
 
 
@@ -371,19 +369,19 @@ def frontier_grid(draw):
 
 
 def as_fields(points):
-    return [(p.x, p.y, p.source_agent) for p in points]
+    return [(p.x, p.y) for p in points]
 
 
 class TestDetectMatchesFloodFill:
     @settings(deadline=None, max_examples=300)  # timing is not under test
-    @given(frontier_grid(), st.integers(-1, 3))
-    @example(grid_from_rows(["?.?", ".?.", "?.?"]), 0)  # diagonal-only joins
-    @example(grid_from_rows([".??", "???", "??."]), 1)  # single cells on corners
-    @example(grid_from_rows(["..", ".."]), 2)  # no Unknown: no frontier
-    @example(grid_from_rows([".?" * 4] * 3), 0)  # clusters along the edges
-    def test_same_points_as_flood_fill(self, grid, agent):
-        got = detect_frontiers(grid, agent)
-        assert as_fields(got) == as_fields(flood_fill_frontiers(grid, agent))
+    @given(frontier_grid())
+    @example(grid_from_rows(["?.?", ".?.", "?.?"]))  # diagonal-only joins
+    @example(grid_from_rows([".??", "???", "??."]))  # single cells on corners
+    @example(grid_from_rows(["..", ".."]))  # no Unknown: no frontier
+    @example(grid_from_rows([".?" * 4] * 3))  # clusters along the edges
+    def test_same_points_as_flood_fill(self, grid):
+        got = detect_frontiers(grid)
+        assert as_fields(got) == as_fields(flood_fill_frontiers(grid))
         assert all(type(p.x) is float and type(p.y) is float for p in got)
 
 
@@ -459,8 +457,7 @@ def filter_case(draw):
     xy += draw(st.lists(st.sampled_from(xy), max_size=4)) if xy else []
     lists = [[] for _ in range(draw(st.integers(1, 3)))]
     for x, y in xy:
-        agent = draw(st.integers(0, len(lists) - 1))
-        lists[agent].append(FrontierPoint(x, y, agent))
+        lists[draw(st.integers(0, len(lists) - 1))].append(FrontierPoint(x, y))
     min_pts = draw(st.integers(0, 3))
     params = FilterParams(
         rad=draw(st.sampled_from([0.5, 1.0, 1.5])),
@@ -478,7 +475,7 @@ def both_directions_case():
     radius step then retests them at 60%."""
     grid = grid_from_rows(["??....", "??....", "......", "......",
                            "....??", "....??"])
-    pts = [FrontierPoint(x + 0.5, y + 0.5, 0)
+    pts = [FrontierPoint(x + 0.5, y + 0.5)
            for x, y in [(2, 0), (2, 1), (3, 4), (3, 5), (2, 3)]]
     params = FilterParams(rad=1.0, per_unk=60.0, min_pts=0, max_pts=4,
                           rad_step=0.5, perc_step=10.0)
@@ -539,6 +536,6 @@ def test_detected_points_pass_zero_percent(grid, rad):
     # A detected point is the centre of an in-bounds cell, so its disc is
     # never wholly off the map, and a 0% near-border test keeps it: on
     # detected points, dedup alone is the near-border merge at 0%.
-    lists = [detect_frontiers(grid, 0), detect_frontiers(grid, 1)]
+    lists = [detect_frontiers(grid), detect_frontiers(grid)]
     at_zero = merge_points(lists, grid, FilterParams(rad=rad, per_unk=0.0))
     assert same_objects(dedup_points(lists, grid), at_zero)

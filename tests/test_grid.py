@@ -100,7 +100,8 @@ class TestEntropy:
 class TestFrame:
     @pytest.mark.parametrize("cls", [OccupancyGrid, GroundTruthMap])
     @pytest.mark.parametrize("index", [0, 1, 2])  # resolution, origin_x, origin_y
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf,
+                                       pytest.param(10**400, id="int_too_large_for_float")])
     def test_non_finite_rejected(self, cls, index, value):
         frame = [1.0, 0.0, 0.0]
         frame[index] = value

@@ -81,6 +81,16 @@ class TestErrors:
         with pytest.raises(ValueError, match="outside 0.."):
             load_grid(str(path))
 
+    @pytest.mark.parametrize("size", [b"-1 4", b"4 -1", b"0 4", b"-2 -4"])
+    def test_non_positive_size(self, tmp_path, size):
+        # 8 bytes: reshape would infer -1 as 2 and load a 2x4 map
+        path = tmp_path / "x.pgm"
+        path.write_bytes(b"P5\n" + size + b"\n255\n" + b"\xff" * 8)
+        (tmp_path / "x.meta").write_text(
+            "resolution = 1.0\norigin_x = 0\norigin_y = 0\n")
+        with pytest.raises(ValueError, match="non-positive size"):
+            load_grid(str(path))
+
     def test_missing_meta_key(self, tmp_path):
         path = tmp_path / "x.pgm"
         path.write_bytes(b"P5\n1 1\n255\n\x80")

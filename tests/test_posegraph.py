@@ -73,7 +73,8 @@ def random_connected_graph(rng, max_nodes=7):
 class TestGraphBuildParams:
     @pytest.mark.parametrize("name", ["node_spacing", "loop_closure_radius",
                                       "odometry_weight", "loop_weight"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                       pytest.param(10**400, id="int_too_large_for_float")])
     def test_non_finite_rejected(self, name, value):
         with pytest.raises(ValueError, match="finite"):
             GraphBuildParams(**{name: value})

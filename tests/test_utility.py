@@ -61,7 +61,8 @@ class TestPathEntropy:
 
 class TestUtilityParams:
     @pytest.mark.parametrize("name", ["decay_rate", "u1_weight"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                       pytest.param(10**400, id="int_too_large_for_float")])
     def test_non_finite_rejected(self, name, value):
         with pytest.raises(ValueError, match="finite"):
             UtilityParams(**{name: value})
@@ -181,7 +182,7 @@ class TestScoreCandidates:
 
 
 class TestRewardMatrix:
-    """The scores become select_goal's reward rows, one per candidate."""
+    """The scores' rewards become select_goal's rewards, one per candidate."""
 
     def test_rows_aligned_with_candidates(self):
         g, graph, gp = two_wing_setup()
