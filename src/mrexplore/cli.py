@@ -130,29 +130,28 @@ def cmd_compare(args) -> int:
     lines = ["method,seed," + ",".join(cols)]
     for method, seed, vals in per_seed:
         lines.append(f"{method},{seed}," + ",".join(f"{vals[c]:.6f}" for c in cols))
+    means = {}
     for method in methods:
         rows = [vals for m, _, vals in per_seed if m == method]
-        means = {c: _mean([r[c] for r in rows]) for c in cols}
+        mean = means[method] = {c: _mean([r[c] for r in rows]) for c in cols}
         stds = {c: _stddev([r[c] for r in rows]) for c in cols}
-        lines.append(f"{method},mean," + ",".join(f"{means[c]:.6f}" for c in cols))
+        lines.append(f"{method},mean," + ",".join(f"{mean[c]:.6f}" for c in cols))
         lines.append(f"{method},stddev," + ",".join(f"{stds[c]:.6f}" for c in cols))
     _write_atomic(os.path.join(args.out, "comparison.csv"), "\n".join(lines) + "\n")
 
     print(f"{'method':<16} {'seed':>6} {'coverage%':>10} {'reduction%':>11} "
           f"{'ssim':>7} {'rmse':>8} {'AE':>8}")
     for method, seed, vals in per_seed:
-        print(f"{method:<16} {seed:>6} {vals['final_coverage']:>10.2f} "
-              f"{vals['reduction_pct']:>11.2f} {vals['ssim']:>7.3f} "
-              f"{vals['rmse']:>8.2f} {vals['alignment_error']:>8.3f}")
+        print(_table_row(method, seed, vals))
     for method in methods:
-        rows = [vals for m, _, vals in per_seed if m == method]
-        print(f"{method:<16} {'mean':>6} "
-              f"{_mean([r['final_coverage'] for r in rows]):>10.2f} "
-              f"{_mean([r['reduction_pct'] for r in rows]):>11.2f} "
-              f"{_mean([r['ssim'] for r in rows]):>7.3f} "
-              f"{_mean([r['rmse'] for r in rows]):>8.2f} "
-              f"{_mean([r['alignment_error'] for r in rows]):>8.3f}")
+        print(_table_row(method, "mean", means[method]))
     return EXIT_OK
+
+
+def _table_row(method, label, vals) -> str:
+    return (f"{method:<16} {label:>6} {vals['final_coverage']:>10.2f} "
+            f"{vals['reduction_pct']:>11.2f} {vals['ssim']:>7.3f} "
+            f"{vals['rmse']:>8.2f} {vals['alignment_error']:>8.3f}")
 
 
 def _mean(xs):

@@ -115,7 +115,10 @@ def _in_free_cell(truth: GroundTruthMap, x: float, y: float) -> bool:
 
 
 def _positive(value: float) -> bool:
-    return math.isfinite(value) and value > 0
+    try:
+        return math.isfinite(value) and value > 0
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def _finite(text: str) -> float:

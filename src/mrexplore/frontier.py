@@ -17,7 +17,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import FREE, UNKNOWN, OccupancyGrid, require_finite, world_to_grid
+from .grid import (
+    FREE,
+    UNKNOWN,
+    OccupancyGrid,
+    grid_to_world,
+    require_finite,
+    world_to_grid,
+)
 
 
 @dataclass(frozen=True)
@@ -118,9 +125,7 @@ def detect_frontiers(grid: OccupancyGrid) -> list[FrontierPoint]:
     best = np.full(n, k)
     np.minimum.at(best, cluster[tied], tied)
 
-    # grid_to_world, on every chosen cell at once
-    xs = grid.origin_x + (cols[best] + 0.5) * grid.resolution
-    ys = grid.origin_y + (rows[best] + 0.5) * grid.resolution
+    xs, ys = grid_to_world(cols[best], rows[best], grid)
     return [FrontierPoint(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
 
 

@@ -40,7 +40,7 @@ class OccupancyGrid:
 
     Cell states live in a (height, width) int8 array; linear index is
     col + row * width. A cell's entropy follows from its state alone
-    (see ENTROPY_BITS).
+    (see ENTROPY_BITS). Every grid of a run shares one frame (see frame).
     """
 
     resolution: float
@@ -50,20 +50,24 @@ class OccupancyGrid:
     height: int
     cells: np.ndarray = field(default=None)  # type: ignore[assignment]
 
+    _fill = UNKNOWN  # state of every cell when no cells are given
+
     def __post_init__(self):
         _check_frame(self)
         if self.cells is None:
-            self.cells = np.full((self.height, self.width), UNKNOWN, dtype=np.int8)
+            self.cells = np.full((self.height, self.width), self._fill, dtype=np.int8)
         else:
             self.cells = np.asarray(self.cells, dtype=np.int8)
             if self.cells.shape != (self.height, self.width):
                 raise ValueError("cells shape does not match width/height")
 
+    @property
+    def frame(self) -> tuple[float, float, float, int, int]:
+        """(resolution, origin_x, origin_y, width, height)."""
+        return (self.resolution, self.origin_x, self.origin_y, self.width, self.height)
+
     def copy(self) -> "OccupancyGrid":
-        return OccupancyGrid(
-            self.resolution, self.origin_x, self.origin_y,
-            self.width, self.height, self.cells.copy(),
-        )
+        return type(self)(*self.frame, self.cells.copy())
 
     def in_bounds(self, cx: int, cy: int) -> bool:
         return 0 <= cx < self.width and 0 <= cy < self.height
@@ -71,41 +75,27 @@ class OccupancyGrid:
     def known_count(self) -> int:
         return int(np.count_nonzero(self.cells != UNKNOWN))
 
-    def unknown_count(self) -> int:
-        return int(np.count_nonzero(self.cells == UNKNOWN))
 
-
-@dataclass
-class GroundTruthMap:
+class GroundTruthMap(OccupancyGrid):
     """Binary simulation world: every cell is Free or Occupied."""
 
-    resolution: float
-    origin_x: float
-    origin_y: float
-    width: int
-    height: int
-    cells: np.ndarray = field(default=None)  # type: ignore[assignment]
+    _fill = FREE
 
     def __post_init__(self):
-        _check_frame(self)
-        if self.cells is None:
-            self.cells = np.full((self.height, self.width), FREE, dtype=np.int8)
-        else:
-            self.cells = np.asarray(self.cells, dtype=np.int8)
-            if self.cells.shape != (self.height, self.width):
-                raise ValueError("cells shape does not match width/height")
+        super().__post_init__()
         if np.any(self.cells == UNKNOWN):
             raise ValueError("ground truth map may not contain unknown cells")
 
-    def in_bounds(self, cx: int, cy: int) -> bool:
-        return 0 <= cx < self.width and 0 <= cy < self.height
-
     def blank_grid(self) -> OccupancyGrid:
-        """All-unknown OccupancyGrid with this map's geometry."""
-        return OccupancyGrid(
-            self.resolution, self.origin_x, self.origin_y,
-            self.width, self.height,
-        )
+        """All-unknown OccupancyGrid in this map's frame."""
+        return OccupancyGrid(*self.frame)
+
+
+def require_same_frame(a, b) -> None:
+    """Raise ValueError unless a and b have equal frames, compared exactly:
+    the one rule for whether two grids (or a grid and a scan) line up."""
+    if a.frame != b.frame:
+        raise ValueError(f"grid geometry differs: frame {a.frame} is not {b.frame}")
 
 
 def world_to_grid(x: float, y: float, grid) -> tuple[int, int]:
@@ -116,8 +106,9 @@ def world_to_grid(x: float, y: float, grid) -> tuple[int, int]:
     return cx, cy
 
 
-def grid_to_world(cx: int, cy: int, grid) -> tuple[float, float]:
-    """Cell coords -> world coordinates of the cell center."""
+def grid_to_world(cx, cy, grid):
+    """Cell coords -> world coordinates of the cell center; given arrays of
+    cell coords, arrays of world coordinates."""
     x = grid.origin_x + (cx + 0.5) * grid.resolution
     y = grid.origin_y + (cy + 0.5) * grid.resolution
     return x, y
@@ -155,42 +146,24 @@ def map_entropy(grid: OccupancyGrid) -> float:
 
 
 def merge_maps(grids: list[OccupancyGrid]) -> OccupancyGrid:
-    """Cell-wise fusion of same-resolution grids over their union bounding box.
-
-    Known states override Unknown; Occupied overrides Free on conflict.
+    """Cell-wise fusion of grids that share one frame: known states override
+    Unknown, and Occupied overrides Free on conflict. The states are ordered
+    Unknown < Free < Occupied, so this is a cell-wise max. Raises ValueError
+    for no grids or for a grid in another frame.
     """
     if not grids:
         raise ValueError("nothing to merge")
-    res = grids[0].resolution
+    first = grids[0]
+    cells = first.cells.copy()
     for g in grids[1:]:
-        if abs(g.resolution - res) > 1e-12:
-            raise ValueError("cannot merge grids with mismatched resolutions")
-
-    min_x = min(g.origin_x for g in grids)
-    min_y = min(g.origin_y for g in grids)
-    max_x = max(g.origin_x + g.width * res for g in grids)
-    max_y = max(g.origin_y + g.height * res for g in grids)
-    width = int(round((max_x - min_x) / res))
-    height = int(round((max_y - min_y) / res))
-
-    # The states are ordered Unknown < Free < Occupied, so the precedence
-    # is a cell-wise max.
-    cells = np.full((height, width), UNKNOWN, dtype=np.int8)
-    for g in grids:
-        off_x = (g.origin_x - min_x) / res
-        off_y = (g.origin_y - min_y) / res
-        ox, oy = int(round(off_x)), int(round(off_y))
-        if abs(off_x - ox) > 1e-6 or abs(off_y - oy) > 1e-6:
-            raise ValueError("grid origins are not aligned to the cell lattice")
-        sub = cells[oy:oy + g.height, ox:ox + g.width]
-        np.maximum(sub, g.cells, out=sub)
-
-    return OccupancyGrid(res, min_x, min_y, width, height, cells)
+        require_same_frame(first, g)
+        np.maximum(cells, g.cells, out=cells)
+    return OccupancyGrid(*first.frame, cells)
 
 
 def coverage_percent(grid: OccupancyGrid, truth: GroundTruthMap) -> float:
     """Percentage of truth cells the grid has resolved to a known state."""
-    _check_geometry(grid, truth)
+    require_same_frame(grid, truth)
     total = truth.width * truth.height
     return 100.0 * grid.known_count() / total
 
@@ -217,13 +190,3 @@ def inflate_obstacles(grid: OccupancyGrid, cells: int) -> OccupancyGrid:
     out.cells[grown] = OCCUPIED
     return out
 
-
-def _check_geometry(a, b):
-    same = (
-        a.width == b.width and a.height == b.height
-        and abs(a.resolution - b.resolution) < 1e-12
-        and abs(a.origin_x - b.origin_x) < 1e-9
-        and abs(a.origin_y - b.origin_y) < 1e-9
-    )
-    if not same:
-        raise ValueError("grid geometries do not match")

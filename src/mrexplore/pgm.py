@@ -126,9 +126,7 @@ def load_grid(map_path: str) -> OccupancyGrid:
 def load_truth(map_path: str) -> GroundTruthMap:
     """Load a PGM world map; every pixel must resolve to Free or Occupied."""
     g = load_grid(map_path)
-    if g.unknown_count() > 0:
-        raise ValueError(f"{map_path}: world map contains unknown pixels")
-    return GroundTruthMap(g.resolution, g.origin_x, g.origin_y, g.width, g.height, g.cells)
+    return GroundTruthMap(*g.frame, g.cells)
 
 
 def save_grid(grid, map_path: str) -> None:

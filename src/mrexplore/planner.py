@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import OCCUPIED, OccupancyGrid, world_to_grid
+from .grid import OCCUPIED, OccupancyGrid, grid_to_world, world_to_grid
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -127,9 +127,7 @@ def _extract_path(grid, dist, parent, goal_idx) -> GridPath:
     chain = np.array(chain[::-1])
     cx = chain % pw - 1
     cy = chain // pw - 1
-    # grid_to_world, on every cell of the path at once
-    xs = grid.origin_x + (cx + 0.5) * grid.resolution
-    ys = grid.origin_y + (cy + 0.5) * grid.resolution
+    xs, ys = grid_to_world(cx, cy, grid)
     return GridPath(list(zip(cx.tolist(), cy.tolist())), float(dist[goal_idx]),
                     list(zip(xs.tolist(), ys.tolist())))
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import OCCUPIED, _check_geometry
+from .grid import OCCUPIED, require_same_frame
 from .pgm import render_pixels
 
 SSIM_WINDOW = 7
@@ -91,7 +91,7 @@ def _directed_nn_mean(src: np.ndarray, dst: np.ndarray, chunk: int = 512) -> flo
 def map_quality(grid, truth) -> MapQuality:
     """Compare a belief grid against the ground truth on the grayscale
     renderings (Occupied=0, Unknown=128, Free=255)."""
-    _check_geometry(grid, truth)
+    require_same_frame(grid, truth)
     img_a = render_pixels(grid)
     img_b = render_pixels(truth)
     return MapQuality(

@@ -21,6 +21,7 @@ from .grid import (
     OCCUPIED,
     GroundTruthMap,
     OccupancyGrid,
+    require_same_frame,
     world_to_grid,
 )
 
@@ -34,9 +35,9 @@ class LidarScan:
 
     ranges[k] is the distance along beam k, or max_range + 1 when the beam
     hit nothing within max_range. free_cells and occupied_cells are sorted
-    flat indices (col + row * width) in frame, the (resolution, origin_x,
-    origin_y, width, height) of the map the scan was cast in. They are Free
-    and Occupied cells of the true map, so no cell is in both.
+    flat indices (col + row * width) in frame, the OccupancyGrid.frame of
+    the map the scan was cast in. They are Free and Occupied cells of the
+    true map, so no cell is in both.
     """
 
     beam_count: int
@@ -50,10 +51,6 @@ class LidarScan:
     @property
     def no_hit(self) -> float:
         return self.max_range + 1.0
-
-
-def _frame(grid) -> tuple[float, float, float, int, int]:
-    return (grid.resolution, grid.origin_x, grid.origin_y, grid.width, grid.height)
 
 
 def raycast(truth: GroundTruthMap, poses, beam_count: int,
@@ -173,10 +170,9 @@ def raycast(truth: GroundTruthMap, poses, beam_count: int,
         return mask.reshape(n_poses, hp, wp)[:, 1:-1, 1:-1].reshape(n_poses, -1)
 
     free, occupied = on_map(free), on_map(occupied)
-    frame = _frame(truth)
     return [
         LidarScan(beam_count, max_range, (px, py, heading),
-                  ranges[i * beam_count:(i + 1) * beam_count], frame,
+                  ranges[i * beam_count:(i + 1) * beam_count], truth.frame,
                   np.flatnonzero(free[i]), np.flatnonzero(occupied[i]))
         for i, (px, py, heading) in enumerate(poses)
     ]
@@ -187,11 +183,10 @@ def integrate_scan(grid: OccupancyGrid, scan: LidarScan) -> OccupancyGrid:
     has them Occupied, then its occupied cells become Occupied.
 
     Occupied cells are never demoted. Idempotent for a fixed scan. Raises
-    ValueError when the grid's geometry differs from the frame the scan was
-    cast in.
+    ValueError when the grid's frame differs from the one the scan was cast
+    in.
     """
-    if _frame(grid) != scan.frame:
-        raise ValueError("grid geometry differs from the frame of the scan")
+    require_same_frame(grid, scan)
     out = grid.copy()
     flat = out.cells.ravel()
     free = scan.free_cells

@@ -194,9 +194,9 @@ class ExplorationSim:
     def run_iteration(self, robot: Robot) -> tuple[int, int, bool]:
         """Serve one agent's request: detect frontiers on every robot's map,
         let the method's policy offer some of them, plan to every offered
-        point, let the policy rank the paths, and hand the chosen path to
-        the robot. Every way a request ends without a goal is decided here.
-        Returns (raw count, offered count, got_goal)."""
+        point, let the policy rank the reachable points' paths, and hand the
+        chosen path to the robot. Every way a request ends without a goal is
+        decided here. Returns (raw count, offered count, got_goal)."""
         offer, rank = POLICIES[self.config.method]
         local_lists = [detect_frontiers(r.grid) for r in self.robots]
         raw_n = sum(len(pts) for pts in local_lists)
@@ -209,13 +209,15 @@ class ExplorationSim:
             log.info("agent %d: no assignable goal this round", robot.rid)
             return raw_n, len(offered), False
         paths = self._plan(robot, [(p.x, p.y) for p in offered])
-        if not any(paths):
+        reachable = [i for i, path in enumerate(paths) if path is not None]
+        if not reachable:
             return raw_n, len(offered), False
-        i = rank(self, robot, offered, paths)
+        i = rank(self, robot, [offered[k] for k in reachable],
+                 [paths[k] for k in reachable])
         if i is None:
             log.info("agent %d: no assignable goal this round", robot.rid)
             return raw_n, len(offered), False
-        robot.path = paths[i]
+        robot.path = paths[reachable[i]]
         robot.stall_ticks = 0
         return raw_n, len(offered), True
 
@@ -321,8 +323,9 @@ def run(config: ScenarioConfig) -> RunMetrics:
 # Per-method policies. Every method runs the same pipeline (detect, offer,
 # plan, rank, hand over the path) and differs only in two steps:
 # offer(sim, local_lists) picks the frontier points the served robot may
-# go to; rank(sim, robot, offered, paths), called only when some path
-# exists, returns the index of the path to hand over, or None.
+# go to; rank(sim, robot, points, paths) gets the reachable offered points,
+# at least one, with their paths, and returns the index of the path to
+# hand over, or None.
 
 
 def _offer_filtered(sim: ExplorationSim, local_lists):
@@ -337,39 +340,36 @@ def _offer_deduplicated(sim: ExplorationSim, local_lists):
     return dedup_points(local_lists, sim.merged)
 
 
-def _rank_spread(sim: ExplorationSim, robot: Robot, offered, paths):
+def _rank_spread(sim: ExplorationSim, robot: Robot, points, paths):
     """Full utility, then server-side spreading away from chosen goals;
     None when spreading leaves nothing assignable."""
     cfg = sim.config
-    scores = score_candidates(robot.pose, sim.merged, robot.graph, offered, paths,
+    scores = score_candidates(robot.pose, sim.merged, robot.graph, points, paths,
                               cfg.utility_params, cfg.graph_params)
     try:
-        return select_goal(offered, [s.reward for s in scores], sim.state, sim._cell_key)
+        return select_goal(points, [s.reward for s in scores], sim.state, sim._cell_key)
     except NoAssignableGoal:
         return None
 
 
-def _rank_graph_gain(sim: ExplorationSim, robot: Robot, offered, paths):
+def _rank_graph_gain(sim: ExplorationSim, robot: Robot, points, paths):
     """Graph gain plus distance decay only; ties to the lowest index."""
     uparams = sim.config.utility_params
     gains = path_gains(robot.graph, paths, sim.config.graph_params)
     x, y = robot.pose[0], robot.pose[1]
 
     def value(i):
-        gamma = decay(math.hypot(offered[i].x - x, offered[i].y - y), uparams)
+        gamma = decay(math.hypot(points[i].x - x, points[i].y - y), uparams)
         return uparams.u1_weight * gains[i] + gamma
 
-    reachable = [i for i, path in enumerate(paths) if path is not None]
-    return max(reachable, key=value)
+    return max(range(len(points)), key=value)
 
 
-def _rank_nearest(sim: ExplorationSim, robot: Robot, offered, paths):
-    """Nearest reachable point by straight-line distance; ties to the
-    earlier point."""
+def _rank_nearest(sim: ExplorationSim, robot: Robot, points, paths):
+    """Nearest point by straight-line distance; ties to the earlier point."""
     x, y = robot.pose[0], robot.pose[1]
-    reachable = [i for i, path in enumerate(paths) if path is not None]
-    return min(reachable, key=lambda i: math.hypot(offered[i].x - x,
-                                                   offered[i].y - y))
+    return min(range(len(points)), key=lambda i: math.hypot(points[i].x - x,
+                                                            points[i].y - y))
 
 
 POLICIES = {

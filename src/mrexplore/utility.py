@@ -6,7 +6,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .allocate import SUPPRESSED
 from .grid import ENTROPY_BITS, UNKNOWN, OccupancyGrid, require_finite
 from .posegraph import (
     GraphBuildParams,
@@ -60,7 +59,7 @@ def u2(entropy_bits: float, cell_count: int, rho: float, gamma: float) -> float:
 class CandidateScore:
     point: object
     reward: float
-    path: object          # GridPath, or None when unreachable
+    path: object          # GridPath to the point
     gain: float           # log spanning-tree gain along the path
     rho: float
     gamma: float
@@ -68,14 +67,11 @@ class CandidateScore:
     cell_count: int
 
 
-def path_gains(graph: PoseGraph, paths,
-               gparams: GraphBuildParams) -> list[float | None]:
-    """Log spanning-tree gain along each path, None where there is no path.
-    The graph's base count is computed once for all of them."""
+def path_gains(graph: PoseGraph, paths, gparams: GraphBuildParams) -> list[float]:
+    """Log spanning-tree gain along each path. The graph's base count is
+    computed once for all of them."""
     base = base_log_spanning_trees(graph)
-    return [None if path is None
-            else trajectory_gain(graph, path.waypoints, gparams, base)
-            for path in paths]
+    return [trajectory_gain(graph, path.waypoints, gparams, base) for path in paths]
 
 
 def score_candidates(
@@ -87,26 +83,19 @@ def score_candidates(
     uparams: UtilityParams,
     gparams: GraphBuildParams,
 ) -> list[CandidateScore]:
-    """Evaluate every candidate frontier for one agent, given one GridPath
-    or None per candidate.
+    """Evaluate every candidate frontier for one agent, given the GridPath
+    to each; one score per candidate, in order. Callers pass reachable
+    candidates only.
 
-    Reward = u1_weight * gain + (1 - E/L) * rho + gamma; unreachable
-    candidates keep a suppression sentinel so row indices stay aligned.
+    Reward = u1_weight * gain + (1 - E/L) * rho + gamma, with rho the gains
+    max-normalized over the candidates.
     """
     if not candidates:
         raise ValueError("no candidates")
     gains = path_gains(graph, paths, gparams)
-    reachable = [g for g in gains if g is not None]
-    if not reachable:
-        raise ValueError("no viable candidates")
-    rho_map = iter(normalize_gains(reachable))
-
     scores = []
-    for cand, path, gain in zip(candidates, paths, gains, strict=True):
-        if path is None:
-            scores.append(CandidateScore(cand, SUPPRESSED, None, 0.0, 0.0, 0.0, 0.0, 0))
-            continue
-        rho = next(rho_map)
+    for cand, path, gain, rho in zip(candidates, paths, gains, normalize_gains(gains),
+                                     strict=True):
         ent, count = path_entropy(grid, path.cells)
         gamma = decay(math.hypot(cand.x - pose[0], cand.y - pose[1]), uparams)
         reward = uparams.u1_weight * gain + u2(ent, count, rho, gamma)

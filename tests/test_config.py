@@ -124,6 +124,9 @@ class TestLoadConfig:
             load_config(str(path))
 
 
+VALIDATED = ("speed", "dt", "max_sim_time", "max_range")
+
+
 class TestNonFinite:
     @pytest.mark.parametrize("section,key,value", [
         ("scenario", "speed", "nan"),
@@ -147,10 +150,13 @@ class TestNonFinite:
         with pytest.raises(ConfigError, match="pose"):
             load_config(str(path))
 
-    @pytest.mark.parametrize("field", ["speed", "dt", "max_sim_time", "max_range"])
-    def test_validate_rejects_nan(self, field):
+    @pytest.mark.parametrize("field,value", [
+        *(pytest.param(f, math.nan, id=f) for f in VALIDATED),
+        *(pytest.param(f, 10**400, id=f"{f}-int_too_large_for_float") for f in VALIDATED),
+    ])
+    def test_validate_rejects_nan(self, field, value):
         with pytest.raises(ConfigError, match="finite"):
-            ScenarioConfig(**{field: math.nan}).validate()
+            ScenarioConfig(**{field: value}).validate()
 
 
 class TestStartResolution:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,6 +20,8 @@ from mrexplore.grid import (
     merge_maps,
     world_to_grid,
 )
+from mrexplore.quality import map_quality
+from mrexplore.sensing import integrate_scan, raycast
 
 from conftest import grid_from_rows
 
@@ -140,17 +144,6 @@ class TestMerge:
         with pytest.raises(ValueError):
             merge_maps([a, b])
 
-    def test_union_bounding_box(self):
-        a = OccupancyGrid(1.0, 0.0, 0.0, 2, 2,
-                          np.full((2, 2), FREE, dtype=np.int8))
-        b = OccupancyGrid(1.0, 3.0, 1.0, 2, 2,
-                          np.full((2, 2), OCCUPIED, dtype=np.int8))
-        m = merge_maps([a, b])
-        assert (m.width, m.height) == (5, 3)
-        assert m.cells[0, 0] == FREE
-        assert m.cells[1, 3] == OCCUPIED
-        assert m.cells[0, 2] == UNKNOWN  # covered by neither
-
     def test_idempotent_and_order_insensitive(self):
         rng = np.random.RandomState(3)
         for _ in range(25):
@@ -168,34 +161,84 @@ class TestMerge:
 
 
 @st.composite
-def lattice_grid(draw, res=0.5):
-    """A small random tri-state grid whose origin lies on the res lattice."""
+def same_frame_grids(draw, n):
+    """n small random tri-state grids on one shared random frame."""
     w, h = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    ox, oy = draw(st.integers(-5, 5)) * res, draw(st.integers(-5, 5)) * res
-    cells = draw(arrays(np.int8, (h, w),
-                        elements=st.sampled_from([UNKNOWN, FREE, OCCUPIED])))
-    return OccupancyGrid(res, ox, oy, w, h, cells)
+    res = draw(st.sampled_from([0.05, 0.5, 1.0, 3.0]))
+    ox, oy = (draw(st.floats(-50, 50, allow_subnormal=False)) for _ in range(2))
+    return [OccupancyGrid(res, ox, oy, w, h,
+                          draw(arrays(np.int8, (h, w),
+                                      elements=st.sampled_from([UNKNOWN, FREE, OCCUPIED]))))
+            for _ in range(n)]
 
 
 def same_map(a, b):
-    return ((a.resolution, a.origin_x, a.origin_y, a.width, a.height)
-            == (b.resolution, b.origin_x, b.origin_y, b.width, b.height)
-            and np.array_equal(a.cells, b.cells))
+    return a.frame == b.frame and np.array_equal(a.cells, b.cells)
 
 
 class TestMergeProperties:
-    @given(lattice_grid(), lattice_grid())
-    def test_commutative(self, a, b):
+    @given(same_frame_grids(2))
+    def test_commutative(self, grids):
+        a, b = grids
         assert same_map(merge_maps([a, b]), merge_maps([b, a]))
 
-    @given(lattice_grid())
-    def test_idempotent(self, a):
+    @given(same_frame_grids(1))
+    def test_idempotent(self, grids):
+        a, = grids
         assert same_map(merge_maps([a, a]), a)
 
-    @given(lattice_grid(), lattice_grid())
-    def test_merging_inputs_again_changes_nothing(self, a, b):
+    @given(same_frame_grids(2))
+    def test_merging_inputs_again_changes_nothing(self, grids):
+        a, b = grids
         m = merge_maps([a, b])
         assert same_map(merge_maps([m, a, b]), m)
+
+
+# A frame and, per field, a frame differing from it in that field alone;
+# the origin and resolution changes are below any rounding tolerance.
+BASE_FRAME = (1.0, 0.0, 0.0, 5, 5)
+OTHER_FRAMES = {
+    "resolution": (math.nextafter(1.0, 2.0), 0.0, 0.0, 5, 5),
+    "origin_x": (1.0, 1e-12, 0.0, 5, 5),
+    "origin_y": (1.0, 0.0, -1e-12, 5, 5),
+    "width": (1.0, 0.0, 0.0, 6, 5),
+    "height": (1.0, 0.0, 0.0, 5, 4),
+}
+
+
+def _merge(grid, truth):
+    return merge_maps([truth.blank_grid(), grid])
+
+
+def _integrate(grid, truth):
+    return integrate_scan(grid, raycast(truth, [(2.5, 2.5, 0.0)], 8, 5.0)[0])
+
+
+class TestOneFrame:
+    """Every function that combines two grids, or a grid and a scan, uses
+    the one exact frame rule."""
+
+    @pytest.mark.parametrize("combine", [_merge, coverage_percent, map_quality,
+                                         _integrate],
+                             ids=["merge_maps", "coverage_percent", "map_quality",
+                                  "integrate_scan"])
+    @pytest.mark.parametrize("field", [None, *OTHER_FRAMES])
+    def test_rejects_any_other_frame(self, box5, combine, field):
+        assert box5.frame == BASE_FRAME
+        grid = OccupancyGrid(*(BASE_FRAME if field is None else OTHER_FRAMES[field]))
+        if field is None:
+            combine(grid, box5)
+        else:
+            with pytest.raises(ValueError, match="geometry"):
+                combine(grid, box5)
+
+    def test_truth_fills_free_and_rejects_unknown(self):
+        assert (GroundTruthMap(*BASE_FRAME).cells == FREE).all()
+        assert (GroundTruthMap(*BASE_FRAME).blank_grid().cells == UNKNOWN).all()
+        cells = np.full((5, 5), FREE, dtype=np.int8)
+        cells[2, 3] = UNKNOWN
+        with pytest.raises(ValueError, match="unknown"):
+            GroundTruthMap(*BASE_FRAME, cells)
 
 
 class TestCoverage:

@@ -188,6 +188,43 @@ class TestNoReachablePoint:
             sim.run_iteration(sim.robots[0])
 
 
+class TestRankSeesReachableOnly:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_index_maps_back_to_the_offered_path(self, monkeypatch, method):
+        import mrexplore.simulate as simulate
+        offer, _ = POLICIES[method]
+        offers, planned, ranked = [], [], []
+
+        def recorded(sim, local_lists):
+            offers.append(offer(sim, local_lists))
+            return offers[-1]
+
+        def every_third_unreachable(grid, start, goals):
+            paths = plan_many(grid, start, goals)
+            planned[:] = [None if i % 3 == 0 else path for i, path in enumerate(paths)]
+            return list(planned)
+
+        def last(sim, robot, points, paths):
+            ranked.append((points, paths))
+            assert all(path is not None for path in paths)
+            return len(paths) - 1
+
+        monkeypatch.setitem(POLICIES, method, (recorded, last))
+        monkeypatch.setattr(simulate, "plan_many", every_third_unreachable)
+        sim = ExplorationSim(ScenarioConfig(map_source="builtin:desk", method=method,
+                                            max_sim_time=10))
+        sim._sense_all()
+        robot = sim.robots[0]
+        assert sim.run_iteration(robot)[2]
+        (points, paths), = ranked
+        offered, = offers
+        keep = [i for i, path in enumerate(planned) if path is not None]
+        assert len(keep) >= 2 and len(keep) < len(offered)
+        assert points == [offered[i] for i in keep]
+        assert paths == [planned[i] for i in keep]
+        assert robot.path is planned[keep[-1]]
+
+
 class TestNoAssignable:
     def test_open_point_unreachable_reachable_point_chosen(self, monkeypatch):
         # any_open passes, planning reaches only a chosen cell, so
@@ -281,18 +318,19 @@ def reference_planning_grid(sim, robot, goals):
 
 
 def reference_mags(sim, robot, offered):
-    """Score every offered point in full, then take the reachable one with
+    """Score every reachable offered point in full, then take the one with
     the largest u1_weight * gain + gamma (the first on ties)."""
     goals = [(p.x, p.y) for p in offered]
     paths = plan_many(reference_planning_grid(sim, robot, goals), robot.pose, goals)
-    if all(path is None for path in paths):
+    reachable = [(p, path) for p, path in zip(offered, paths) if path is not None]
+    if not reachable:
         return None
+    points, paths = map(list, zip(*reachable))
     cfg = sim.config
-    scores = score_candidates(robot.pose, sim.merged, robot.graph, offered, paths,
+    scores = score_candidates(robot.pose, sim.merged, robot.graph, points, paths,
                               cfg.utility_params, cfg.graph_params)
     w = cfg.utility_params.u1_weight
-    return max((s for s in scores if s.path is not None),
-               key=lambda s: w * s.gain + s.gamma).path
+    return max(scores, key=lambda s: w * s.gain + s.gamma).path
 
 
 def reference_greedy(sim, robot, offered):
@@ -325,13 +363,21 @@ class TestChoosersMatchReference:
     ], ids=["mags", "greedy_frontier"])
     def test_same_path_on_every_request(self, monkeypatch, world, method, reference):
         offer, rank = POLICIES[method]
+        offers = []
         chosen = []
         ties = 0
 
-        def checked(sim, robot, offered, paths):
+        def recorded(sim, local_lists):
+            offers.append(offer(sim, local_lists))
+            return offers[-1]
+
+        def checked(sim, robot, points, paths):
+            # rank sees the reachable points only; the references plan to
+            # every offered point, as the planning step does
             nonlocal ties
-            i = rank(sim, robot, offered, paths)
+            i = rank(sim, robot, points, paths)
             got = None if i is None else paths[i]
+            offered = offers[-1]
             want = reference(sim, robot, offered)
             assert (got is None) == (want is None)
             if got is not None:
@@ -342,7 +388,7 @@ class TestChoosersMatchReference:
             chosen.append(got)
             return i
 
-        monkeypatch.setitem(POLICIES, method, (offer, checked))
+        monkeypatch.setitem(POLICIES, method, (recorded, checked))
         run(ScenarioConfig(method=method, **self.CONFIGS[world]))
         assert sum(path is not None for path in chosen) >= 20
         if (world, method) == ("open20", "greedy_frontier"):

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from mrexplore.allocate import SUPPRESSED
 from mrexplore.frontier import FrontierPoint
 from mrexplore.grid import FREE, OCCUPIED, UNKNOWN, OccupancyGrid, cell_entropy
 from mrexplore.planner import plan_many
@@ -142,7 +141,9 @@ class TestScoreCandidates:
         # entropy differs only mildly, gamma dominates
         assert scores[0].gamma > scores[1].gamma
 
-    def test_unreachable_candidate_sentinel(self):
+    def test_scores_only_the_given_paths(self):
+        # the caller drops the walled-off candidate before scoring; rho is
+        # normalized over the reachable one alone
         g = grid_from_rows([
             "....#?",
             "....#?",
@@ -153,22 +154,19 @@ class TestScoreCandidates:
         extend_trajectory(graph, (0.5, 1.5, 0.0), gp)
         pose = (0.5, 1.5, 0.0)
         cands = [FrontierPoint(2.5, 1.5), FrontierPoint(5.5, 0.5)]
-        scores = score_candidates(pose, g, graph, cands,
-                                  self.paths_for(g, pose, cands), UtilityParams(), gp)
+        paths = self.paths_for(g, pose, cands)
+        assert paths[1] is None
+        scores = score_candidates(pose, g, graph, cands[:1], paths[:1],
+                                  UtilityParams(), gp)
+        assert len(scores) == 1
+        assert scores[0].path is paths[0]
+        assert scores[0].rho == 1.0
         assert math.isfinite(scores[0].reward)
-        assert scores[1].reward == SUPPRESSED
-        assert scores[1].path is None
 
-    def test_all_unreachable_raises(self):
-        g = grid_from_rows(["..#?"])
-        graph = PoseGraph()
-        gp = GraphBuildParams()
-        extend_trajectory(graph, (0.5, 0.5, 0.0), gp)
-        pose = (0.5, 0.5, 0.0)
-        cands = [FrontierPoint(3.5, 0.5)]
-        with pytest.raises(ValueError, match="no viable candidates"):
-            score_candidates(pose, g, graph, cands,
-                             self.paths_for(g, pose, cands), UtilityParams(), gp)
+    def test_no_candidates_raises(self):
+        g, graph, gp = two_wing_setup()
+        with pytest.raises(ValueError, match="no candidates"):
+            score_candidates((10.0, 1.5, 0.0), g, graph, [], [], UtilityParams(), gp)
 
     def test_deterministic(self):
         g, graph, gp = two_wing_setup()
@@ -187,15 +185,13 @@ class TestRewardMatrix:
     def test_rows_aligned_with_candidates(self):
         g, graph, gp = two_wing_setup()
         pose = (10.0, 1.5, 0.0)
-        # the middle candidate lies off the map, so it has no path
-        cands = [FrontierPoint(4.5, 1.5), FrontierPoint(30.5, 1.5),
+        cands = [FrontierPoint(4.5, 1.5), FrontierPoint(12.5, 1.5),
                  FrontierPoint(15.5, 1.5)]
-        scores = score_candidates(pose, g, graph, cands,
-                                  plan_many(g, pose, [(c.x, c.y) for c in cands]),
-                                  UtilityParams(), gp)
+        paths = plan_many(g, pose, [(c.x, c.y) for c in cands])
+        scores = score_candidates(pose, g, graph, cands, paths, UtilityParams(), gp)
         assert [s.point for s in scores] == cands
-        assert [s.path is None for s in scores] == [False, True, False]
-        assert scores[1].reward == SUPPRESSED
+        assert [s.path for s in scores] == paths
+        assert all(math.isfinite(s.reward) for s in scores)
 
     def test_argmax_invariant_under_constant_shift(self):
         g, graph, gp = two_wing_setup()
