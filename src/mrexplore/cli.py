@@ -8,11 +8,11 @@ level.
 from __future__ import annotations
 
 import argparse
-import copy
 import logging
 import math
 import os
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .config import ConfigError, ScenarioConfig, load_config
@@ -48,8 +48,9 @@ def _write_atomic(path: str, data: str) -> None:
 
 
 def _run_one(config: ScenarioConfig, out_dir: str):
-    os.makedirs(out_dir, exist_ok=True)
+    # the simulator checks the world first, so a rejected config leaves no directory
     sim = ExplorationSim(config)
+    os.makedirs(out_dir, exist_ok=True)
     metrics = sim.run()
     _write_atomic(os.path.join(out_dir, "metrics.csv"), metrics.to_csv())
     _write_atomic(os.path.join(out_dir, "summary.csv"), metrics.summary_csv())
@@ -62,13 +63,7 @@ def _run_one(config: ScenarioConfig, out_dir: str):
 
 def cmd_run(args) -> int:
     try:
-        config = load_config(args.config)
-        config.resolve_starts(config.load_world())
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        metrics = _run_one(config, args.out)
+        metrics = _run_one(load_config(args.config), args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -94,37 +89,32 @@ def cmd_compare(args) -> int:
         return EXIT_CONFIG
     try:
         base = load_config(args.config)
-        base.resolve_starts(base.load_world())
-        for m in methods:
-            probe = copy.deepcopy(base)
-            probe.method = m
-            probe.validate()
+        # each pair's config and the simulator a run builds, so that a bad
+        # method or world fails before the first run
+        configs = [replace(base, method=m, seed=s) for m in methods for s in seeds]
+        ExplorationSim(base)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     os.makedirs(args.out, exist_ok=True)
     per_seed: list[tuple[str, int, dict]] = []
-    for method in methods:
-        for seed in seeds:
-            cfg = copy.deepcopy(base)
-            cfg.method = method
-            cfg.seed = seed
-            sub = os.path.join(args.out, f"{method}_seed{seed}")
-            try:
-                metrics = _run_one(cfg, sub)
-            except Exception as exc:
-                print(f"run failed ({method}, seed {seed}): {exc}",
-                      file=sys.stderr)
-                return EXIT_RUNTIME
-            q = metrics.final_quality
-            per_seed.append((method, seed, {
-                "final_coverage": metrics.final_coverage,
-                "reduction_pct": metrics.mean_reduction_percent(),
-                "ssim": q.ssim,
-                "rmse": q.rmse,
-                "alignment_error": q.alignment_error,
-            }))
+    for cfg in configs:
+        sub = os.path.join(args.out, f"{cfg.method}_seed{cfg.seed}")
+        try:
+            metrics = _run_one(cfg, sub)
+        except Exception as exc:
+            print(f"run failed ({cfg.method}, seed {cfg.seed}): {exc}",
+                  file=sys.stderr)
+            return EXIT_RUNTIME
+        q = metrics.final_quality
+        per_seed.append((cfg.method, cfg.seed, {
+            "final_coverage": metrics.final_coverage,
+            "reduction_pct": metrics.mean_reduction_percent(),
+            "ssim": q.ssim,
+            "rmse": q.rmse,
+            "alignment_error": q.alignment_error,
+        }))
 
     cols = ["final_coverage", "reduction_pct", "ssim", "rmse", "alignment_error"]
     lines = ["method,seed," + ",".join(cols)]

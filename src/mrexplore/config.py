@@ -1,4 +1,5 @@
-"""Scenario configuration: dataclass, INI-style file parsing, validation."""
+"""Scenario configuration: a frozen dataclass that checks itself when it is
+built, and INI-style file parsing."""
 
 from __future__ import annotations
 
@@ -22,8 +23,12 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
+    """One scenario. Its constructor checks every value, and what the run
+    computes from them, so a ScenarioConfig that exists is valid; whether
+    its world loads and its start poses are free is ExplorationSim's check."""
+
     map_source: str = "builtin:desk"
     robot_count: int = 3
     start_poses: list[tuple[float, float, float]] | None = None
@@ -39,6 +44,27 @@ class ScenarioConfig:
     seed: int = 1
     method: str = "proposed"
     inflation_cells: int = 1
+
+    def __post_init__(self):
+        if self.method not in METHODS:
+            raise ConfigError(f"unknown method {self.method!r}; have {METHODS}")
+        if self.robot_count < 1:
+            raise ConfigError("need at least one robot")
+        if not all(_positive(v) for v in (self.max_sim_time, self.dt, self.speed)):
+            raise ConfigError("max_sim_time, dt and speed must be finite and positive")
+        if not (math.isfinite(self.max_sim_time / self.dt) and self.ticks >= 1):
+            raise ConfigError("max_sim_time / dt must be a finite count of at least 1 tick")
+        if self.beam_count < 4 or not _positive(self.max_range):
+            raise ConfigError("need beam_count >= 4 and finite positive max_range")
+        if self.goal_skip_wait < 1:
+            raise ConfigError("goal_skip_wait must be >= 1")
+        if self.inflation_cells < 0:
+            raise ConfigError("inflation_cells must be >= 0")
+
+    @property
+    def ticks(self) -> int:
+        """How many ticks of dt the run lasts."""
+        return int(round(self.max_sim_time / self.dt))
 
     def load_world(self) -> GroundTruthMap:
         if self.map_source.startswith("builtin:"):
@@ -91,20 +117,6 @@ class ScenarioConfig:
             poses.append((jx, jy, heading))
         return poses
 
-    def validate(self) -> None:
-        if self.method not in METHODS:
-            raise ConfigError(f"unknown method {self.method!r}; have {METHODS}")
-        if self.robot_count < 1:
-            raise ConfigError("need at least one robot")
-        if not all(_positive(v) for v in (self.max_sim_time, self.dt, self.speed)):
-            raise ConfigError("max_sim_time, dt and speed must be finite and positive")
-        if self.beam_count < 4 or not _positive(self.max_range):
-            raise ConfigError("need beam_count >= 4 and finite positive max_range")
-        if self.goal_skip_wait < 1:
-            raise ConfigError("goal_skip_wait must be >= 1")
-        if self.inflation_cells < 0:
-            raise ConfigError("inflation_cells must be >= 0")
-
 
 def _in_free_cell(truth: GroundTruthMap, x: float, y: float) -> bool:
     try:
@@ -146,6 +158,14 @@ def _parse_poses(text: str) -> list[tuple[float, float, float]]:
     return poses
 
 
+# (section, key, ScenarioConfig field) of each single-value config key
+_KEYS = [("scenario", "map", "map_source"), ("scenario", "robots", "robot_count"),
+         *(("scenario", k, k) for k in ("method", "seed", "speed", "dt", "max_sim_time")),
+         ("lidar", "beam_count", "beam_count"), ("lidar", "max_range", "max_range"),
+         ("allocation", "goal_skip_wait", "goal_skip_wait"),
+         ("planner", "inflation_cells", "inflation_cells")]
+
+
 def load_config(path: str) -> ScenarioConfig:
     """Parse a key = value config file with [section] headers and '#'
     comments. All keys are optional; missing ones take defaults."""
@@ -160,47 +180,26 @@ def load_config(path: str) -> ScenarioConfig:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
-    cfg = ScenarioConfig()
-
-    def get(section, key, cast, default):
-        if parser.has_option(section, key):
-            try:
-                return cast(parser.get(section, key))
-            except ValueError as exc:
-                raise ConfigError(f"[{section}] {key}: {exc}") from exc
-        return default
-
-    cfg.map_source = get("scenario", "map", str, cfg.map_source).strip()
-    cfg.robot_count = get("scenario", "robots", int, cfg.robot_count)
-    if parser.has_option("scenario", "start_poses"):
-        cfg.start_poses = _parse_poses(parser.get("scenario", "start_poses"))
-    cfg.method = get("scenario", "method", str, cfg.method).strip()
-    cfg.seed = get("scenario", "seed", int, cfg.seed)
-    cfg.speed = get("scenario", "speed", _finite, cfg.speed)
-    cfg.dt = get("scenario", "dt", _finite, cfg.dt)
-    cfg.max_sim_time = get("scenario", "max_sim_time", _finite, cfg.max_sim_time)
-
-    cfg.beam_count = get("lidar", "beam_count", int, cfg.beam_count)
-    cfg.max_range = get("lidar", "max_range", _finite, cfg.max_range)
+    def get(section, key, default):
+        # the default's type is the type the value reads as
+        if not parser.has_option(section, key):
+            return default
+        cast = {int: int, float: _finite, str: str.strip}[type(default)]
+        try:
+            return cast(parser.get(section, key))
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
     def params(section, cls):
-        # the dataclass holds each key's default; an int default reads as int
-        values = {
-            f.name: get(section, f.name,
-                        int if isinstance(f.default, int) else _finite, f.default)
-            for f in fields(cls)
-        }
         try:
-            return cls(**values)
+            return cls(**{f.name: get(section, f.name, f.default) for f in fields(cls)})
         except ValueError as exc:
             raise ConfigError(f"[{section}] {exc}") from exc
 
-    cfg.filter_params = params("filter", FilterParams)
-    cfg.utility_params = params("utility", UtilityParams)
-    cfg.graph_params = params("graph", GraphBuildParams)
-
-    cfg.goal_skip_wait = get("allocation", "goal_skip_wait", int, cfg.goal_skip_wait)
-    cfg.inflation_cells = get("planner", "inflation_cells", int, cfg.inflation_cells)
-
-    cfg.validate()
-    return cfg
+    default = {f.name: f.default for f in fields(ScenarioConfig)}
+    values = {name: get(section, key, default[name]) for section, key, name in _KEYS}
+    if parser.has_option("scenario", "start_poses"):
+        values["start_poses"] = _parse_poses(parser.get("scenario", "start_poses"))
+    return ScenarioConfig(**values, filter_params=params("filter", FilterParams),
+                          utility_params=params("utility", UtilityParams),
+                          graph_params=params("graph", GraphBuildParams))

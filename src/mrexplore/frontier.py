@@ -33,7 +33,7 @@ class FrontierPoint:
     y: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class FilterParams:
     """Knobs of the filtering pipeline.
 

@@ -26,7 +26,7 @@ class Edge:
     kind: str = ODOMETRY
 
 
-@dataclass
+@dataclass(frozen=True)
 class GraphBuildParams:
     node_spacing: float = 1.0
     loop_closure_radius: float = 2.0
@@ -39,6 +39,9 @@ class GraphBuildParams:
             raise ValueError("graph build parameters must be positive")
         if self.loop_closure_radius < self.node_spacing:
             raise ValueError("loop_closure_radius must be >= node_spacing")
+        # extend_trajectory takes int() of this ratio
+        if not math.isfinite(self.loop_closure_radius / self.node_spacing):
+            raise ValueError("loop_closure_radius / node_spacing must be finite")
 
 
 @dataclass

@@ -80,12 +80,14 @@ def alignment_error(grid, truth) -> float:
 
 
 def _directed_nn_mean(src: np.ndarray, dst: np.ndarray, chunk: int = 512) -> float:
-    total = 0.0
-    for i in range(0, len(src), chunk):
-        block = src[i:i + chunk]
-        d2 = ((block[:, None, :] - dst[None, :, :]) ** 2).sum(axis=2)
-        total += np.sqrt(d2.min(axis=1)).sum()
-    return total / len(src)
+    # each src point's least squared distance, 64 points at a time, so that
+    # no temporary holds more than 64 x len(dst) values
+    d2 = np.concatenate([
+        ((src[i:i + 64, :1] - dst[:, 0]) ** 2 + (src[i:i + 64, 1:] - dst[:, 1]) ** 2)
+        .min(axis=1) for i in range(0, len(src), 64)])
+    # summed per chunk of src points, then over the chunks in order: the
+    # grouping sets the rounding of alignment_error
+    return sum(np.sqrt(d2[i:i + chunk]).sum() for i in range(0, len(src), chunk)) / len(src)
 
 
 def map_quality(grid, truth) -> MapQuality:

@@ -141,7 +141,8 @@ class ExplorationSim:
     """One scenario run. Build it from a ScenarioConfig, then call run()."""
 
     def __init__(self, config: ScenarioConfig):
-        config.validate()
+        """Load the config's world and place its robots; raises ConfigError
+        if the world does not load or the start poses do not fit it."""
         self.config = config
         self.truth = config.load_world()
         starts = config.resolve_starts(self.truth)
@@ -261,9 +262,8 @@ class ExplorationSim:
     def run(self) -> RunMetrics:
         cfg = self.config
         metrics = RunMetrics(robot_count=cfg.robot_count)
-        ticks = int(round(cfg.max_sim_time / cfg.dt))
 
-        for k in range(ticks):
+        for k in range(cfg.ticks):
             t = (k + 1) * cfg.dt
             self._sense_all()
 

@@ -16,7 +16,7 @@ from .posegraph import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class UtilityParams:
     decay_rate: float = 0.1     # per-meter exponential decay of distant goals
     u1_weight: float = 1.0      # weighting of the graph-connectivity term

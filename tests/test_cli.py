@@ -12,8 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mrexplore
+from mrexplore import config
 from mrexplore.cli import EXIT_CONFIG, EXIT_OK, main
 from mrexplore.pgm import load_grid
+from mrexplore.worlds import make_world
 
 CFG = """
 [scenario]
@@ -112,6 +114,17 @@ class TestRun:
         assert "alignment_error is nan" in lines[0]
 
 
+# Configs whose values parse but whose run could not go ahead: an infinite
+# or zero tick count, and an infinite loop-closure gap in nodes.
+REJECTED_AFTER_LOADING = [
+    "[scenario]\nmap = builtin:open20\nrobots = 1\nmax_sim_time = 1e300\ndt = 1e-300\n",
+    "[scenario]\nmap = builtin:open20\nrobots = 1\nmax_sim_time = 0.4\n",
+    "[scenario]\nmap = builtin:open20\nrobots = 1\nmax_sim_time = 5\n"
+    "[graph]\nnode_spacing = 1e-300\nloop_closure_radius = 1e10\n",
+]
+REJECTED_IDS = ["infinite_ticks", "zero_ticks", "infinite_loop_gap"]
+
+
 class TestConfigErrors:
     @pytest.mark.parametrize("text", [
         "[scenario]\nspeed = nan\n",
@@ -123,9 +136,10 @@ class TestConfigErrors:
         "[filter]\nperc_step = 1e-300\n",
         "[filter]\nper_unk = 0\nrad_step = 1e-300\n",
         "[scenario]\nseed = 5%\n",
+        *REJECTED_AFTER_LOADING,
     ], ids=["speed_nan", "decay_rate_inf", "rad_nan", "node_spacing_nan",
             "unknown_world", "too_many_robots", "perc_step_absorbed",
-            "rad_step_absorbed", "percent_sign"])
+            "rad_step_absorbed", "percent_sign", *REJECTED_IDS])
     def test_one_line_and_exit_1(self, tmp_path, capsys, text):
         path = tmp_path / "bad.cfg"
         path.write_text(text)
@@ -136,6 +150,29 @@ class TestConfigErrors:
         lines = err.strip().split("\n")
         assert len(lines) == 1
         assert lines[0].startswith("config error: ")
+
+    @pytest.mark.parametrize("text", [
+        *REJECTED_AFTER_LOADING,
+        "[scenario]\nmap = builtin:nosuch\n",
+        "[scenario]\nmap = builtin:open20\nrobots = 1\nstart_poses = 1.5, 0.5, 0\n",
+    ], ids=[*REJECTED_IDS, "unknown_world", "start_in_wall"])
+    def test_rejected_run_leaves_no_out_dir(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_run_builds_its_world_once(self, cfg_file, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(name):
+            calls.append(name)
+            return make_world(name)
+
+        monkeypatch.setattr(config, "make_world", counted)
+        assert main(["run", "--config", cfg_file, "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert calls == ["open20"]
 
     def test_int_too_large_for_float_names_its_key(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -322,6 +359,14 @@ class TestCompare:
         code = main(["compare", "--config", cfg_file, "--methods", "warp",
                      "--seeds", "1", "--out", str(tmp_path / "x")])
         assert code == EXIT_CONFIG
+
+    def test_bad_method_fails_before_any_run(self, cfg_file, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main(["compare", "--config", cfg_file, "--methods", "proposed,bogus",
+                     "--seeds", "1", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: unknown method 'bogus'")
+        assert not out.exists()
 
     @pytest.mark.parametrize("methods,seeds", [
         ("proposed", "1,x"), ("proposed", "2.5"), ("proposed", ","), (",", "1"),

@@ -1,6 +1,6 @@
 import math
 import tempfile
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +12,7 @@ from mrexplore.config import ConfigError, ScenarioConfig, load_config
 from mrexplore.frontier import FilterParams
 from mrexplore.grid import FREE, GroundTruthMap
 from mrexplore.posegraph import GraphBuildParams
+from mrexplore.simulate import ExplorationSim
 from mrexplore.utility import UtilityParams
 
 
@@ -156,7 +157,28 @@ class TestNonFinite:
     ])
     def test_validate_rejects_nan(self, field, value):
         with pytest.raises(ConfigError, match="finite"):
-            ScenarioConfig(**{field: value}).validate()
+            ScenarioConfig(**{field: value})
+
+
+class TestValidByConstruction:
+    @pytest.mark.parametrize("cls,field", [
+        (ScenarioConfig, "seed"), (FilterParams, "rad"),
+        (UtilityParams, "decay_rate"), (GraphBuildParams, "node_spacing"),
+    ])
+    def test_fields_cannot_be_assigned(self, cls, field):
+        obj = cls()
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, field, getattr(obj, field))
+
+    @pytest.mark.parametrize("max_sim_time,dt", [(0.4, 1.0), (1e300, 1e-300)],
+                             ids=["rounds_to_0", "infinite"])
+    def test_run_needs_a_finite_count_of_ticks(self, max_sim_time, dt):
+        with pytest.raises(ConfigError, match="tick"):
+            ScenarioConfig(max_sim_time=max_sim_time, dt=dt)
+
+    def test_ticks_round_the_run_length(self):
+        assert ScenarioConfig(max_sim_time=0.6, dt=1.0).ticks == 1
+        assert ScenarioConfig(max_sim_time=42.0, dt=0.5).ticks == 84
 
 
 class TestStartResolution:
@@ -251,8 +273,9 @@ def config_text(draw):
 
 
 class TestFuzzConfig:
-    """Whatever a config file holds, the checks made before a run either
-    pass or raise ConfigError: never another exception."""
+    """Whatever a config file holds, loading it and building its simulator
+    either pass, with at least one tick to run, or raise ConfigError: never
+    another exception."""
 
     @settings(deadline=None, max_examples=150)  # timing is not under test
     @given(st.one_of(config_text().map(str.encode),
@@ -262,12 +285,18 @@ class TestFuzzConfig:
     @example(b"[filter]\nmin_pts = 1" + b"0" * 400 + b"\n")
     @example(b"[scenario]\nmap = builtin:open20\nrobots = 1\n"
              b"start_poses = 1e308, 1, 0\n")
+    @example(b"[scenario]\nmap = builtin:open20\nrobots = 1\n"
+             b"max_sim_time = 1e300\ndt = 1e-300\n")
+    @example(b"[scenario]\nmap = builtin:open20\nrobots = 1\nmax_sim_time = 0.4\n")
+    @example(b"[scenario]\nmap = builtin:open20\nrobots = 1\nmax_sim_time = 5\n"
+             b"[graph]\nnode_spacing = 1e-300\nloop_closure_radius = 1e10\n")
     def test_load_and_resolve_or_config_error(self, data):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "fuzz.cfg"
             path.write_bytes(data)
             try:
                 cfg = load_config(str(path))
-                cfg.resolve_starts(cfg.load_world())
+                ExplorationSim(cfg)
             except ConfigError:
-                pass
+                return
+        assert cfg.ticks >= 1

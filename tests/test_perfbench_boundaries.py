@@ -3,16 +3,22 @@ replacing a function name in the namespace of its caller, as listed in
 BOUNDARIES, and counts work from the arguments and results of some of
 those calls (COUNTERS). A refactor that drops one of those names, or moves
 an argument a counter reads, would break only a traced run, so these tests
-resolve every name and trace one short run per method."""
+resolve every name and trace one short run per method.
+
+perfbench/worker.py times an untraced run through other names: it calls
+cli._run_one(config, out) with the ExplorationSim that cli imports, wraps
+that class's __init__, _sense_all and run_iteration, and checks the
+metrics.csv header against RunMetrics.csv_header()."""
 
 import importlib
+import inspect
 import json
 from pathlib import Path
 from time import perf_counter
 
 import pytest
 
-from mrexplore import cli
+from mrexplore import cli, simulate
 from mrexplore.config import METHODS, ScenarioConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -30,6 +36,14 @@ def test_every_boundary_resolves(spans):
         if not hasattr(spans._owner(spec), attr)
     ]
     assert not missing, f"boundaries that no longer resolve: {missing}"
+
+
+def test_worker_hooks_resolve():
+    assert cli.ExplorationSim is simulate.ExplorationSim
+    inspect.signature(cli._run_one).bind("config", "out")
+    for attr in ("__init__", "_sense_all", "run_iteration"):
+        assert callable(getattr(simulate.ExplorationSim, attr, None)), attr
+    assert callable(getattr(simulate.RunMetrics, "csv_header", None))
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -79,6 +79,11 @@ class TestGraphBuildParams:
         with pytest.raises(ValueError, match="finite"):
             GraphBuildParams(**{name: value})
 
+    def test_infinite_loop_closure_gap_rejected(self):
+        # extend_trajectory takes int() of the gap in nodes
+        with pytest.raises(ValueError, match="node_spacing must be finite"):
+            GraphBuildParams(node_spacing=1e-300, loop_closure_radius=1e10)
+
 
 class TestLaplacian:
     def test_single_edge(self):

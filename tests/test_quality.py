@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrexplore.grid import GroundTruthMap, OccupancyGrid
-from mrexplore.quality import alignment_error, map_quality, rmse, ssim_index
+from mrexplore.quality import _directed_nn_mean, alignment_error, map_quality, rmse, ssim_index
 from mrexplore.worlds import make_world
 
 from conftest import grid_from_rows, truth_from_rows
@@ -73,6 +75,35 @@ class TestAlignmentError:
         g = grid_from_rows(["..."])
         t = truth_from_rows(["#.."])
         assert math.isnan(alignment_error(g, t))
+
+
+def broadcast_nn_mean(src, dst, chunk=512):
+    """The all-pairs form: one (chunk x len(dst) x 2) difference tensor
+    per chunk of src points."""
+    total = 0.0
+    for i in range(0, len(src), chunk):
+        block = src[i:i + chunk]
+        d2 = ((block[:, None, :] - dst[None, :, :]) ** 2).sum(axis=2)
+        total += np.sqrt(d2.min(axis=1)).sum()
+    return total / len(src)
+
+
+@st.composite
+def cells(draw):
+    """Occupied-cell coordinates as alignment_error passes them: up to 1300
+    points, so that sets below and above one 512-point chunk, and across
+    several 64-row blocks, are drawn; the span sets how often they tie."""
+    n = draw(st.one_of(st.integers(1, 100), st.integers(400, 1300)))
+    span = draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.integers(0, span, (n, 2)).astype(np.float64)
+
+
+class TestNearestWithoutAllPairs:
+    @settings(deadline=None, max_examples=60)
+    @given(cells(), cells())
+    def test_equals_broadcast_form(self, src, dst):
+        assert _directed_nn_mean(src, dst) == broadcast_nn_mean(src, dst)
 
 
 class TestMapQuality:
