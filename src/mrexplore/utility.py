@@ -8,9 +8,9 @@ from dataclasses import dataclass
 
 from .grid import ENTROPY_BITS, UNKNOWN, OccupancyGrid, require_finite
 from .posegraph import (
+    GainBase,
     GraphBuildParams,
     PoseGraph,
-    base_log_spanning_trees,
     normalize_gains,
     trajectory_gain,
 )
@@ -68,9 +68,9 @@ class CandidateScore:
 
 
 def path_gains(graph: PoseGraph, paths, gparams: GraphBuildParams) -> list[float]:
-    """Log spanning-tree gain along each path. The graph's base count is
-    computed once for all of them."""
-    base = base_log_spanning_trees(graph)
+    """Log spanning-tree gain along each path, each against one GainBase of
+    the graph built for all of them."""
+    base = GainBase(graph)
     return [trajectory_gain(graph, path.waypoints, gparams, base) for path in paths]
 
 

@@ -75,3 +75,12 @@ def test_traced_run(spans, monkeypatch, tmp_path, method):
     assert m["sensing.beams"] == 30 * cfg.beam_count
     assert m["simulate.run_iteration.goals"] >= 1
     assert m["planner.plan_many.reached"] <= m["planner.plan_many.goals"]
+    # the per-path gain work stays inside the wrapped trajectory_gain name
+    gain_calls = m["posegraph.trajectory_gain.calls"]
+    if method == "proposed":
+        assert gain_calls == m["utility.score_candidates.paths"]
+    elif method == "mags":
+        assert gain_calls > 0
+        assert m["posegraph.trajectory_gain.nodes_mean"] > 0
+    else:  # greedy_frontier ranks by distance alone
+        assert gain_calls == 0

@@ -4,14 +4,16 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mrexplore.posegraph import (
     LOOP_CLOSURE,
     ODOMETRY,
     Edge,
+    GainBase,
     GraphBuildParams,
     PoseGraph,
-    base_log_spanning_trees,
     extend_trajectory,
     log_spanning_trees,
     normalize_gains,
@@ -232,22 +234,21 @@ class TestTrajectoryGain:
         g = self.chain(3)
         waypoints = [(3.0, 0.0), (4.0, 0.0), (5.0, 0.0)]
         assert trajectory_gain(g, waypoints, self.params(),
-                               base_log_spanning_trees(g)) == pytest.approx(0.0, abs=1e-9)
+                               GainBase(g)) == pytest.approx(0.0, abs=1e-9)
 
     def test_closing_triangle_ln3(self):
         # 2-node chain; one new node near node 0 closes a unit triangle
         g = self.chain(2)
-        gain = trajectory_gain(g, [(0.5, 1.0)], self.params(),
-                               base_log_spanning_trees(g))
+        gain = trajectory_gain(g, [(0.5, 1.0)], self.params(), GainBase(g))
         assert gain == pytest.approx(math.log(3.0), abs=1e-9)
         assert g.node_count == 2  # hypothetical extension does not mutate
 
     def test_closing_square_ln4(self):
         g = self.chain(3)
         gain = trajectory_gain(g, [(2.0, 1.0), (0.0, 1.0)], self.params(),
-                               base_log_spanning_trees(g))
+                               GainBase(g))
         # oracle: before 1 tree; after, brute force over the produced graph
-        hypo = g.copy()
+        hypo = PoseGraph(list(g.nodes), list(g.edges))
         for w in [(2.0, 1.0), (0.0, 1.0)]:
             extend_trajectory(hypo, (w[0], w[1], 0.0), self.params())
         want = spanning_tree_weight_sum(
@@ -258,7 +259,106 @@ class TestTrajectoryGain:
     def test_empty_path_rejected(self):
         g = self.chain(2)
         with pytest.raises(ValueError):
-            trajectory_gain(g, [], self.params(), base_log_spanning_trees(g))
+            trajectory_gain(g, [], self.params(), GainBase(g))
+
+
+def copy_and_extend_gain(graph, waypoints, params):
+    """trajectory_gain the direct way, as a reference: extend a copy of the
+    graph waypoint by waypoint with a scalar scan over every prior node,
+    build the Laplacian edge by edge, and difference the log counts."""
+    nodes, edges = list(graph.nodes), list(graph.edges)
+    min_gap = int(params.loop_closure_radius / params.node_spacing) + 1
+    for x, y in waypoints:
+        if not nodes:
+            nodes.append((x, y, 0.0))
+            continue
+        lx, ly, _ = nodes[-1]
+        if math.hypot(x - lx, y - ly) < params.node_spacing:
+            continue
+        new_id = len(nodes)
+        nodes.append((x, y, 0.0))
+        edges.append(Edge(new_id - 1, new_id, params.odometry_weight))
+        best = None
+        for nid in range(new_id - min_gap + 1):
+            d = math.hypot(x - nodes[nid][0], y - nodes[nid][1])
+            if d <= params.loop_closure_radius and (best is None or d < best[0]):
+                best = (d, nid)
+        if best is not None:
+            edges.append(Edge(best[1], new_id, params.loop_weight, LOOP_CLOSURE))
+
+    def log_count(n, edge_list):
+        if n <= 1:
+            return 0.0
+        lap = np.zeros((n, n))
+        for e in edge_list:
+            lap[e.node_a, e.node_a] += e.weight
+            lap[e.node_b, e.node_b] += e.weight
+            lap[e.node_a, e.node_b] -= e.weight
+            lap[e.node_b, e.node_a] -= e.weight
+        return float(np.linalg.slogdet(lap[1:, 1:])[1])
+
+    return log_count(len(nodes), edges) - log_count(graph.node_count, graph.edges)
+
+
+# weights whose sums depend on the order of addition ((o + o) + l differs
+# from (o + l) + o), so that a Laplacian built in another order differs
+# in its low bits
+GAIN_PARAMS = {
+    "default": GraphBuildParams(1.0, 2.0, 0.1, 0.6),
+    "radius_eq_spacing": GraphBuildParams(1.0, 1.0, 0.1, 0.6),
+    "half_spacing": GraphBuildParams(0.5, 1.5, 0.3, 0.7),
+    # np.hypot(2.125, 3.375) is one ulp above this radius; math.hypot is on it
+    "ulp_radius": GraphBuildParams(1.0, math.hypot(2.125, 3.375), 0.1, 0.6),
+}
+STEP = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
+
+
+@st.composite
+def lattice_walks(draw, min_size, max_size):
+    """A walk on the 0.5 m lattice: exact sums, so hops of exactly
+    node_spacing, candidates at exactly the radius and equidistant
+    candidates all come up."""
+    x, y = draw(STEP) + 2.0, draw(STEP) + 2.0
+    walk = []
+    for dx, dy in draw(st.lists(st.tuples(STEP, STEP), min_size=min_size,
+                                max_size=max_size)):
+        x, y = x + dx, y + dy
+        walk.append((x, y))
+    return walk
+
+
+class TestGainMatchesCopyAndExtend:
+    @settings(deadline=None, max_examples=300)  # timing is not under test
+    @given(st.sampled_from(sorted(GAIN_PARAMS)), lattice_walks(0, 40),
+           lattice_walks(1, 30))
+    # empty and one-node bases
+    @example("default", [], [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)])
+    @example("default", [(3.0, 3.0)], [(2.5, 3.0), (2.0, 3.0), (1.0, 3.0)])
+    # a revisit tied between ids 0 and 1: the lowest id wins
+    @example("default", [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0),
+                         (4.0, 0.0)], [(0.5, 1.0)])
+    # ids stop at new_id - min_gap: node 0 is the only candidate, and the
+    # nearer node 1 is one id too recent
+    @example("default", [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], [(1.0, 1.0)])
+    @example("default", [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], [(0.0, 1.0)])
+    # a loop edge lands on a base node after the new odometry edge
+    @example("default", [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)],
+             [(3.0, 1.0), (2.0, 1.0), (1.0, 1.0), (3.0, 2.0)])
+    # candidates at exactly the radius and hops of exactly the spacing
+    @example("radius_eq_spacing", [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)],
+             [(0.5, 1.0), (0.0, 1.0)])
+    # the only candidate is at the radius by math.hypot, one ulp past it by np.hypot
+    @example("ulp_radius", [(0.0, 0.0), (10.0, 0.0), (20.0, 0.0), (30.0, 0.0)],
+             [(2.125, 3.375)])
+    def test_bit_identical(self, name, base_walk, path):
+        params = GAIN_PARAMS[name]
+        graph = PoseGraph()
+        for x, y in base_walk:
+            extend_trajectory(graph, (x, y, 0.0), params)
+        nodes, edges = list(graph.nodes), list(graph.edges)
+        assert trajectory_gain(graph, path, params, GainBase(graph)) == \
+            copy_and_extend_gain(graph, path, params)
+        assert graph.nodes == nodes and graph.edges == edges
 
 
 class TestNormalizeGains:
