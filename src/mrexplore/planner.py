@@ -98,38 +98,26 @@ def _run_dijkstra(grid: OccupancyGrid, start_cell, goal_idxs):
         queued[nb] = True
         front = np.concatenate((front[~now], nb))
 
-    # A neighbour i with dist[i] + w == dist[j] has dist[i] < dist[j], so it
-    # settled before j; an unsettled cell is too far to give a settled one
-    # its distance.
-    cells = np.flatnonzero(settled)
-    target = dist[cells]
-    best = np.full(cells.size, np.inf)
+    # The parent pass runs densely over every non-ring cell j, move by move:
+    # the sources j - offsets[k] are then one contiguous slice. Moves go in
+    # descending offset order, so each cell sees its sources in ascending
+    # index order, and a strict < keeps the least (dist, index) among the
+    # neighbours i with dist[i] + w == dist[j]. Such an i has dist[i] <
+    # dist[j], so it settled before j; an unsettled cell is too far to give
+    # a settled one its distance. Unsettled cells, unreached or left open
+    # by the early stop, get parent -1.
+    target = dist[lo:hi]
+    best = np.full(hi - lo, np.inf)
     parent = np.full(n, -1)
-    best_src = np.full(cells.size, -1)
-    for k in range(8):
-        src = cells - offsets[k]
-        ds = dist[src]
-        take = (allowed[src, k] & (ds + weights[k] == target)
-                & ((ds < best) | ((ds == best) & (src < best_src))))
-        best[take] = ds[take]
-        best_src[take] = src[take]
-    parent[cells] = best_src
+    cells = np.arange(lo, hi)
+    for k in np.argsort(-offsets):
+        o = offsets[k]
+        ds = dist[lo - o:hi - o]
+        take = allowed[lo - o:hi - o, k] & (ds + weights[k] == target) & (ds < best)
+        np.copyto(best, ds, where=take)
+        np.copyto(parent[lo:hi], cells - o, where=take)
+    parent[~settled] = -1
     return dist, parent
-
-
-def _extract_path(grid, dist, parent, goal_idx) -> GridPath:
-    pw = grid.width + 2
-    chain = []
-    idx = goal_idx
-    while idx != -1:
-        chain.append(idx)
-        idx = parent[idx]
-    chain = np.array(chain[::-1])
-    cx = chain % pw - 1
-    cy = chain // pw - 1
-    xs, ys = grid_to_world(cx, cy, grid)
-    return GridPath(list(zip(cx.tolist(), cy.tolist())), float(dist[goal_idx]),
-                    list(zip(xs.tolist(), ys.tolist())))
 
 
 def _start_cell(grid, start):
@@ -157,15 +145,30 @@ def plan_many(grid: OccupancyGrid, start, goals) -> list[GridPath | None]:
             goal_idxs.append((gcy + 1) * pw + gcx + 1)
     wanted = [i for i in goal_idxs if i is not None]
     dist, parent = _run_dijkstra(grid, (scx, scy), wanted)
-    parent = parent.tolist()
 
-    paths: list[GridPath | None] = []
+    # Every reached goal's parent chain, goal first, in one list; each path
+    # is one reversed slice of it.
+    parent = parent.tolist()
+    chain, spans = [], []
     for gidx in goal_idxs:
-        if gidx is None or not math.isfinite(dist[gidx]):
-            paths.append(None)
-        else:
-            paths.append(_extract_path(grid, dist, parent, gidx))
-    return paths
+        length = math.inf if gidx is None else float(dist[gidx])
+        if not math.isfinite(length):
+            spans.append(None)
+            continue
+        begin = len(chain)
+        while gidx != -1:
+            chain.append(gidx)
+            gidx = parent[gidx]
+        spans.append((slice(begin, len(chain)), length))
+    chain = np.array(chain, dtype=np.intp)
+    cx = chain % pw - 1
+    cy = chain // pw - 1
+    xs, ys = grid_to_world(cx, cy, grid)
+    cells = list(zip(cx.tolist(), cy.tolist()))
+    waypoints = list(zip(xs.tolist(), ys.tolist()))
+    return [None if span is None else
+            GridPath(cells[span[0]][::-1], span[1], waypoints[span[0]][::-1])
+            for span in spans]
 
 
 def plan(grid: OccupancyGrid, start, goal) -> GridPath:

@@ -148,8 +148,14 @@ def log_spanning_trees(graph: PoseGraph) -> float:
 
 class GainBase:
     """What trajectory_gain needs of a graph, built once for every path
-    scored on it: the log count (0 for a graph with no nodes), the full
-    weighted Laplacian and the node x and y as arrays."""
+    scored on it in one request: the log count (0 for a graph with no
+    nodes), the full weighted Laplacian and the node x and y as arrays.
+
+    It also holds the request's memo of gains, keyed on the placed nodes
+    and the GraphBuildParams: the gain depends on the path only through
+    the nodes it places, so paths of one request that place the same nodes
+    share one computation. The memo lives and dies with the GainBase;
+    nothing is kept across requests."""
 
     def __init__(self, graph: PoseGraph):
         n = graph.node_count
@@ -157,6 +163,7 @@ class GainBase:
         self.log_count = _log_count(self.laplacian) if n else 0.0
         xy = np.array([node[:2] for node in graph.nodes], dtype=np.float64)
         self.x, self.y = xy.reshape(n, 2).T
+        self.memo: dict = {}
 
 
 def trajectory_gain(graph: PoseGraph, waypoints, params: GraphBuildParams,
@@ -165,7 +172,9 @@ def trajectory_gain(graph: PoseGraph, waypoints, params: GraphBuildParams,
 
     The result is that of extending the graph along the waypoints with
     extend_trajectory and differencing the log counts, bit for bit, but
-    the graph is neither copied nor changed. base is GainBase(graph).
+    the graph is neither copied nor changed. base is GainBase(graph); a
+    path whose placed nodes and params match an earlier path scored on the
+    same base gets that path's gain from base's memo.
     """
     if not waypoints:
         raise ValueError("empty candidate path")
@@ -187,6 +196,9 @@ def trajectory_gain(graph: PoseGraph, waypoints, params: GraphBuildParams,
         lx, ly = wx, wy
     if n0 and not placed:  # nothing placed: the graph as it is
         return 0.0
+    key = (tuple(placed), params)
+    if key in base.memo:
+        return base.memo[key]
 
     # loop-closure candidates: np.hypot may differ from math.hypot by an
     # ulp, so numpy only drops nodes far outside the radius and
@@ -220,7 +232,8 @@ def trajectory_gain(graph: PoseGraph, waypoints, params: GraphBuildParams,
     lap[:n0, :n0] = base.laplacian
     if weights:
         _add_edges(lap, ends_a, ends_b, weights)
-    return _log_count(lap) - base.log_count
+    gain = base.memo[key] = _log_count(lap) - base.log_count
+    return gain
 
 
 def normalize_gains(gains) -> list[float]:

@@ -82,7 +82,6 @@ class TickRow:
 class RunMetrics:
     robot_count: int
     rows: list[TickRow] = field(default_factory=list)
-    iterations: list[tuple[float, int, int]] = field(default_factory=list)
     distances: list[float] = field(default_factory=list)
     final_quality: MapQuality | None = None
 
@@ -91,12 +90,12 @@ class RunMetrics:
         return self.rows[-1].merged_coverage if self.rows else 0.0
 
     def mean_reduction_percent(self) -> float:
-        """Mean per-iteration frontier reduction, over iterations that saw
-        at least one raw point."""
+        """Mean per-request frontier reduction, over the ticks whose served
+        request saw at least one raw point."""
         vals = [
-            100.0 * (1.0 - filtered / raw)
-            for _, raw, filtered in self.iterations
-            if raw > 0
+            100.0 * (1.0 - r.frontier_filtered / r.frontier_raw)
+            for r in self.rows
+            if r.frontier_raw > 0
         ]
         return sum(vals) / len(vals) if vals else 0.0
 
@@ -284,7 +283,6 @@ class ExplorationSim:
             if pending:
                 rid = schedule(pending, self.state)
                 raw_n, filtered_n, _ = self.run_iteration(self.robots[rid])
-                metrics.iterations.append((t, raw_n, filtered_n))
 
             for r in self.robots:
                 if r.path is not None:

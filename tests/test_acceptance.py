@@ -74,7 +74,7 @@ def test_03_frontier_reduction_on_desk():
     )
     metrics = run(cfg)
     reduction = metrics.mean_reduction_percent()
-    iters = sum(1 for _, raw, _ in metrics.iterations if raw > 0)
+    iters = sum(1 for row in metrics.rows if row.frontier_raw > 0)
     report(3, "mean frontier reduction >= 50% (desk, 3 robots)",
            reduction >= 50.0 and iters > 10,
            f"{reduction:.1f}% over {iters} iterations")

@@ -13,17 +13,20 @@ from mrexplore.grid import (
     UNKNOWN,
     OccupancyGrid,
     grid_to_world,
+    inflate_obstacles,
     world_to_grid,
 )
 from mrexplore.planner import (
     GridPath,
     NoPathError,
+    _run_dijkstra,
     cumulative_lengths,
     plan,
     plan_many,
     pose_at,
     project_arclength,
 )
+from mrexplore.worlds import make_world
 
 from conftest import grid_from_rows
 
@@ -313,6 +316,65 @@ class TestPlanManyProperties:
         goals = [grid_to_world(cx, cy, grid) for cy in range(13) for cx in range(15)]
         assert as_tuples(plan_many(grid, start, goals)) == as_tuples(
             heap_plan_many(grid, start, goals))
+
+
+class TestDeskScale:
+    """plan_many at the simulator's scale: the builtin desk (200 x 200
+    cells at 0.1 m) inflated by one cell, as the simulator plans on it,
+    with a closet sealed off by a ring of Occupied cells."""
+
+    START = (5.0, 5.0)
+
+    def case(self):
+        grid = inflate_obstacles(make_world("desk"), 1)
+        grid.cells[170:181, 60:71] = OCCUPIED
+        grid.cells[172:179, 62:69] = FREE
+        rng = np.random.RandomState(16)
+        goals = [(float(x), float(y)) for x, y in rng.uniform(0.0, 20.0, (36, 2))]
+        goals += [(6.55, 17.55), (6.85, 17.35), (-1.0, 3.0), self.START]
+        return grid, goals
+
+    def test_with_unreachable_goals_matches_heap_reference(self):
+        grid, goals = self.case()
+        got = plan_many(grid, self.START, goals)
+        assert as_tuples(got) == as_tuples(heap_plan_many(grid, self.START, goals))
+        # the list holds every kind of goal: reached, sealed off, Occupied
+        # and outside the grid
+        assert sum(p is not None for p in got) >= 20
+        assert got[36] is None and got[37] is None and got[38] is None
+        cells = [world_to_grid(x, y, grid) for x, y in goals]
+        assert any(p is None and grid.in_bounds(cx, cy) and grid.cells[cy, cx] == OCCUPIED
+                   for (cx, cy), p in zip(cells, got))
+
+    def test_early_stop_matches_heap_reference(self):
+        grid, goals = self.case()
+        reached = [g for g, p in zip(goals, plan_many(grid, self.START, goals)) if p]
+        near = sorted(reached, key=lambda g: math.dist(g, self.START))[:len(reached) // 2]
+        for wanted in (reached, near):
+            assert as_tuples(plan_many(grid, self.START, wanted)) == as_tuples(
+                heap_plan_many(grid, self.START, wanted))
+
+    def test_cells_left_open_by_the_early_stop_have_no_parent(self):
+        # Every goal reachable, so the search stops before the flood ends.
+        # The cells with a parent are the settled ones bar the start: each
+        # is nearer than every cell with a finite distance and no parent.
+        grid, goals = self.case()
+        reached = [g for g, p in zip(goals, plan_many(grid, self.START, goals)) if p]
+        pw = grid.width + 2
+        idxs = [(cy + 1) * pw + cx + 1
+                for cx, cy in (world_to_grid(x, y, grid) for x, y in reached)]
+        start = world_to_grid(*self.START, grid)
+        dist, parent = _run_dijkstra(grid, start, idxs)
+        has_parent = parent >= 0
+        open_cells = np.isfinite(dist) & ~has_parent
+        open_cells[(start[1] + 1) * pw + start[0] + 1] = False
+        assert open_cells.any()
+        assert dist[has_parent].max() < dist[open_cells].min()
+        nb = np.flatnonzero(has_parent)
+        step = np.abs(nb - parent[nb])
+        w = np.where((step == 1) | (step == pw), grid.resolution, SQRT2 * grid.resolution)
+        assert (dist[parent[nb]] + w == dist[nb]).all()
+
 
 def step_along(path, pose, speed, dt):
     """One motion step as the simulator takes it: project the pose onto the

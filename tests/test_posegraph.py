@@ -1,12 +1,14 @@
 import itertools
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mrexplore import posegraph
 from mrexplore.posegraph import (
     LOOP_CLOSURE,
     ODOMETRY,
@@ -359,6 +361,61 @@ class TestGainMatchesCopyAndExtend:
         assert trajectory_gain(graph, path, params, GainBase(graph)) == \
             copy_and_extend_gain(graph, path, params)
         assert graph.nodes == nodes and graph.edges == edges
+
+
+def placement(graph, waypoints, params):
+    """The (x, y) of the nodes that extending the graph along the waypoints
+    would place: extend_trajectory's spacing rule, as a reference."""
+    last = graph.nodes[-1][:2] if graph.nodes else None
+    placed = []
+    for x, y in waypoints:
+        if last is None or math.hypot(x - last[0], y - last[1]) >= params.node_spacing:
+            placed.append((x, y))
+            last = (x, y)
+    return tuple(placed)
+
+
+# one spacing, so one placement, with other radii and weights: a gain
+# stored for one of them is wrong for the others
+SHARED_PARAMS = {
+    "default": GAIN_PARAMS["default"],
+    "radius_eq_spacing": GAIN_PARAMS["radius_eq_spacing"],
+    "heavier": GraphBuildParams(1.0, 2.0, 0.3, 0.7),
+}
+
+
+class TestSharedGainBase:
+    @settings(deadline=None, max_examples=150)  # timing is not under test
+    @given(lattice_walks(0, 30), st.lists(lattice_walks(1, 20), min_size=1, max_size=3),
+           st.data())
+    def test_memo_equals_copy_and_extend(self, base_walk, walks, data):
+        # One GainBase serves every path of a request. The paths come in a
+        # drawn order, with repeats, and with variants whose waypoints differ
+        # but whose placement does not: every waypoint doubled, and the last
+        # node's own position put first. Each gain must equal the reference,
+        # and the base computes one log count per distinct (placement,
+        # params) that places a node.
+        graph = PoseGraph()
+        for x, y in base_walk:
+            extend_trajectory(graph, (x, y, 0.0), GAIN_PARAMS["default"])
+        paths = []
+        for walk in walks:
+            paths += [walk, [w for w in walk for _ in range(2)]]
+            if graph.nodes:
+                paths.append([graph.nodes[-1][:2]] + walk)
+        jobs = [(i, name) for i in range(len(paths)) for name in SHARED_PARAMS]
+        repeats = data.draw(st.lists(st.sampled_from(jobs), max_size=6))
+        order = data.draw(st.permutations(jobs + repeats))
+        want = {job: copy_and_extend_gain(graph, paths[job[0]], SHARED_PARAMS[job[1]])
+                for job in jobs}
+        base = GainBase(graph)
+        with mock.patch.object(posegraph, "_log_count", wraps=posegraph._log_count) as count:
+            for i, name in order:
+                assert trajectory_gain(graph, paths[i], SHARED_PARAMS[name], base) == \
+                    want[i, name]
+        distinct = {(placement(graph, paths[i], SHARED_PARAMS[name]), name)
+                    for i, name in order}
+        assert count.call_count == sum(1 for placed, _ in distinct if placed)
 
 
 class TestNormalizeGains:

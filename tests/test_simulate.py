@@ -77,9 +77,9 @@ class TestMetricsInvariants:
         cfg = ScenarioConfig(map_source="builtin:desk", robot_count=3,
                              dt=1.0, max_sim_time=40, seed=1)
         m = run(cfg)
-        assert m.iterations
-        for _, raw, filtered in m.iterations:
-            assert filtered <= raw
+        assert any(row.frontier_raw > 0 for row in m.rows)
+        for row in m.rows:
+            assert row.frontier_filtered <= row.frontier_raw
 
     def test_csv_schema(self):
         m = run(small_cfg(max_sim_time=10))
