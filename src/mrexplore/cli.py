@@ -87,6 +87,11 @@ def cmd_compare(args) -> int:
     if not methods or not seeds:
         print("config error: need at least one method and one seed", file=sys.stderr)
         return EXIT_CONFIG
+    for flag, values in (("--methods", methods), ("--seeds", seeds)):
+        repeat = next((v for i, v in enumerate(values) if v in values[:i]), None)
+        if repeat is not None:
+            print(f"config error: {flag} repeats {repeat!r}", file=sys.stderr)
+            return EXIT_CONFIG
     try:
         base = load_config(args.config)
         # each pair's config and the simulator a run builds, so that a bad
@@ -97,7 +102,11 @@ def cmd_compare(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        print(f"run failed: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     per_seed: list[tuple[str, int, dict]] = []
     for cfg in configs:
         sub = os.path.join(args.out, f"{cfg.method}_seed{cfg.seed}")
@@ -127,7 +136,11 @@ def cmd_compare(args) -> int:
         stds = {c: _stddev([r[c] for r in rows]) for c in cols}
         lines.append(f"{method},mean," + ",".join(f"{mean[c]:.6f}" for c in cols))
         lines.append(f"{method},stddev," + ",".join(f"{stds[c]:.6f}" for c in cols))
-    _write_atomic(os.path.join(args.out, "comparison.csv"), "\n".join(lines) + "\n")
+    try:
+        _write_atomic(os.path.join(args.out, "comparison.csv"), "\n".join(lines) + "\n")
+    except OSError as exc:
+        print(f"run failed: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
     print(f"{'method':<16} {'seed':>6} {'coverage%':>10} {'reduction%':>11} "
           f"{'ssim':>7} {'rmse':>8} {'AE':>8}")

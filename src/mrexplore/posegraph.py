@@ -7,23 +7,13 @@ graphs (more/heavier loop closures) admit more spanning trees.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .grid import require_finite
-
-ODOMETRY = "odometry"
-LOOP_CLOSURE = "loop_closure"
-
-
-@dataclass(frozen=True)
-class Edge:
-    node_a: int
-    node_b: int
-    weight: float
-    kind: str = ODOMETRY
 
 
 @dataclass(frozen=True)
@@ -46,17 +36,20 @@ class GraphBuildParams:
 
 @dataclass
 class PoseGraph:
-    """Nodes are (x, y, heading) poses with dense ids from 0."""
+    """Nodes are (x, y) positions with dense ids from 0; edges are
+    (a, b, weight) tuples with a < b. extend_trajectory gives every node
+    after the first exactly one odometry edge, (id - 1, id), so every
+    other edge is a loop closure."""
 
-    nodes: list[tuple[float, float, float]] = field(default_factory=list)
-    edges: list[Edge] = field(default_factory=list)
+    nodes: list[tuple[float, float]] = field(default_factory=list)
+    edges: list[tuple[int, int, float]] = field(default_factory=list)
 
     @property
     def node_count(self) -> int:
         return len(self.nodes)
 
     def loop_closure_count(self) -> int:
-        return sum(1 for e in self.edges if e.kind == LOOP_CLOSURE)
+        return len(self.edges) - max(len(self.nodes) - 1, 0)
 
 
 def loop_closure_target(nodes, ids, new_id: int, params: GraphBuildParams):
@@ -68,44 +61,82 @@ def loop_closure_target(nodes, ids, new_id: int, params: GraphBuildParams):
     candidates, however long their hops are; candidates stop at the id
     before those. ids are the ids to consider, ascending; the nearest
     of them within loop_closure_radius (by math.hypot) wins, and a tie
-    keeps the lowest id. nodes maps an id to its (x, y, heading).
+    keeps the lowest id. nodes maps an id to its (x, y).
     """
     last = new_id - int(params.loop_closure_radius / params.node_spacing) - 1
     radius = params.loop_closure_radius
-    x, y, _ = nodes[new_id]
+    x, y = nodes[new_id]
     best = best_d = None
     for nid in ids:
         if nid > last:
             break
-        nx, ny, _ = nodes[nid]
+        nx, ny = nodes[nid]
         d = math.hypot(x - nx, y - ny)
         if d <= radius and (best is None or d < best_d):
             best, best_d = nid, d
     return best
 
 
+def _place(nodes, points, spacing: float) -> list[tuple[float, float]]:
+    """The (x, y) of the nodes that extending a graph whose nodes are
+    nodes along points places: the first point if there are no nodes, then
+    each point at least spacing (by math.hypot) from the last node."""
+    lx, ly = nodes[-1] if nodes else points[0]
+    placed = [] if nodes else [(lx, ly)]
+    for wx, wy in points:
+        if math.hypot(wx - lx, wy - ly) < spacing:
+            continue
+        placed.append((wx, wy))
+        lx, ly = wx, wy
+    return placed
+
+
+def _xy(nodes) -> np.ndarray:
+    """A list of (x, y) as a 2 x n array: the x row, then the y row."""
+    flat = np.fromiter(itertools.chain.from_iterable(nodes), np.float64, 2 * len(nodes))
+    return flat.reshape(len(nodes), 2).T
+
+
+def _new_edges(nodes, placed, params: GraphBuildParams, x, y) -> list:
+    """The edges that placing the nodes placed after nodes adds, in
+    creation order: per new node, an odometry edge to its predecessor (the
+    graph's first node has none), then its loop closure, if any. x and y
+    are the coordinates of nodes + placed as arrays."""
+    # np.hypot may differ from math.hypot by an ulp, so numpy only drops
+    # nodes far outside the radius and loop_closure_target decides on the
+    # survivors
+    n0 = len(nodes)
+    near = np.hypot(x[n0:, None] - x, y[n0:, None] - y)
+    rows, cols = np.nonzero(near <= params.loop_closure_radius * (1 + 1e-9))
+    cols = cols.tolist()
+    row_start = np.searchsorted(rows, np.arange(len(placed) + 1)).tolist()
+
+    all_nodes = nodes + placed
+    edges = []
+    for new_id in range(max(n0, 1), n0 + len(placed)):
+        edges.append((new_id - 1, new_id, params.odometry_weight))
+        j = new_id - n0
+        target = loop_closure_target(
+            all_nodes, cols[row_start[j]:row_start[j + 1]], new_id, params)
+        if target is not None:
+            edges.append((target, new_id, params.loop_weight))
+    return edges
+
+
 def extend_trajectory(graph: PoseGraph, pose, params: GraphBuildParams) -> PoseGraph:
-    """Append a node once the pose is node_spacing away from the last node.
+    """Append a node at the pose's (x, y) once it is node_spacing away
+    from the last node; the heading is not kept.
 
-    Each new node gets an odometry edge to its predecessor and at most one
-    loop-closure edge, to loop_closure_target's node. Mutates and returns
-    the graph.
+    Every node after the first gets exactly one odometry edge, to its
+    predecessor, and at most one loop-closure edge; loop_closure_count
+    relies on that. The edges come from _new_edges, the rule that
+    trajectory_gain scores paths with. Mutates and returns the graph.
     """
-    x, y, heading = pose
-    if not graph.nodes:
-        graph.nodes.append((x, y, heading))
-        return graph
-
-    lx, ly, _ = graph.nodes[-1]
-    if math.hypot(x - lx, y - ly) < params.node_spacing:
-        return graph
-
-    new_id = len(graph.nodes)
-    graph.nodes.append((x, y, heading))
-    graph.edges.append(Edge(new_id - 1, new_id, params.odometry_weight, ODOMETRY))
-    target = loop_closure_target(graph.nodes, range(new_id), new_id, params)
-    if target is not None:
-        graph.edges.append(Edge(target, new_id, params.loop_weight, LOOP_CLOSURE))
+    placed = _place(graph.nodes, [pose[:2]], params.node_spacing)
+    if placed:
+        xy = _xy(graph.nodes + placed)
+        graph.edges += _new_edges(graph.nodes, placed, params, *xy)
+        graph.nodes += placed
     return graph
 
 
@@ -125,7 +156,7 @@ def weighted_laplacian(graph: PoseGraph) -> np.ndarray:
         raise ValueError("graph has no nodes")
     lap = np.zeros((n, n), dtype=np.float64)
     if graph.edges:
-        _add_edges(lap, *zip(*((e.node_a, e.node_b, e.weight) for e in graph.edges)))
+        _add_edges(lap, *zip(*graph.edges))
     return lap
 
 
@@ -149,7 +180,8 @@ def log_spanning_trees(graph: PoseGraph) -> float:
 class GainBase:
     """What trajectory_gain needs of a graph, built once for every path
     scored on it in one request: the log count (0 for a graph with no
-    nodes), the full weighted Laplacian and the node x and y as arrays.
+    nodes), the full weighted Laplacian and the node coordinates as a
+    2 x n array.
 
     It also holds the request's memo of gains, keyed on the placed nodes
     and the GraphBuildParams: the gain depends on the path only through
@@ -161,8 +193,7 @@ class GainBase:
         n = graph.node_count
         self.laplacian = weighted_laplacian(graph) if n else np.zeros((0, 0))
         self.log_count = _log_count(self.laplacian) if n else 0.0
-        xy = np.array([node[:2] for node in graph.nodes], dtype=np.float64)
-        self.x, self.y = xy.reshape(n, 2).T
+        self.xy = _xy(graph.nodes)
         self.memo: dict = {}
 
 
@@ -171,67 +202,34 @@ def trajectory_gain(graph: PoseGraph, waypoints, params: GraphBuildParams,
     """Predicted log-gain in spanning trees from driving the waypoint list.
 
     The result is that of extending the graph along the waypoints with
-    extend_trajectory and differencing the log counts, bit for bit, but
-    the graph is neither copied nor changed. base is GainBase(graph); a
-    path whose placed nodes and params match an earlier path scored on the
-    same base gets that path's gain from base's memo.
+    extend_trajectory and differencing the log counts, bit for bit: it
+    places the nodes and finds their edges by extend_trajectory's own
+    rule, _place then _new_edges, and adds only the new edges to base's
+    Laplacian, so the graph is neither copied nor changed. base is
+    GainBase(graph); a path whose placed nodes and params match an earlier
+    path scored on the same base gets that path's gain from base's memo.
     """
     if not waypoints:
         raise ValueError("empty candidate path")
     nodes = graph.nodes
-    n0 = len(nodes)
-
-    # extend_trajectory's spacing rule, against the last placed node
-    if nodes:
-        placed = []
-        lx, ly, _ = nodes[-1]
-    else:
-        lx, ly = waypoints[0]
-        placed = [(lx, ly, 0.0)]
-    spacing = params.node_spacing
-    for wx, wy in waypoints:
-        if math.hypot(wx - lx, wy - ly) < spacing:
-            continue
-        placed.append((wx, wy, 0.0))
-        lx, ly = wx, wy
-    if n0 and not placed:  # nothing placed: the graph as it is
+    placed = _place(nodes, waypoints, params.node_spacing)
+    if not placed:  # the graph as it is
         return 0.0
     key = (tuple(placed), params)
     if key in base.memo:
         return base.memo[key]
 
-    # loop-closure candidates: np.hypot may differ from math.hypot by an
-    # ulp, so numpy only drops nodes far outside the radius and
-    # loop_closure_target decides on the survivors
-    px, py = np.array([p[:2] for p in placed], dtype=np.float64).T
-    near = np.hypot(px[:, None] - np.concatenate((base.x, px)),
-                    py[:, None] - np.concatenate((base.y, py)))
-    rows, cols = np.nonzero(near <= params.loop_closure_radius * (1 + 1e-9))
-    cols = cols.tolist()
-    row_start = np.searchsorted(rows, np.arange(len(placed) + 1)).tolist()
-
-    n = n0 + len(placed)
-    all_nodes = nodes + placed
-    ends_a, ends_b, weights = [], [], []
-    for new_id in range(max(n0, 1), n):
-        ends_a.append(new_id - 1)
-        ends_b.append(new_id)
-        weights.append(params.odometry_weight)
-        j = new_id - n0
-        target = loop_closure_target(
-            all_nodes, cols[row_start[j]:row_start[j + 1]], new_id, params)
-        if target is not None:
-            ends_a.append(target)
-            ends_b.append(new_id)
-            weights.append(params.loop_weight)
-
     # the base edges are a prefix of the extended graph's edge list, so
     # adding the new edges to the base Laplacian in creation order gives
     # every entry the same float additions as weighted_laplacian would
+    n0 = len(nodes)
+    n = n0 + len(placed)
+    edges = _new_edges(nodes, placed, params,
+                       *np.concatenate((base.xy, _xy(placed)), axis=1))
     lap = np.zeros((n, n), dtype=np.float64)
     lap[:n0, :n0] = base.laplacian
-    if weights:
-        _add_edges(lap, ends_a, ends_b, weights)
+    if edges:
+        _add_edges(lap, *zip(*edges))
     gain = base.memo[key] = _log_count(lap) - base.log_count
     return gain
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import mrexplore
 from mrexplore import config
-from mrexplore.cli import EXIT_CONFIG, EXIT_OK, main
+from mrexplore.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from mrexplore.pgm import load_grid
 from mrexplore.worlds import make_world
 
@@ -368,19 +368,52 @@ class TestCompare:
         assert capsys.readouterr().err.startswith("config error: unknown method 'bogus'")
         assert not out.exists()
 
-    @pytest.mark.parametrize("methods,seeds", [
-        ("proposed", "1,x"), ("proposed", "2.5"), ("proposed", ","), (",", "1"),
-    ], ids=["non_integer", "float", "no_seed", "no_method"])
+    @pytest.mark.parametrize("methods,seeds,named", [
+        ("proposed", "1,x", ""), ("proposed", "2.5", ""), ("proposed", ",", ""),
+        (",", "1", ""),
+        # a repeat would rerun one pair into one directory, as if two
+        ("proposed,greedy_frontier,proposed", "1", "'proposed'"),
+        ("proposed", "1,2,01", "1"),
+    ], ids=["non_integer", "float", "no_seed", "no_method", "repeated_method",
+            "repeated_seed"])
     def test_bad_list_is_one_line_config_error(self, cfg_file, tmp_path, capsys,
-                                               methods, seeds):
+                                               methods, seeds, named):
+        out = tmp_path / "x"
         code = main(["compare", "--config", cfg_file, "--methods", methods,
-                     "--seeds", seeds, "--out", str(tmp_path / "x")])
+                     "--seeds", seeds, "--out", str(out)])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert "Traceback" not in err
         lines = err.strip().split("\n")
         assert len(lines) == 1
         assert lines[0].startswith("config error: ")
+        assert named in lines[0]
+        assert not out.exists()
+
+    def test_out_is_a_file_is_one_line_runtime_error(self, cfg_file, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("not a directory")
+        code = main(["compare", "--config", cfg_file, "--methods", "proposed",
+                     "--seeds", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_RUNTIME
+        assert "Traceback" not in err
+        lines = err.strip().split("\n")
+        assert len(lines) == 1
+        assert lines[0].startswith("run failed: ")
+        assert out.read_text() == "not a directory"
+
+    def test_unwritable_comparison_is_one_line_runtime_error(self, cfg_file, tmp_path,
+                                                            capsys):
+        out = tmp_path / "cmp"
+        (out / "comparison.csv").mkdir(parents=True)
+        code = main(["compare", "--config", cfg_file, "--methods", "proposed",
+                     "--seeds", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_RUNTIME
+        assert "Traceback" not in err
+        assert err.strip().startswith("run failed: ")
+        assert len(err.strip().split("\n")) == 1
 
 
 class TestMisc:

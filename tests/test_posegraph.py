@@ -10,9 +10,6 @@ from hypothesis import strategies as st
 
 from mrexplore import posegraph
 from mrexplore.posegraph import (
-    LOOP_CLOSURE,
-    ODOMETRY,
-    Edge,
     GainBase,
     GraphBuildParams,
     PoseGraph,
@@ -55,8 +52,8 @@ def spanning_tree_weight_sum(n_nodes, edges):
 
 
 def graph_of(n_nodes, edges):
-    nodes = [(float(i), 0.0, 0.0) for i in range(n_nodes)]
-    return PoseGraph(nodes, [Edge(a, b, w) for a, b, w in edges])
+    nodes = [(float(i), 0.0) for i in range(n_nodes)]
+    return PoseGraph(nodes, list(edges))
 
 
 def random_connected_graph(rng, max_nodes=7):
@@ -133,7 +130,7 @@ class TestSpanningTrees:
             log_spanning_trees(g)
 
     def test_single_node(self):
-        assert log_spanning_trees(PoseGraph([(0, 0, 0)], [])) == 0.0
+        assert log_spanning_trees(PoseGraph([(0, 0)], [])) == 0.0
 
     def test_oracle_equivalence_100_random_graphs(self):
         rng = np.random.RandomState(123)
@@ -185,8 +182,8 @@ class TestExtendTrajectory:
         for i in range(11):
             extend_trajectory(g, (float(i), 0.0, 0.0), self.params())
         assert g.node_count == 11
-        assert len(g.edges) == 10
-        assert all(e.kind == ODOMETRY for e in g.edges)
+        assert g.edges == [(i - 1, i, 1.0) for i in range(1, 11)]
+        assert g.loop_closure_count() == 0
 
     def test_below_spacing_ignored(self):
         g = extend_trajectory(PoseGraph(), (0, 0, 0), self.params())
@@ -203,10 +200,12 @@ class TestExtendTrajectory:
         )
         for x, y in waypoints:
             extend_trajectory(g, (x, y, 0.0), self.params(loop_closure_radius=1.2))
-        loops = [e for e in g.edges if e.kind == LOOP_CLOSURE]
+        # an odometry edge joins consecutive ids, a loop closure does not
+        loops = [(a, b, w) for a, b, w in g.edges if b - a >= 2]
         assert len(loops) == 1
-        assert loops[0].node_a == 0
-        assert loops[0].weight == 2.0
+        assert loops[0][0] == 0
+        assert loops[0][2] == 2.0
+        assert g.loop_closure_count() == 1
 
     def test_loop_weight_and_nearest_prior(self):
         g = PoseGraph()
@@ -215,10 +214,10 @@ class TestExtendTrajectory:
             extend_trajectory(g, (float(x), 0.0, 0.0), p)
         extend_trajectory(g, (1.0, 1.0, 0.0), p)
         # revisit candidates are nodes 0..2; node 1 at (1,0) is nearest
-        loops = [e for e in g.edges if e.kind == LOOP_CLOSURE]
+        loops = [(a, b, w) for a, b, w in g.edges if b - a >= 2]
         assert len(loops) == 1
-        assert loops[0].node_a == 1
-        assert loops[0].weight == 5.0
+        assert loops[0][0] == 1
+        assert loops[0][2] == 5.0
 
 
 class TestTrajectoryGain:
@@ -253,9 +252,7 @@ class TestTrajectoryGain:
         hypo = PoseGraph(list(g.nodes), list(g.edges))
         for w in [(2.0, 1.0), (0.0, 1.0)]:
             extend_trajectory(hypo, (w[0], w[1], 0.0), self.params())
-        want = spanning_tree_weight_sum(
-            hypo.node_count, [(e.node_a, e.node_b, e.weight) for e in hypo.edges]
-        )
+        want = spanning_tree_weight_sum(hypo.node_count, hypo.edges)
         assert gain == pytest.approx(math.log(want), abs=1e-9)
 
     def test_empty_path_rejected(self):
@@ -264,41 +261,48 @@ class TestTrajectoryGain:
             trajectory_gain(g, [], self.params(), GainBase(g))
 
 
-def copy_and_extend_gain(graph, waypoints, params):
-    """trajectory_gain the direct way, as a reference: extend a copy of the
-    graph waypoint by waypoint with a scalar scan over every prior node,
-    build the Laplacian edge by edge, and difference the log counts."""
+def copy_and_extend(graph, waypoints, params):
+    """The (nodes, edges) of a copy of the graph extended along the
+    waypoints the direct way, as a reference: waypoint by waypoint, with a
+    scalar scan over every prior node for the loop closure."""
     nodes, edges = list(graph.nodes), list(graph.edges)
     min_gap = int(params.loop_closure_radius / params.node_spacing) + 1
     for x, y in waypoints:
         if not nodes:
-            nodes.append((x, y, 0.0))
+            nodes.append((x, y))
             continue
-        lx, ly, _ = nodes[-1]
+        lx, ly = nodes[-1]
         if math.hypot(x - lx, y - ly) < params.node_spacing:
             continue
         new_id = len(nodes)
-        nodes.append((x, y, 0.0))
-        edges.append(Edge(new_id - 1, new_id, params.odometry_weight))
+        nodes.append((x, y))
+        edges.append((new_id - 1, new_id, params.odometry_weight))
         best = None
         for nid in range(new_id - min_gap + 1):
             d = math.hypot(x - nodes[nid][0], y - nodes[nid][1])
             if d <= params.loop_closure_radius and (best is None or d < best[0]):
                 best = (d, nid)
         if best is not None:
-            edges.append(Edge(best[1], new_id, params.loop_weight, LOOP_CLOSURE))
+            edges.append((best[1], new_id, params.loop_weight))
+    return nodes, edges
+
+
+def copy_and_extend_gain(graph, waypoints, params):
+    """trajectory_gain the direct way, as a reference: copy_and_extend,
+    build the Laplacian edge by edge, and difference the log counts."""
 
     def log_count(n, edge_list):
         if n <= 1:
             return 0.0
         lap = np.zeros((n, n))
-        for e in edge_list:
-            lap[e.node_a, e.node_a] += e.weight
-            lap[e.node_b, e.node_b] += e.weight
-            lap[e.node_a, e.node_b] -= e.weight
-            lap[e.node_b, e.node_a] -= e.weight
+        for a, b, w in edge_list:
+            lap[a, a] += w
+            lap[b, b] += w
+            lap[a, b] -= w
+            lap[b, a] -= w
         return float(np.linalg.slogdet(lap[1:, 1:])[1])
 
+    nodes, edges = copy_and_extend(graph, waypoints, params)
     return log_count(len(nodes), edges) - log_count(graph.node_count, graph.edges)
 
 
@@ -352,12 +356,18 @@ class TestGainMatchesCopyAndExtend:
     # the only candidate is at the radius by math.hypot, one ulp past it by np.hypot
     @example("ulp_radius", [(0.0, 0.0), (10.0, 0.0), (20.0, 0.0), (30.0, 0.0)],
              [(2.125, 3.375)])
+    # the same, on the tick side: the base walk's last node closes that loop
+    @example("ulp_radius", [(0.0, 0.0), (10.0, 0.0), (20.0, 0.0), (30.0, 0.0),
+                            (2.125, 3.375)], [(3.0, 3.0)])
     def test_bit_identical(self, name, base_walk, path):
         params = GAIN_PARAMS[name]
         graph = PoseGraph()
         for x, y in base_walk:
             extend_trajectory(graph, (x, y, 0.0), params)
         nodes, edges = list(graph.nodes), list(graph.edges)
+        assert (nodes, edges) == copy_and_extend(PoseGraph(), base_walk, params)
+        # a loop target is at most new_id - 2, as radius >= spacing
+        assert graph.loop_closure_count() == sum(1 for a, b, _ in edges if b - a >= 2)
         assert trajectory_gain(graph, path, params, GainBase(graph)) == \
             copy_and_extend_gain(graph, path, params)
         assert graph.nodes == nodes and graph.edges == edges
@@ -366,7 +376,7 @@ class TestGainMatchesCopyAndExtend:
 def placement(graph, waypoints, params):
     """The (x, y) of the nodes that extending the graph along the waypoints
     would place: extend_trajectory's spacing rule, as a reference."""
-    last = graph.nodes[-1][:2] if graph.nodes else None
+    last = graph.nodes[-1] if graph.nodes else None
     placed = []
     for x, y in waypoints:
         if last is None or math.hypot(x - last[0], y - last[1]) >= params.node_spacing:
@@ -402,7 +412,7 @@ class TestSharedGainBase:
         for walk in walks:
             paths += [walk, [w for w in walk for _ in range(2)]]
             if graph.nodes:
-                paths.append([graph.nodes[-1][:2]] + walk)
+                paths.append([graph.nodes[-1]] + walk)
         jobs = [(i, name) for i in range(len(paths)) for name in SHARED_PARAMS]
         repeats = data.draw(st.lists(st.sampled_from(jobs), max_size=6))
         order = data.draw(st.permutations(jobs + repeats))
