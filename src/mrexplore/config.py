@@ -164,11 +164,16 @@ _KEYS = [("scenario", "map", "map_source"), ("scenario", "robots", "robot_count"
          ("lidar", "beam_count", "beam_count"), ("lidar", "max_range", "max_range"),
          ("allocation", "goal_skip_wait", "goal_skip_wait"),
          ("planner", "inflation_cells", "inflation_cells")]
+# section of each parameter class: its keys are the class's fields, and its
+# ScenarioConfig field is <section>_params
+_PARAMS = {"filter": FilterParams, "utility": UtilityParams, "graph": GraphBuildParams}
 
 
 def load_config(path: str) -> ScenarioConfig:
     """Parse a key = value config file with [section] headers and '#'
-    comments. All keys are optional; missing ones take defaults."""
+    comments. All keys are optional; missing ones take defaults. A section
+    or key that is not read, including any key in [DEFAULT], which every
+    section inherits, is a ConfigError."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
@@ -179,6 +184,18 @@ def load_config(path: str) -> ScenarioConfig:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
+
+    known = {section: {f.name for f in fields(cls)} for section, cls in _PARAMS.items()}
+    for section, key, _ in _KEYS:
+        known.setdefault(section, set()).add(key)
+    known["scenario"].add("start_poses")
+    known[parser.default_section] = set()  # a key there reaches every section
+    for section in parser:  # [DEFAULT] first, then the file's sections
+        if section not in known:
+            raise ConfigError(f"unknown section [{section}]")
+        for key in parser[section]:
+            if key not in known[section]:
+                raise ConfigError(f"[{section}] unknown key {key!r}")
 
     def get(section, key, default):
         # the default's type is the type the value reads as
@@ -200,6 +217,5 @@ def load_config(path: str) -> ScenarioConfig:
     values = {name: get(section, key, default[name]) for section, key, name in _KEYS}
     if parser.has_option("scenario", "start_poses"):
         values["start_poses"] = _parse_poses(parser.get("scenario", "start_poses"))
-    return ScenarioConfig(**values, filter_params=params("filter", FilterParams),
-                          utility_params=params("utility", UtilityParams),
-                          graph_params=params("graph", GraphBuildParams))
+    return ScenarioConfig(**values, **{f"{section}_params": params(section, cls)
+                                       for section, cls in _PARAMS.items()})

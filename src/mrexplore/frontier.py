@@ -173,7 +173,14 @@ _GATHER_CELLS = 1 << 16
 def _disc_counts(cells: np.ndarray, grid: OccupancyGrid, rad: float) -> tuple[np.ndarray, np.ndarray]:
     """(unknown counts, in-bounds counts) over the discretized disc of world
     radius rad centred on each (cx, cy) row of the (P, 2) cell array."""
-    di, dj = _disc_offsets(rad / grid.resolution)
+    # A disc reaching past every map cell from every centre adds only
+    # out-of-bounds cells, which count for nothing, so it is clamped to that
+    # reach plus one cell. The reach is the map diagonal for centres on the
+    # map (or none), so calls on one map share the clamped disc.
+    lo, hi = cells.min(axis=0, initial=0).tolist(), cells.max(axis=0, initial=0).tolist()
+    reach = math.hypot(max(grid.width - 1, hi[0], grid.width - 1 - lo[0]),
+                       max(grid.height - 1, hi[1], grid.height - 1 - lo[1]))
+    di, dj = _disc_offsets(min(rad / grid.resolution, reach + 1.0))
     step = max(1, _GATHER_CELLS // di.size)
     if len(cells) > step:
         parts = [_disc_counts(cells[s:s + step], grid, rad)

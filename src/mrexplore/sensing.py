@@ -4,9 +4,8 @@ One walk per call casts the beams of every pose given, all in lockstep with
 numpy over the shared true map; the simulator makes one such call per tick
 for every robot's beams. The walk is an exact cell walk (every crossed cell
 is visited, corner grazes with zero chord are skipped), so thin walls cannot
-be leaked through. It yields each scan's ranges and the cells the scan
-proves free or occupied; integration applies those cells to a map and walks
-no beams itself.
+be leaked through. It yields the cells each scan proves free or occupied;
+integration applies those cells to a map and walks no beams itself.
 """
 
 from __future__ import annotations
@@ -30,27 +29,18 @@ _EPS = 1e-12
 
 @dataclass
 class LidarScan:
-    """One 360-degree scan from one pose and the cells its beams proved.
-    raycast casts several in one walk; each is the scan its pose gives alone.
+    """The cells one 360-degree scan from one pose proved. raycast casts
+    several in one walk; each is the scan its pose gives alone.
 
-    ranges[k] is the distance along beam k, or max_range + 1 when the beam
-    hit nothing within max_range. free_cells and occupied_cells are sorted
-    flat indices (col + row * width) in frame, the OccupancyGrid.frame of
-    the map the scan was cast in. They are Free and Occupied cells of the
-    true map, so no cell is in both.
+    free_cells and occupied_cells are strictly increasing flat indices
+    (col + row * width) in frame, the OccupancyGrid.frame of the map the
+    scan was cast in. They are Free and Occupied cells of the true map, so
+    no cell is in both.
     """
 
-    beam_count: int
-    max_range: float
-    pose: tuple[float, float, float]  # x, y, heading
-    ranges: np.ndarray
     frame: tuple[float, float, float, int, int]
     free_cells: np.ndarray
     occupied_cells: np.ndarray
-
-    @property
-    def no_hit(self) -> float:
-        return self.max_range + 1.0
 
 
 def raycast(truth: GroundTruthMap, poses, beam_count: int,
@@ -61,15 +51,12 @@ def raycast(truth: GroundTruthMap, poses, beam_count: int,
     on the other poses cast with it; raycast(truth, [pose], n, r)[0] is the
     scan of one pose.
 
-    The reported range is the distance along the beam to the midpoint of its
-    chord through the first Occupied cell it crosses: within half a cell of
-    that cell's center, and exactly the center distance for walls hit
-    square-on. Deterministic, noise free.
-
-    The walk also records what each scan proves: a cell a beam crosses
-    before its stop is free, and the stop cell is occupied, each only when
-    the midpoint of the beam's chord through it lies within max_range.
-    Raises ValueError when some pose lies outside the map or in an obstacle.
+    A beam stops at the first Occupied cell it crosses. The cells it
+    crosses before that are free and its stop cell is occupied, each only
+    when the midpoint of the beam's chord through it lies within max_range.
+    Deterministic, noise free. Raises ValueError when some pose lies
+    outside the map or in an obstacle. The walk's distances stay below
+    3 * (max_range + 2 * resolution), which must be a finite float.
     """
     res = truth.resolution
     width, height = truth.width, truth.height
@@ -106,7 +93,6 @@ def raycast(truth: GroundTruthMap, poses, beam_count: int,
         return []
     dx, dy, t_dx, t_dy, t_max_x, t_max_y = map(np.concatenate, zip(*per_pose))
     n_poses = len(per_pose)
-    n_beams = n_poses * beam_count
 
     # Each pose owns one block of a flat layout of the map framed by a ring
     # of cells outside it: code is 1 for Occupied, 0 for Free and 2 for the
@@ -123,7 +109,6 @@ def raycast(truth: GroundTruthMap, poses, beam_count: int,
     step_x = np.sign(dx).astype(np.int64)
     step_y = np.sign(dy).astype(np.int64) * wp
 
-    ranges = np.full(n_beams, max_range + 1.0, dtype=np.float64)
     t_stop = max_range + 2.0 * res
     # A step by an increment longer than t_stop lands past t_stop and ends
     # the walk, so inf walks the same cells. It also keeps t_max + t_d in
@@ -131,15 +116,14 @@ def raycast(truth: GroundTruthMap, poses, beam_count: int,
     # would slow each of its ufunc calls by about 2%.
     t_dx[t_dx > t_stop] = np.inf
     t_dy[t_dy > t_stop] = np.inf
-    t_entry = np.zeros(n_beams)
-    beam = np.arange(n_beams)  # each beam's index into ranges
+    t_entry = np.zeros(idx.size)
     free = np.zeros(n_poses * n_pad, dtype=bool)
     occupied = np.zeros(n_poses * n_pad, dtype=bool)
     here = code[idx]
 
     # The walk holds only live beams, all on the map: a beam is dropped on
     # the step it stops at an occupied cell, passes t_stop or leaves the map.
-    while beam.size:
+    while idx.size:
         t_exit = np.minimum(t_max_x, t_max_y)
         crossed = t_exit - t_entry > _EPS
         occ_here = crossed & (here == 1)
@@ -147,9 +131,7 @@ def raycast(truth: GroundTruthMap, poses, beam_count: int,
         seen = crossed & (mid <= max_range)
         free[idx[seen & ~occ_here]] = True
         if occ_here.any():
-            hit = occ_here & seen
-            ranges[beam[hit]] = mid[hit]
-            occupied[idx[hit]] = True
+            occupied[idx[occ_here & seen]] = True
 
         take_x = t_max_x < t_max_y
         t_entry = np.where(take_x, t_max_x, t_max_y)
@@ -162,20 +144,16 @@ def raycast(truth: GroundTruthMap, poses, beam_count: int,
         live &= here != 2
         if not live.all():
             keep = np.flatnonzero(live)
-            (idx, here, t_max_x, t_max_y, t_dx, t_dy, step_x, step_y, t_entry,
-             beam) = (a[keep] for a in (idx, here, t_max_x, t_max_y, t_dx, t_dy,
-                                        step_x, step_y, t_entry, beam))
+            (idx, here, t_max_x, t_max_y, t_dx, t_dy, step_x, step_y,
+             t_entry) = (a[keep] for a in (idx, here, t_max_x, t_max_y, t_dx,
+                                           t_dy, step_x, step_y, t_entry))
 
     def on_map(mask):
         return mask.reshape(n_poses, hp, wp)[:, 1:-1, 1:-1].reshape(n_poses, -1)
 
     free, occupied = on_map(free), on_map(occupied)
-    return [
-        LidarScan(beam_count, max_range, (px, py, heading),
-                  ranges[i * beam_count:(i + 1) * beam_count], truth.frame,
-                  np.flatnonzero(free[i]), np.flatnonzero(occupied[i]))
-        for i, (px, py, heading) in enumerate(poses)
-    ]
+    return [LidarScan(truth.frame, np.flatnonzero(free[i]), np.flatnonzero(occupied[i]))
+            for i in range(n_poses)]
 
 
 def integrate_scan(grid: OccupancyGrid, scan: LidarScan) -> OccupancyGrid:

@@ -16,7 +16,7 @@ from .allocate import (
     schedule,
     select_goal,
 )
-from .config import ScenarioConfig
+from .config import ConfigError, ScenarioConfig
 from .frontier import (
     FrontierPoint,
     dedup_points,
@@ -141,9 +141,14 @@ class ExplorationSim:
 
     def __init__(self, config: ScenarioConfig):
         """Load the config's world and place its robots; raises ConfigError
-        if the world does not load or the start poses do not fit it."""
+        if the world does not load, its cells are too large for the lidar's
+        walk, or the start poses do not fit it."""
         self.config = config
         self.truth = config.load_world()
+        # raycast's walk distances stay below 3 * (max_range + 2 * resolution)
+        if not math.isfinite(3.0 * (config.max_range + 2.0 * self.truth.resolution)):
+            raise ConfigError(f"map resolution {self.truth.resolution} is too large "
+                              f"for the lidar walk")
         starts = config.resolve_starts(self.truth)
         self.robots = [
             Robot(i, starts[i], self.truth.blank_grid(), PoseGraph())

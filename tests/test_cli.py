@@ -136,10 +136,15 @@ class TestConfigErrors:
         "[filter]\nperc_step = 1e-300\n",
         "[filter]\nper_unk = 0\nrad_step = 1e-300\n",
         "[scenario]\nseed = 5%\n",
+        "[lidar]\nbeams = 720\n",
+        "[lidr]\nbeam_count = 720\n",
+        "[DEFAULT]\nseed = 3\n[scenario]\nrobots = 1\n",
+        "[filter]\nmap = builtin:desk\n",
         *REJECTED_AFTER_LOADING,
     ], ids=["speed_nan", "decay_rate_inf", "rad_nan", "node_spacing_nan",
             "unknown_world", "too_many_robots", "perc_step_absorbed",
-            "rad_step_absorbed", "percent_sign", *REJECTED_IDS])
+            "rad_step_absorbed", "percent_sign", "unknown_key", "unknown_section",
+            "default_key", "key_of_other_section", *REJECTED_IDS])
     def test_one_line_and_exit_1(self, tmp_path, capsys, text):
         path = tmp_path / "bad.cfg"
         path.write_text(text)
@@ -306,6 +311,9 @@ class TestFuzzMapFiles:
     # of up to 0.9 m moved it off the map, and the run failed
     @example(b"P5\n1 1\n255\n\xff",
              b"resolution = 3.0\norigin_x = 0\norigin_y = 0\n", "0.5, 0.5, 0")
+    # cells so large that the lidar walk's distances would overflow
+    @example(b"P5\n1 1\n255\n\xff",
+             b"resolution = 1e308\norigin_x = 0\norigin_y = 0\n", "0.5, 0.5, 0")
     def test_exit_0_or_one_config_error(self, raster, meta, start):
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)

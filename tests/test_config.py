@@ -15,6 +15,7 @@ from mrexplore.posegraph import GraphBuildParams
 from mrexplore.simulate import ExplorationSim
 from mrexplore.utility import UtilityParams
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 GOOD = """
 # demo scenario
@@ -123,6 +124,23 @@ class TestLoadConfig:
         path.write_text("[scenario]\nstart_poses = 1.0, 2.0\n")
         with pytest.raises(ConfigError, match="pose"):
             load_config(str(path))
+
+    @pytest.mark.parametrize("text, message", [
+        ("[lidar]\nbeams = 720\n", "[lidar] unknown key 'beams'"),
+        ("[lidr]\nbeam_count = 720\n", "unknown section [lidr]"),
+        ("[scenario]\nrobots = 1\n[DEFAULT]\nseed = 3\n", "[DEFAULT] unknown key 'seed'"),
+        ("[graph]\nrad = 2\n", "[graph] unknown key 'rad'"),
+    ], ids=["key", "section", "default_key", "key_of_other_section"])
+    def test_unknown_section_or_key_rejected(self, tmp_path, text, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            load_config(str(path))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.cfg")))
+    def test_bundled_configs_load(self, name):
+        load_config(str(CONFIGS / name))
 
 
 VALIDATED = ("speed", "dt", "max_sim_time", "max_range")

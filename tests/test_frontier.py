@@ -152,6 +152,34 @@ class TestNearBorder:
                     assert is_near_border(p, g, 3.0, float(lower))
 
 
+class TestDiscClamp:
+    """A disc larger than the map is clamped near the map's reach from its
+    centres, and counts what the unclamped disc counts: every map cell."""
+
+    @pytest.mark.parametrize("cells", [
+        [], [(4, 2)], [(0, 0), (8, 5)], [(-3, 2)], [(20, -7), (1, 1)],
+    ], ids=["none", "one", "corners", "off_map", "off_map_and_on"])
+    def test_huge_radius_counts_every_map_cell(self, cells):
+        rng = np.random.RandomState(4)
+        w, h = 9, 6
+        g = OccupancyGrid(1.0, 0.0, 0.0, w, h,
+                          rng.choice([UNKNOWN, FREE, OCCUPIED], size=(h, w)).astype(np.int8))
+        radii, disc_offsets = [], frontier._disc_offsets
+
+        def recorded(rad_cells):
+            radii.append(rad_cells)
+            return disc_offsets(rad_cells)
+
+        with mock.patch.object(frontier, "_disc_offsets", recorded):
+            unk, total = disc_unknown_stats([pt(x + 0.5, y + 0.5) for x, y in cells],
+                                            g, 10000.0)
+        assert total.tolist() == [w * h] * len(cells)
+        assert unk.tolist() == [int((g.cells == UNKNOWN).sum())] * len(cells)
+        off_x = max([0] + [max(-x, x - (w - 1)) for x, _ in cells])
+        off_y = max([0] + [max(-y, y - (h - 1)) for _, y in cells])
+        assert radii and max(radii) <= math.hypot(w - 1 + off_x, h - 1 + off_y) + 1.0
+
+
 class TestMergePoints:
     def params(self, **kw):
         defaults = dict(rad=1.0, per_unk=60.0, min_pts=0, max_pts=10)

@@ -63,54 +63,26 @@ def walk_ray_reference(px, py, dx, dy, grid, t_stop):
             return
 
 
-def raycast_reference(truth, pose, beam_count, max_range):
+def cells_reference(truth, pose, beam_count, max_range):
+    """Scalar form of raycast's rule, one beam at a time: the cells a beam
+    crosses before its first Occupied cell are free and that cell is
+    occupied, each only when its chord midpoint is <= max_range. Returns the
+    sorted flat indices (free, occupied) of the pose's scan. The beam
+    directions are numpy's, as in raycast, so that a last-bit difference
+    between math.cos and np.cos cannot move a corner graze."""
     px, py, heading = pose
-    ranges = np.full(beam_count, max_range + 1.0)
-    for k in range(beam_count):
-        theta = heading + 2.0 * math.pi * k / beam_count
-        dx, dy = math.cos(theta), math.sin(theta)
+    theta = heading + 2.0 * math.pi * np.arange(beam_count) / beam_count
+    free, occupied = set(), set()
+    for dx, dy in zip(np.cos(theta).tolist(), np.sin(theta).tolist()):
         for cx, cy, t_in, t_out in walk_ray_reference(
             px, py, dx, dy, truth, max_range + 2.0 * truth.resolution
         ):
-            if truth.cells[cy, cx] == OCCUPIED:
-                r = 0.5 * (t_in + t_out)
-                if r <= max_range:
-                    ranges[k] = r
+            hit = truth.cells[cy, cx] == OCCUPIED
+            if 0.5 * (t_in + t_out) <= max_range:
+                (occupied if hit else free).add(cx + cy * truth.width)
+            if hit:
                 break
-    return ranges
-
-
-def integrate_reference(grid, scan):
-    """Ranges-based integration, one beam at a time: a hit beam's endpoint
-    cell (the floor of pose + range * direction) becomes Occupied and the
-    cells it crosses before that become Free; a no-hit beam frees the cells
-    whose chord midpoint lies within max_range. Occupied is never demoted."""
-    px, py, heading = scan.pose
-    res = grid.resolution
-    free, occupied = set(), set()
-    for k, r in enumerate(scan.ranges):
-        theta = heading + 2.0 * math.pi * k / scan.beam_count
-        dx, dy = math.cos(theta), math.sin(theta)
-        if r <= scan.max_range:
-            end = world_to_grid(px + r * dx, py + r * dy, grid)
-            for cx, cy, _, _ in walk_ray_reference(px, py, dx, dy, grid, r + 2.0 * res):
-                if (cx, cy) == end:
-                    occupied.add(end)
-                    break
-                free.add((cx, cy))
-        else:
-            for cx, cy, t_in, t_out in walk_ray_reference(
-                px, py, dx, dy, grid, scan.max_range
-            ):
-                if 0.5 * (t_in + t_out) <= scan.max_range:
-                    free.add((cx, cy))
-    out = grid.copy()
-    for cx, cy in free:
-        if out.cells[cy, cx] != OCCUPIED:
-            out.cells[cy, cx] = FREE
-    for cx, cy in occupied:
-        out.cells[cy, cx] = OCCUPIED
-    return out
+    return np.array(sorted(free), dtype=np.intp), np.array(sorted(occupied), dtype=np.intp)
 
 
 @st.composite
@@ -171,19 +143,18 @@ class TestRaycast:
         rows = [r[:15] + "#" + r[16:] for r in rows]
         truth = truth_from_rows(rows)
         scan = cast_one(truth, (14.5, 10.5, 0.0), 4, 5.0)
-        assert scan.ranges[0] == pytest.approx(1.0, abs=truth.resolution)
+        assert scan.occupied_cells.tolist() == [15 + 10 * 20]
 
     def test_open_arena_all_no_hit(self, open_arena):
         scan = cast_one(open_arena, (50.0, 50.0, 0.3), 16, 5.0)
-        assert np.all(scan.ranges == scan.no_hit)
+        assert scan.occupied_cells.size == 0
+        assert scan.free_cells.size > 0
 
     def test_single_cell_box(self):
         truth = truth_from_rows(["###", "#.#", "###"])
         scan = cast_one(truth, (1.5, 1.5, 0.0), 8, 5.0)
-        for k in (0, 2, 4, 6):  # axis-aligned beams
-            assert scan.ranges[k] == pytest.approx(1.0, abs=0.5)
-        for k in (1, 3, 5, 7):
-            assert scan.ranges[k] == pytest.approx(math.sqrt(2.0), abs=0.5)
+        assert scan.free_cells.tolist() == [4]
+        assert scan.occupied_cells.tolist() == [0, 1, 2, 3, 5, 6, 7, 8]
 
     def test_embedded_pose_rejected(self, box5):
         with pytest.raises(ValueError, match="embedded"):
@@ -200,10 +171,10 @@ class TestRaycast:
                 2.0 + 5.5 * 0.5 + rng.uniform(0.05, 0.45),
                 rng.uniform(0, 2 * math.pi),
             )
-            got = cast_one(truth, pose, 24, 3.0).ranges
-            want = raycast_reference(truth, pose, 24, 3.0)
-            assert np.allclose(got, want, atol=1e-9), (got - want)
-
+            got = cast_one(truth, pose, 24, 3.0)
+            free, occupied = cells_reference(truth, pose, 24, 3.0)
+            assert np.array_equal(got.free_cells, free)
+            assert np.array_equal(got.occupied_cells, occupied)
 
     @pytest.mark.parametrize("heading", [5e-324, 1e-310, 2.5e-309])
     def test_beam_next_to_axis_warns_nothing(self, heading):
@@ -215,17 +186,14 @@ class TestRaycast:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = cast_one(truth, (*pose, heading), 16, 4.0)
-        assert np.array_equal(got.ranges, want.ranges)
         assert np.array_equal(got.free_cells, want.free_cells)
         assert np.array_equal(got.occupied_cells, want.occupied_cells)
 
 
 def assert_same_scan(got, want):
-    assert got.ranges.tobytes() == want.ranges.tobytes()
+    assert got.frame == want.frame
     assert np.array_equal(got.free_cells, want.free_cells)
     assert np.array_equal(got.occupied_cells, want.occupied_cells)
-    assert got.pose == want.pose
-    assert got.frame == want.frame
 
 
 class TestBatchedRaycast:
@@ -240,6 +208,30 @@ class TestBatchedRaycast:
         assert len(scans) == len(poses)
         for pose, got in zip(poses, scans):
             assert_same_scan(got, cast_one(truth, pose, beams, max_range))
+
+    @settings(deadline=None)  # timing is not under test; the host may be busy
+    @given(world_and_poses(), _beams, _max_range)
+    def test_each_scan_matches_cells_reference(self, world, beams, max_range):
+        truth, poses = world
+        for pose, got in zip(poses, raycast(truth, poses, beams, max_range)):
+            free, occupied = cells_reference(truth, pose, beams, max_range)
+            assert np.array_equal(got.free_cells, free)
+            assert np.array_equal(got.occupied_cells, occupied)
+
+    @settings(deadline=None)  # timing is not under test; the host may be busy
+    @given(world_and_poses(), _beams, _max_range)
+    def test_scan_cells_invariants(self, world, beams, max_range):
+        # LidarScan's stated invariants, for every scan of a batched call
+        truth, poses = world
+        flat = truth.cells.reshape(-1)
+        for scan in raycast(truth, poses, beams, max_range):
+            assert scan.frame == truth.frame
+            for cells, state in ((scan.free_cells, FREE),
+                                 (scan.occupied_cells, OCCUPIED)):
+                assert np.all(np.diff(cells) > 0)
+                assert np.all((cells >= 0) & (cells < truth.width * truth.height))
+                assert np.all(flat[cells] == state)
+            assert np.intersect1d(scan.free_cells, scan.occupied_cells).size == 0
 
     @settings(deadline=None)  # timing is not under test; the host may be busy
     @given(world_and_poses(min_poses=0, max_poses=3), st.data())
@@ -309,13 +301,6 @@ class TestIntegrate:
         d = np.hypot(free_cells[:, 1] + 0.5 - 50.5, free_cells[:, 0] + 0.5 - 50.5)
         assert d.max() <= 5.0 + 1.0  # within max_range plus one cell of slack
 
-    def test_scan_shape_and_range_domain(self, box5):
-        scan = cast_one(box5, (2.5, 2.5, 1.1), 17, 4.0)
-        assert len(scan.ranges) == scan.beam_count == 17
-        hit = scan.ranges <= scan.max_range
-        assert np.all(scan.ranges[hit] > 0.0)
-        assert np.all(scan.ranges[~hit] == scan.no_hit)
-
     def test_known_count_monotone_over_scan_sequence(self, box5):
         g = box5.blank_grid()
         poses = [(1.5, 1.5, 0.0), (2.5, 1.5, 0.8), (2.5, 2.5, 2.2),
@@ -357,11 +342,18 @@ class TestIntegrateProperties:
 
     @settings(deadline=None)  # timing is not under test; the host may be busy
     @given(world_and_pose(), _beams, _max_range)
-    def test_matches_ranges_based_reference(self, world, beams, max_range):
+    def test_matches_cells_reference(self, world, beams, max_range):
+        # the reference cells folded in one at a time: free unless the grid
+        # has them Occupied, then occupied
         truth, pose, grid = world
-        scan = cast_one(truth, pose, beams, max_range)
-        assert np.array_equal(integrate_scan(grid, scan).cells,
-                              integrate_reference(grid, scan).cells)
+        free, occupied = cells_reference(truth, pose, beams, max_range)
+        want = grid.cells.copy().reshape(-1)
+        for cell in free.tolist():
+            if want[cell] != OCCUPIED:
+                want[cell] = FREE
+        want[occupied] = OCCUPIED
+        got = integrate_scan(grid, cast_one(truth, pose, beams, max_range))
+        assert np.array_equal(got.cells.reshape(-1), want)
 
 
 class TestMergedCoverageProperties:
