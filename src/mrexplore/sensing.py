@@ -5,7 +5,8 @@ numpy over the shared true map; the simulator makes one such call per tick
 for every robot's beams. The walk is an exact cell walk (every crossed cell
 is visited, corner grazes with zero chord are skipped), so thin walls cannot
 be leaked through. It yields the cells each scan proves free or occupied;
-integration applies those cells to a map and walks no beams itself.
+integration applies those cells to a map and walks no beams itself, and
+hands back the map itself when they change nothing.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 from .grid import (
     FREE,
     OCCUPIED,
+    UNKNOWN,
     GroundTruthMap,
     OccupancyGrid,
     require_same_frame,
@@ -160,14 +162,24 @@ def integrate_scan(grid: OccupancyGrid, scan: LidarScan) -> OccupancyGrid:
     """Fold a scan into the grid: its free cells become Free unless the grid
     has them Occupied, then its occupied cells become Occupied.
 
+    Returns grid itself when the scan proves nothing new: none of its free
+    cells is Unknown in grid and all its occupied cells are already
+    Occupied. Otherwise returns a new grid; grid is never mutated, so a
+    caller may take an unchanged grid object for an unchanged map.
     Occupied cells are never demoted. Idempotent for a fixed scan. Raises
     ValueError when the grid's frame differs from the one the scan was cast
     in.
     """
     require_same_frame(grid, scan)
+    free = scan.free_cells
+    occupied = scan.occupied_cells
+    flat = grid.cells.ravel()
+    # a Free cell stays Free, so only Unknown free cells change
+    new_free = free[flat[free] == UNKNOWN]
+    if not new_free.size and (flat[occupied] == OCCUPIED).all():
+        return grid
     out = grid.copy()
     flat = out.cells.ravel()
-    free = scan.free_cells
-    flat[free[flat[free] != OCCUPIED]] = FREE
-    flat[scan.occupied_cells] = OCCUPIED
+    flat[new_free] = FREE
+    flat[occupied] = OCCUPIED
     return out

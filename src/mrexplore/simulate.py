@@ -54,13 +54,19 @@ STALL_LIMIT = 3  # ticks without progress before a goal is abandoned
 
 @dataclass
 class Robot:
+    """A robot's state. coverage and frontiers are derived from grid and are
+    kept with it: grid is replaced, never mutated, when a scan changes it,
+    and ExplorationSim then recomputes coverage and clears frontiers."""
+
     rid: int
     pose: tuple[float, float, float]
     grid: OccupancyGrid
     graph: PoseGraph
+    coverage: float  # coverage_percent of grid
     path: GridPath | None = None  # ends at the goal; None while pending
     distance: float = 0.0
     stall_ticks: int = 0
+    frontiers: list[FrontierPoint] | None = None  # detect_frontiers of grid; None until asked for
 
     def drop_goal(self):
         self.path = None
@@ -150,26 +156,45 @@ class ExplorationSim:
             raise ConfigError(f"map resolution {self.truth.resolution} is too large "
                               f"for the lidar walk")
         starts = config.resolve_starts(self.truth)
-        self.robots = [
-            Robot(i, starts[i], self.truth.blank_grid(), PoseGraph())
-            for i in range(config.robot_count)
-        ]
+        self.robots = []
+        for i in range(config.robot_count):
+            grid = self.truth.blank_grid()
+            self.robots.append(Robot(i, starts[i], grid, PoseGraph(),
+                                     coverage_percent(grid, self.truth)))
         self.state = AllocationState(goal_skip_wait=config.goal_skip_wait)
-        self.merged = merge_maps([r.grid for r in self.robots])
+        self._merge()
 
     # -- workflow ----------------------------------------------------------
+
+    def _merge(self):
+        """Rebuild the merged map and the values derived from it. Called at
+        build and on every tick where some robot's grid changed, and only
+        then."""
+        self.merged = merge_maps([r.grid for r in self.robots])
+        self.merged_coverage = coverage_percent(self.merged, self.truth)
+        self.entropy_bits = map_entropy(self.merged)
+        self.offered = None  # the method's offer, made at the next request
 
     def _cell_key(self, p):
         return world_to_grid(p.x, p.y, self.merged)
 
     def _sense_all(self):
+        """Scan from every robot's pose and fold each scan into its robot's
+        grid. Values derived from a grid, and from the merged map, are
+        recomputed only when some scan changed a grid."""
         cfg = self.config
         scans = raycast(self.truth, [r.pose for r in self.robots],
                         cfg.beam_count, cfg.max_range)
+        changed = False
         for r, scan in zip(self.robots, scans):
-            r.grid = integrate_scan(r.grid, scan)
+            grid = integrate_scan(r.grid, scan)
+            if grid is not r.grid:
+                r.grid, r.frontiers = grid, None
+                r.coverage = coverage_percent(grid, self.truth)
+                changed = True
             extend_trajectory(r.graph, r.pose, cfg.graph_params)
-        self.merged = merge_maps([r.grid for r in self.robots])
+        if changed:
+            self._merge()
 
     def _plan(self, robot: Robot, goals) -> list[GridPath | None]:
         """Plan from the robot to every (x, y) goal on an inflated copy of
@@ -200,12 +225,18 @@ class ExplorationSim:
         """Serve one agent's request: detect frontiers on every robot's map,
         let the method's policy offer some of them, plan to every offered
         point, let the policy rank the reachable points' paths, and hand the
-        chosen path to the robot. Every way a request ends without a goal is
-        decided here. Returns (raw count, offered count, got_goal)."""
+        chosen path to the robot. A map's frontiers and the offer are reused
+        until a scan changes some map. Every way a request ends without a
+        goal is decided here. Returns (raw count, offered count, got_goal)."""
         offer, rank = POLICIES[self.config.method]
-        local_lists = [detect_frontiers(r.grid) for r in self.robots]
+        for r in self.robots:
+            if r.frontiers is None:
+                r.frontiers = detect_frontiers(r.grid)
+        local_lists = [r.frontiers for r in self.robots]
         raw_n = sum(len(pts) for pts in local_lists)
-        offered = offer(self, local_lists)
+        if self.offered is None:
+            self.offered = offer(self, local_lists)
+        offered = self.offered
         if not offered:
             return raw_n, 0, False
         # A point in a chosen goal's cell is never assigned, so when every
@@ -293,19 +324,17 @@ class ExplorationSim:
                 if r.path is not None:
                     self._advance(r, cfg.speed, cfg.dt)
 
-            merged_cov = coverage_percent(self.merged, self.truth)
             metrics.rows.append(TickRow(
                 time=t,
-                robot_coverage=[coverage_percent(r.grid, self.truth)
-                                for r in self.robots],
-                merged_coverage=merged_cov,
+                robot_coverage=[r.coverage for r in self.robots],
+                merged_coverage=self.merged_coverage,
                 frontier_raw=raw_n,
                 frontier_filtered=filtered_n,
-                entropy_bits=map_entropy(self.merged),
+                entropy_bits=self.entropy_bits,
                 loop_closures=sum(r.graph.loop_closure_count()
                                   for r in self.robots),
             ))
-            if merged_cov >= FULL_COVERAGE_STOP:
+            if self.merged_coverage >= FULL_COVERAGE_STOP:
                 log.info("full coverage at t=%.1f", t)
                 break
 
@@ -326,9 +355,11 @@ def run(config: ScenarioConfig) -> RunMetrics:
 # Per-method policies. Every method runs the same pipeline (detect, offer,
 # plan, rank, hand over the path) and differs only in two steps:
 # offer(sim, local_lists) picks the frontier points the served robot may
-# go to; rank(sim, robot, points, paths) gets the reachable offered points,
-# at least one, with their paths, and returns the index of the path to
-# hand over, or None.
+# go to, from the robots' lists and sim.merged alone, so that one offer
+# serves every request until the merged map is rebuilt;
+# rank(sim, robot, points, paths) gets the reachable offered points, at
+# least one, with their paths, and returns the index of the path to hand
+# over, or None.
 
 
 def _offer_filtered(sim: ExplorationSim, local_lists):

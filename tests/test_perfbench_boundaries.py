@@ -73,6 +73,9 @@ def test_traced_run(spans, monkeypatch, tmp_path, method):
     # one beam walk per tick casts every robot's beams
     assert m["sensing.raycast.calls"] == 30
     assert m["sensing.beams"] == 30 * cfg.beam_count
+    # the merged map and its entropy are rebuilt only on ticks whose scans
+    # changed some map, and some ticks change none
+    assert m["grid.map_entropy.calls"] < m["simulate.ticks"]
     assert m["simulate.run_iteration.goals"] >= 1
     assert m["planner.plan_many.reached"] <= m["planner.plan_many.goals"]
     # the per-path gain work stays inside the wrapped trajectory_gain name

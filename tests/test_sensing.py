@@ -133,6 +133,18 @@ def world_and_poses(draw, min_poses=1, max_poses=4):
     return truth, [pose for _, pose in placed]
 
 
+def copy_and_write(grid, scan):
+    """The cells integrate_scan gives by always copying: the grid's cells
+    with the scan's free cells written Free unless Occupied, then its
+    occupied cells written Occupied."""
+    cells = grid.cells.copy()
+    flat = cells.reshape(-1)
+    free = scan.free_cells
+    flat[free[flat[free] != OCCUPIED]] = FREE
+    flat[scan.occupied_cells] = OCCUPIED
+    return cells
+
+
 _beams = st.integers(1, 48)
 _max_range = st.floats(0.3, 6.0)
 
@@ -265,6 +277,7 @@ class TestIntegrate:
         once = integrate_scan(box5.blank_grid(), scan)
         twice = integrate_scan(once, scan)
         assert np.array_equal(once.cells, twice.cells)
+        assert twice is once
 
     def test_hit_cell_marked_with_free_segment(self):
         rows = ["." * 20] * 10
@@ -331,7 +344,30 @@ class TestIntegrateProperties:
         truth, pose, grid = world
         scan = cast_one(truth, pose, beams, max_range)
         once = integrate_scan(grid, scan)
-        assert np.array_equal(integrate_scan(once, scan).cells, once.cells)
+        twice = integrate_scan(once, scan)
+        assert np.array_equal(twice.cells, once.cells)
+        assert twice is once
+
+    @settings(deadline=None)  # timing is not under test; the host may be busy
+    @given(world_and_pose(), _beams, _max_range, st.data())
+    def test_returns_input_only_when_nothing_changed(self, world, beams, max_range, data):
+        truth, pose, grid = world
+        scan = cast_one(truth, pose, beams, max_range)
+        proved = np.concatenate([scan.free_cells, scan.occupied_cells]).tolist()
+        if proved and data.draw(st.booleans()):
+            # the scan already folded in, with up to two of the cells it
+            # proves redrawn as Unknown or Free
+            cells = copy_and_write(grid, scan)
+            flat = cells.reshape(-1)
+            for cell in data.draw(st.lists(st.sampled_from(proved), max_size=2)):
+                flat[cell] = data.draw(st.sampled_from([UNKNOWN, FREE]))
+            grid = OccupancyGrid(*grid.frame, cells)
+        before = grid.cells.copy()
+        want = copy_and_write(grid, scan)
+        got = integrate_scan(grid, scan)
+        assert np.array_equal(got.cells, want)
+        assert (got is grid) == np.array_equal(want, before)
+        assert np.array_equal(grid.cells, before)
 
     @settings(deadline=None)  # timing is not under test; the host may be busy
     @given(world_and_pose(), _beams, _max_range)

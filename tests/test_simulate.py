@@ -8,13 +8,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mrexplore.config import METHODS, ScenarioConfig
-from mrexplore.frontier import FilterParams, FrontierPoint
+from mrexplore.frontier import FilterParams, FrontierPoint, detect_frontiers
 from mrexplore.grid import (
     FREE,
     OCCUPIED,
     UNKNOWN,
     OccupancyGrid,
+    coverage_percent,
     inflate_obstacles,
+    map_entropy,
+    merge_maps,
     world_to_grid,
 )
 from mrexplore.planner import plan_many
@@ -393,6 +396,64 @@ class TestChoosersMatchReference:
         assert sum(path is not None for path in chosen) >= 20
         if (world, method) == ("open20", "greedy_frontier"):
             assert ties >= 1
+
+
+def assert_derived_state_fresh(sim):
+    """Every value the simulator keeps beside a map equals a recomputation
+    from the robots' grids: coverage and, once asked for, frontiers per
+    robot; the merged map with its coverage and entropy; and the offer,
+    once made."""
+    offer, _ = POLICIES[sim.config.method]
+    fresh = [detect_frontiers(r.grid) for r in sim.robots]
+    for r, points in zip(sim.robots, fresh):
+        assert r.coverage == coverage_percent(r.grid, sim.truth)
+        assert r.frontiers is None or r.frontiers == points
+    merged = merge_maps([r.grid for r in sim.robots])
+    assert np.array_equal(sim.merged.cells, merged.cells)
+    assert sim.merged_coverage == coverage_percent(merged, sim.truth)
+    assert sim.entropy_bits == map_entropy(merged)
+    assert sim.offered is None or sim.offered == offer(sim, fresh)
+
+
+class TestReusedStateExact:
+    """The simulator recomputes map-derived values only when a scan changed
+    some map; after every tick each kept value must equal a fresh
+    recomputation."""
+
+    CONFIGS = {
+        "two_wings": dict(map_source="builtin:two_wings", robot_count=2,
+                          beam_count=120, max_range=4.0, dt=1.0,
+                          max_sim_time=80, seed=1),
+        "open20": dict(map_source="builtin:open20", robot_count=2,
+                       beam_count=72, max_range=5.0, dt=1.0,
+                       max_sim_time=80, seed=5, inflation_cells=0),
+    }
+
+    @pytest.mark.parametrize("world", CONFIGS)
+    @pytest.mark.parametrize("method", METHODS)
+    def test_kept_values_equal_recomputation(self, world, method):
+        sim = ExplorationSim(ScenarioConfig(method=method, **self.CONFIGS[world]))
+        sense = sim._sense_all
+        kept = {"merged": 0, "offer": 0, "frontiers": 0}
+
+        def checked_sense():
+            # the tick before has ended; this tick's scans come next
+            assert_derived_state_fresh(sim)
+            merged, offered = sim.merged, sim.offered
+            frontiers = [r.frontiers for r in sim.robots]
+            sense()
+            assert_derived_state_fresh(sim)
+            kept["merged"] += sim.merged is merged
+            kept["offer"] += offered is not None and sim.offered is offered
+            kept["frontiers"] += sum(f is not None and r.frontiers is f
+                                     for r, f in zip(sim.robots, frontiers))
+
+        sim._sense_all = checked_sense
+        sim.run()
+        assert_derived_state_fresh(sim)
+        assert kept["merged"] >= 1
+        assert kept["offer"] >= 1
+        assert kept["frontiers"] >= 1
 
 
 class TestSpread:
