@@ -37,7 +37,12 @@ def _run_dijkstra(grid: OccupancyGrid, start_cell, goal_idxs):
     """Single-source shortest paths on the grid padded with one Occupied
     ring, in flat indices of that padded grid. Unknown cells are
     traversable at axis cost, Occupied cells block, diagonal moves may not
-    cut corners. Stops once every goal index is settled.
+    cut corners. Stops once every goal index is settled, leaving out the
+    goals that no move can leave: a move between two free cells is allowed
+    both ways, corner checks included, so no move enters such a goal
+    either, and it stays unreached unless it is the start, which the first
+    step settles. Otherwise one walled-in goal would hold the search open
+    until the front empties.
 
     A bucket search: each step settles every open cell whose tentative
     distance is below min(open) + resolution. Every move costs at least
@@ -76,6 +81,7 @@ def _run_dijkstra(grid: OccupancyGrid, start_cell, goal_idxs):
     queued[start] = True
     slot = np.empty(n, dtype=np.intp)
     goals = np.asarray(goal_idxs, dtype=np.intp)
+    goals = goals[allowed[goals].any(axis=1)]
     front = np.array([start])
     while front.size:
         d = dist[front]
@@ -146,29 +152,46 @@ def plan_many(grid: OccupancyGrid, start, goals) -> list[GridPath | None]:
     wanted = [i for i in goal_idxs if i is not None]
     dist, parent = _run_dijkstra(grid, (scx, scy), wanted)
 
-    # Every reached goal's parent chain, goal first, in one list; each path
-    # is one reversed slice of it.
-    parent = parent.tolist()
-    chain, spans = [], []
-    for gidx in goal_idxs:
+    # The paths of one search branch from one shortest-path tree. Each
+    # reached goal's parent chain is walked, goal first, only until it meets
+    # a cell an earlier chain walked; that cell's path is then a prefix of
+    # the new one. walked[cell] = (k, n): the cell ends the first n cells of
+    # path k. `fresh` holds every walked cell once, so only the distinct
+    # cells are converted to cells and waypoints.
+    parent_of = parent.item
+    fresh, walked, pieces = [], {}, []
+    for k, gidx in enumerate(goal_idxs):
         length = math.inf if gidx is None else float(dist[gidx])
         if not math.isfinite(length):
-            spans.append(None)
+            pieces.append(None)
             continue
-        begin = len(chain)
-        while gidx != -1:
-            chain.append(gidx)
-            gidx = parent[gidx]
-        spans.append((slice(begin, len(chain)), length))
-    chain = np.array(chain, dtype=np.intp)
-    cx = chain % pw - 1
-    cy = chain // pw - 1
+        begin = len(fresh)
+        while gidx != -1 and gidx not in walked:
+            fresh.append(gidx)
+            gidx = parent_of(gidx)
+        base, keep = walked.get(gidx, (None, 0))
+        end = len(fresh)
+        for i in range(begin, end):
+            walked[fresh[i]] = (k, keep + end - i)
+        pieces.append((base, keep, slice(begin, end), length))
+    fresh = np.array(fresh, dtype=np.intp)
+    cx = fresh % pw - 1
+    cy = fresh // pw - 1
     xs, ys = grid_to_world(cx, cy, grid)
     cells = list(zip(cx.tolist(), cy.tolist()))
     waypoints = list(zip(xs.tolist(), ys.tolist()))
-    return [None if span is None else
-            GridPath(cells[span[0]][::-1], span[1], waypoints[span[0]][::-1])
-            for span in spans]
+    paths = []
+    for piece in pieces:
+        if piece is None:
+            paths.append(None)
+            continue
+        base, keep, span, length = piece
+        path_cells, path_waypoints = cells[span][::-1], waypoints[span][::-1]
+        if base is not None:
+            path_cells = paths[base].cells[:keep] + path_cells
+            path_waypoints = paths[base].waypoints[:keep] + path_waypoints
+        paths.append(GridPath(path_cells, length, path_waypoints))
+    return paths
 
 
 def plan(grid: OccupancyGrid, start, goal) -> GridPath:

@@ -376,6 +376,58 @@ class TestDeskScale:
         assert (dist[parent[nb]] + w == dist[nb]).all()
 
 
+    # One-cell goals walled in as _plan leaves a raw frontier point inside
+    # the inflated wall around it: all eight neighbours Occupied around an
+    # Unknown or a Free cell, or only the four axis neighbours, which
+    # forbids the diagonals too.
+    WALLED = ((3.05, 12.05, UNKNOWN, False), (12.55, 15.55, FREE, False),
+              (15.05, 4.05, FREE, True))
+
+    def walled_case(self):
+        grid, goals = self.case()
+        walled = []
+        for x, y, state, axis_only in self.WALLED:
+            cx, cy = world_to_grid(x, y, grid)
+            if axis_only:
+                grid.cells[cy, cx - 1:cx + 2] = OCCUPIED
+                grid.cells[cy - 1:cy + 2, cx] = OCCUPIED
+            else:
+                grid.cells[cy - 1:cy + 2, cx - 1:cx + 2] = OCCUPIED
+            grid.cells[cy, cx] = state
+            walled.append((x, y))
+        reached = [g for g, p in zip(goals, plan_many(grid, self.START, goals)) if p]
+        return grid, reached, walled
+
+    def test_walled_in_goals_do_not_hold_the_search_open(self):
+        grid, reached, walled = self.walled_case()
+        goals = walled[:1] + reached + walled[1:]
+        got = plan_many(grid, self.START, goals)
+        assert as_tuples(got) == as_tuples(heap_plan_many(grid, self.START, goals))
+        assert got[0] is None and got[-1] is None and got[-2] is None
+        assert all(got[1:-2])
+        # The search stops once the reachable goals are settled, so some
+        # cell with a finite distance is left open, without a parent.
+        pw = grid.width + 2
+        idxs = [(cy + 1) * pw + cx + 1
+                for cx, cy in (world_to_grid(x, y, grid) for x, y in goals)]
+        start = world_to_grid(*self.START, grid)
+        dist, parent = _run_dijkstra(grid, start, idxs)
+        open_cells = np.isfinite(dist) & (parent < 0)
+        open_cells[(start[1] + 1) * pw + start[0] + 1] = False
+        assert open_cells.any()
+
+    def test_walled_in_start_still_reaches_itself(self):
+        grid, _ = self.case()
+        sx, sy = world_to_grid(*self.START, grid)
+        grid.cells[sy - 1:sy + 2, sx - 1:sx + 2] = OCCUPIED
+        grid.cells[sy, sx] = FREE
+        goals = [self.START, (18.05, 18.05)]
+        got = plan_many(grid, self.START, goals)
+        assert as_tuples(got) == as_tuples(heap_plan_many(grid, self.START, goals))
+        assert got[0].cells == [(sx, sy)] and got[0].length_m == 0.0
+        assert got[1] is None
+
+
 def step_along(path, pose, speed, dt):
     """One motion step as the simulator takes it: project the pose onto the
     path, then go speed * dt further along it."""

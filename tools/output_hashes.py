@@ -8,6 +8,13 @@ tenth is the wings_sense workload of perfbench/run.py. Each run goes
 through the code path of `mrexplore run`, in a temporary directory. A
 change that keeps the simulator's outputs byte-identical prints the same
 ten lines before and after. Two runs go at a time.
+
+tools/output_hashes.txt holds the lines of the current outputs, so the
+byte-identity check is
+
+    python3 tools/output_hashes.py | diff tools/output_hashes.txt -
+
+which prints nothing and exits 0 when every output is unchanged.
 """
 
 from __future__ import annotations
