@@ -17,7 +17,7 @@ from .grid import (
     merge_maps,
     world_to_grid,
 )
-from .frontier import FilterParams, FrontierPoint
+from .frontier import FilterParams
 from .posegraph import GraphBuildParams, PoseGraph, log_spanning_trees
 from .utility import UtilityParams
 from .config import ScenarioConfig, load_config
@@ -28,7 +28,7 @@ __all__ = [
     "GroundTruthMap", "OccupancyGrid",
     "cell_entropy", "coverage_percent", "grid_to_world", "map_entropy",
     "merge_maps", "world_to_grid",
-    "FilterParams", "FrontierPoint",
+    "FilterParams",
     "GraphBuildParams", "PoseGraph", "log_spanning_trees",
     "UtilityParams", "ScenarioConfig", "load_config",
     "RunMetrics", "run",

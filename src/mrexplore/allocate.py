@@ -7,18 +7,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .frontier import FrontierPoint
-
 SUPPRESSED = float("-inf")
 
 
 @dataclass
 class AllocationState:
-    """Server-side memory: previously assigned goals and per-agent
-    deferred-request counters."""
+    """Server-side memory: previously assigned goals, as (x, y) points, and
+    per-agent deferred-request counters."""
 
     goal_skip_wait: int = 5
-    chosen_coords: list[FrontierPoint] = field(default_factory=list)
+    chosen_coords: list[tuple[float, float]] = field(default_factory=list)
     skip_counters: dict[int, int] = field(default_factory=dict)
 
 
@@ -50,8 +48,8 @@ def schedule(pending: set[int], state: AllocationState) -> int:
 
 
 def update_rewards(
-    chosen: list[FrontierPoint],
-    points: list[FrontierPoint],
+    chosen: list[tuple[float, float]],
+    points: list[tuple[float, float]],
     rewards: list[float],
     cell_key,
 ) -> list[float]:
@@ -75,10 +73,11 @@ def update_rewards(
     for p, reward in zip(points, rewards, strict=True):
         if cell_key(p) in taken:
             reward = SUPPRESSED
-        for c in chosen:
+        px, py = p
+        for cx, cy in chosen:
             if not math.isfinite(reward):
                 break
-            d = math.hypot(c.x - p.x, c.y - p.y)
+            d = math.hypot(cx - px, cy - py)
             if d * d == 0.0:  # underflow: -K/d^2 tends to -inf
                 reward = SUPPRESSED
             else:
@@ -96,7 +95,7 @@ def any_open(points, state: AllocationState, cell_key) -> bool:
 
 
 def select_goal(
-    points: list[FrontierPoint],
+    points: list[tuple[float, float]],
     rewards: list[float],
     state: AllocationState,
     cell_key,

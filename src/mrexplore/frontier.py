@@ -28,12 +28,6 @@ from .grid import (
 
 
 @dataclass(frozen=True)
-class FrontierPoint:
-    x: float
-    y: float
-
-
-@dataclass(frozen=True)
 class FilterParams:
     """Knobs of the filtering pipeline.
 
@@ -66,18 +60,18 @@ class FilterParams:
 
 @dataclass
 class FilterOutcome:
-    points: list[FrontierPoint]
+    points: list[tuple[float, float]]
     final_rad: float
     final_perc: float
     exhausted: bool
     iterations: int
 
 
-def detect_frontiers(grid: OccupancyGrid) -> list[FrontierPoint]:
+def detect_frontiers(grid: OccupancyGrid) -> list[tuple[float, float]]:
     """Frontier cells are Free cells 4-adjacent to Unknown; they are grouped
-    into 8-connected clusters and each cluster yields one point at the member
-    cell nearest the cluster centroid, ties to the least (row, col). Cluster
-    order follows each cluster's least row-major cell."""
+    into 8-connected clusters and each cluster yields one (x, y) point at the
+    member cell nearest the cluster centroid, ties to the least (row, col).
+    Cluster order follows each cluster's least row-major cell."""
     cells = grid.cells
     unknown = cells == UNKNOWN
     near_unknown = np.zeros_like(unknown)
@@ -126,7 +120,7 @@ def detect_frontiers(grid: OccupancyGrid) -> list[FrontierPoint]:
     np.minimum.at(best, cluster[tied], tied)
 
     xs, ys = grid_to_world(cols[best], rows[best], grid)
-    return [FrontierPoint(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+    return list(zip(xs.tolist(), ys.tolist()))
 
 
 def _least_member_labels(k: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -204,8 +198,8 @@ def _near_border(unk, total, per_unk: float):
 
 
 def _cells_of(points, grid: OccupancyGrid) -> np.ndarray:
-    """(P, 2) array of the points' (cx, cy) cells."""
-    return np.array([world_to_grid(p.x, p.y, grid) for p in points],
+    """(P, 2) array of the (x, y) points' (cx, cy) cells."""
+    return np.array([world_to_grid(x, y, grid) for x, y in points],
                     dtype=np.intp).reshape(-1, 2)
 
 
@@ -234,14 +228,17 @@ def _keep_near(pts, cells: np.ndarray, counts, per_unk: float):
     return [pts[i] for i in kept], cells[kept]
 
 
-def dedup_points(lists: list[list[FrontierPoint]], merged: OccupancyGrid) -> list[FrontierPoint]:
+def dedup_points(
+    lists: list[list[tuple[float, float]]],
+    merged: OccupancyGrid,
+) -> list[tuple[float, float]]:
     """Concatenate per-agent lists and drop duplicates (points in the same
     cell of the merged map). First-seen order is preserved."""
     pts = [p for agent_list in lists for p in agent_list]
     return [pts[i] for i in _first_per_cell(np.arange(len(pts)), _cells_of(pts, merged))]
 
 
-def _gather(lists: list[list[FrontierPoint]], merged: OccupancyGrid, rad: float):
+def _gather(lists: list[list[tuple[float, float]]], merged: OccupancyGrid, rad: float):
     """The per-agent lists concatenated, with each point's merged-map cell
     and the disc counts at rad: the arguments of _keep_near but for the
     percentage."""
@@ -251,10 +248,10 @@ def _gather(lists: list[list[FrontierPoint]], merged: OccupancyGrid, rad: float)
 
 
 def merge_points(
-    lists: list[list[FrontierPoint]],
+    lists: list[list[tuple[float, float]]],
     merged: OccupancyGrid,
     params: FilterParams,
-) -> list[FrontierPoint]:
+) -> list[tuple[float, float]]:
     """Concatenate per-agent lists, keep near-border points only, and drop
     duplicates (two points are duplicates when they land in the same cell of
     the merged map). First-seen order is preserved."""
@@ -262,7 +259,7 @@ def merge_points(
 
 
 def filter_pipeline(
-    lists: list[list[FrontierPoint]],
+    lists: list[list[tuple[float, float]]],
     merged: OccupancyGrid,
     params: FilterParams,
 ) -> FilterOutcome:

@@ -34,13 +34,14 @@ def _window_means(img: np.ndarray, win: int) -> np.ndarray:
     return total / (win * win)
 
 
-def ssim_index(a: np.ndarray, b: np.ndarray, win: int = SSIM_WINDOW) -> float:
-    """Mean structural similarity over sliding windows (stride 1)."""
+def ssim_index(a: np.ndarray, b: np.ndarray) -> float:
+    """Mean structural similarity over sliding SSIM_WINDOW-wide windows
+    (stride 1), narrowed to the image's shorter side."""
     if a.shape != b.shape:
         raise ValueError("image shapes differ")
     a = a.astype(np.float64)
     b = b.astype(np.float64)
-    win = min(win, a.shape[0], a.shape[1])
+    win = min(SSIM_WINDOW, a.shape[0], a.shape[1])
 
     mu_a = _window_means(a, win)
     mu_b = _window_means(b, win)
@@ -79,15 +80,15 @@ def alignment_error(grid, truth) -> float:
     )
 
 
-def _directed_nn_mean(src: np.ndarray, dst: np.ndarray, chunk: int = 512) -> float:
+def _directed_nn_mean(src: np.ndarray, dst: np.ndarray) -> float:
     # each src point's least squared distance, 64 points at a time, so that
     # no temporary holds more than 64 x len(dst) values
     d2 = np.concatenate([
         ((src[i:i + 64, :1] - dst[:, 0]) ** 2 + (src[i:i + 64, 1:] - dst[:, 1]) ** 2)
         .min(axis=1) for i in range(0, len(src), 64)])
-    # summed per chunk of src points, then over the chunks in order: the
+    # summed per 512 src points, then over those sums in order: the
     # grouping sets the rounding of alignment_error
-    return sum(np.sqrt(d2[i:i + chunk]).sum() for i in range(0, len(src), chunk)) / len(src)
+    return sum(np.sqrt(d2[i:i + 512]).sum() for i in range(0, len(src), 512)) / len(src)
 
 
 def map_quality(grid, truth) -> MapQuality:

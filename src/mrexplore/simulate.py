@@ -18,7 +18,6 @@ from .allocate import (
 )
 from .config import ConfigError, ScenarioConfig
 from .frontier import (
-    FrontierPoint,
     dedup_points,
     detect_frontiers,
     disc_unknown_stats,
@@ -66,7 +65,7 @@ class Robot:
     path: GridPath | None = None  # ends at the goal; None while pending
     distance: float = 0.0
     stall_ticks: int = 0
-    frontiers: list[FrontierPoint] | None = None  # detect_frontiers of grid; None until asked for
+    frontiers: list[tuple[float, float]] | None = None  # detect_frontiers of grid; None until asked
 
     def drop_goal(self):
         self.path = None
@@ -176,7 +175,7 @@ class ExplorationSim:
         self.offered = None  # the method's offer, made at the next request
 
     def _cell_key(self, p):
-        return world_to_grid(p.x, p.y, self.merged)
+        return world_to_grid(p[0], p[1], self.merged)
 
     def _sense_all(self):
         """Scan from every robot's pose and fold each scan into its robot's
@@ -244,7 +243,7 @@ class ExplorationSim:
         if not any_open(offered, self.state, self._cell_key):
             log.info("agent %d: no assignable goal this round", robot.rid)
             return raw_n, len(offered), False
-        paths = self._plan(robot, [(p.x, p.y) for p in offered])
+        paths = self._plan(robot, offered)
         reachable = [i for i, path in enumerate(paths) if path is not None]
         if not reachable:
             return raw_n, len(offered), False
@@ -305,7 +304,7 @@ class ExplorationSim:
             # one count finds every stale goal, chosen or held
             chosen = self.state.chosen_coords
             held = [r for r in self.robots if r.path is not None]
-            known = self._goal_areas_known(chosen + [FrontierPoint(*r.path.goal) for r in held])
+            known = self._goal_areas_known(chosen + [r.path.goal for r in held])
             if chosen:
                 evicted = evict_known_goals(self.state, known[:len(chosen)])
                 if evicted:
@@ -393,7 +392,7 @@ def _rank_graph_gain(sim: ExplorationSim, robot: Robot, points, paths):
     x, y = robot.pose[0], robot.pose[1]
 
     def value(i):
-        gamma = decay(math.hypot(points[i].x - x, points[i].y - y), uparams)
+        gamma = decay(math.hypot(points[i][0] - x, points[i][1] - y), uparams)
         return uparams.u1_weight * gains[i] + gamma
 
     return max(range(len(points)), key=value)
@@ -402,8 +401,8 @@ def _rank_graph_gain(sim: ExplorationSim, robot: Robot, points, paths):
 def _rank_nearest(sim: ExplorationSim, robot: Robot, points, paths):
     """Nearest point by straight-line distance; ties to the earlier point."""
     x, y = robot.pose[0], robot.pose[1]
-    return min(range(len(points)), key=lambda i: math.hypot(points[i].x - x,
-                                                            points[i].y - y))
+    return min(range(len(points)), key=lambda i: math.hypot(points[i][0] - x,
+                                                            points[i][1] - y))
 
 
 POLICIES = {

@@ -57,7 +57,7 @@ def u2(entropy_bits: float, cell_count: int, rho: float, gamma: float) -> float:
 
 @dataclass
 class CandidateScore:
-    point: object
+    point: tuple[float, float]
     reward: float
     path: object          # GridPath to the point
     gain: float           # log spanning-tree gain along the path
@@ -97,7 +97,7 @@ def score_candidates(
     for cand, path, gain, rho in zip(candidates, paths, gains, normalize_gains(gains),
                                      strict=True):
         ent, count = path_entropy(grid, path.cells)
-        gamma = decay(math.hypot(cand.x - pose[0], cand.y - pose[1]), uparams)
+        gamma = decay(math.hypot(cand[0] - pose[0], cand[1] - pose[1]), uparams)
         reward = uparams.u1_weight * gain + u2(ent, count, rho, gamma)
         scores.append(CandidateScore(cand, reward, path, gain, rho, gamma, ent, count))
     return scores

@@ -12,7 +12,7 @@ import numpy as np
 from mrexplore.allocate import AllocationState, schedule, select_goal
 from mrexplore.cli import EXIT_OK, main
 from mrexplore.config import ScenarioConfig
-from mrexplore.frontier import FilterParams, FrontierPoint, filter_pipeline
+from mrexplore.frontier import FilterParams, filter_pipeline
 from mrexplore.grid import (
     OccupancyGrid,
     UNKNOWN,
@@ -107,7 +107,7 @@ def test_05_list_bound_enforcement_terminates():
         cells = rng.choice([UNKNOWN, FREE, OCCUPIED], size=(h, w),
                            p=[0.45, 0.45, 0.1]).astype(np.int8)
         g = OccupancyGrid(1.0, 0.0, 0.0, int(w), int(h), cells)
-        raw = [FrontierPoint(rng.uniform(-2, w + 2), rng.uniform(-2, h + 2))
+        raw = [(rng.uniform(-2, w + 2), rng.uniform(-2, h + 2))
                for _ in range(rng.randint(0, 25))]
         min_pts = int(rng.randint(0, 3))
         params = FilterParams(
@@ -148,13 +148,13 @@ def test_06_liveness_under_contention():
 
 def test_07_reward_spread_prefers_farthest():
     state = AllocationState()
-    state.chosen_coords.append(FrontierPoint(0.0, 0.0))
-    candidates = [FrontierPoint(3.0, 0.0), FrontierPoint(14.0, 0.0),
-                  FrontierPoint(7.0, 0.0)]
+    state.chosen_coords.append((0.0, 0.0))
+    candidates = [(3.0, 0.0), (14.0, 0.0),
+                  (7.0, 0.0)]
     goal = candidates[select_goal(candidates, [5.0] * len(candidates), state,
-                                  lambda p: (math.floor(p.x), math.floor(p.y)))]
+                                  lambda p: (math.floor(p[0]), math.floor(p[1])))]
     report(7, "equal-reward candidates: farthest from chosen goal wins",
-           (goal.x, goal.y) == (14.0, 0.0), f"picked ({goal.x}, {goal.y})")
+           (goal[0], goal[1]) == (14.0, 0.0), f"picked ({goal[0]}, {goal[1]})")
 
 
 def test_08_planner_matches_exhaustive_oracle():

@@ -14,18 +14,18 @@ from mrexplore.allocate import (
     select_goal,
     update_rewards,
 )
-from mrexplore.frontier import FrontierPoint, disc_unknown_stats
+from mrexplore.frontier import disc_unknown_stats
 
 from conftest import grid_from_rows
 
 
 def cell_key(p):
-    return (math.floor(p.x), math.floor(p.y))
+    return (math.floor(p[0]), math.floor(p[1]))
 
 
 def matrix(rows):
     """(points, rewards) from (x, y, reward) rows."""
-    return ([FrontierPoint(x, y) for x, y, _ in rows], [r for _, _, r in rows])
+    return ([(x, y) for x, y, _ in rows], [r for _, _, r in rows])
 
 
 def pick(h, state):
@@ -84,18 +84,18 @@ class TestSchedule:
 class TestUpdateRewards:
     def test_spread_arithmetic(self):
         # K = max 10 / 5 chosen = 2; row at distance 2 loses 2/4 = 0.5
-        chosen = [FrontierPoint(0.0, 0.0), FrontierPoint(20, 20),
-                  FrontierPoint(30, 30), FrontierPoint(40, 40),
-                  FrontierPoint(50, 50)]
+        chosen = [(0.0, 0.0), (20, 20),
+                  (30, 30), (40, 40),
+                  (50, 50)]
         h = matrix([(2.0, 0.0, 10.0)])
         out = update_rewards(chosen, *h, cell_key)
         # the near point at distance 2 costs 0.5; distant chosen points cost
         # their own tiny K/d^2 shares
-        far_losses = sum(2.0 / ((c.x - 2.0) ** 2 + c.y ** 2) for c in chosen[1:])
+        far_losses = sum(2.0 / ((c[0] - 2.0) ** 2 + c[1] ** 2) for c in chosen[1:])
         assert out[0] == pytest.approx(10.0 - 0.5 - far_losses)
 
     def test_chosen_cell_suppressed(self):
-        chosen = [FrontierPoint(1.2, 1.2)]
+        chosen = [(1.2, 1.2)]
         h = matrix([(1.4, 1.4, 5.0), (3.0, 3.0, 4.0)])
         out = update_rewards(chosen, *h, cell_key)
         assert out[0] == SUPPRESSED
@@ -103,20 +103,20 @@ class TestUpdateRewards:
 
     def test_two_chosen_accumulate(self):
         d = 2.0
-        chosen = [FrontierPoint(0.0, d), FrontierPoint(0.0, -d)]
+        chosen = [(0.0, d), (0.0, -d)]
         h = matrix([(0.0, 0.0, 8.0), (40.0, 0.0, 8.0)])
         out = update_rewards(chosen, *h, cell_key)
         k_scale = 8.0 / 2
         assert out[0] == pytest.approx(8.0 - 2 * k_scale / d**2)
 
     def test_equal_rewards_post_update_increase_with_distance(self):
-        chosen = [FrontierPoint(0.0, 0.0)]
+        chosen = [(0.0, 0.0)]
         h = matrix([(2.0, 0.0, 6.0), (5.0, 0.0, 6.0), (9.0, 0.0, 6.0)])
         out = update_rewards(chosen, *h, cell_key)
         assert out[0] < out[1] < out[2]
 
     def test_never_increases_rewards(self):
-        chosen = [FrontierPoint(5.0, 5.0)]
+        chosen = [(5.0, 5.0)]
         h = matrix([(1.0, 1.0, 3.0), (9.0, 9.0, 1.0), (4.0, 4.0, SUPPRESSED)])
         out = update_rewards(chosen, *h, cell_key)
         for before, after in zip(h[1], out):
@@ -124,13 +124,13 @@ class TestUpdateRewards:
 
     def test_all_suppressed_unchanged(self):
         h = matrix([(1.0, 1.0, SUPPRESSED)])
-        out = update_rewards([FrontierPoint(0, 0)], *h, cell_key)
+        out = update_rewards([(0, 0)], *h, cell_key)
         assert out == h[1]
         assert out[0] == SUPPRESSED
 
     def test_underflowing_distance_suppressed(self):
         # different floor cells, but d^2 = 4e-340 underflows to 0
-        chosen = [FrontierPoint(1e-170, 0.0)]
+        chosen = [(1e-170, 0.0)]
         h = matrix([(-1e-170, 0.0, 5.0), (3.0, 0.0, 4.0)])
         out = update_rewards(chosen, *h, cell_key)
         assert out[0] == SUPPRESSED
@@ -146,22 +146,22 @@ class TestSelectGoal:
         state = AllocationState()
         h = matrix([(1.0, 1.0, 5.0), (2.0, 2.0, 3.0)])
         goal = pick(h, state)
-        assert (goal.x, goal.y) == (1.0, 1.0)
+        assert goal == (1.0, 1.0)
         assert state.chosen_coords == [goal]
 
     def test_already_chosen_falls_to_next(self):
         state = AllocationState()
         first = pick(matrix([(1.0, 1.0, 5.0), (9.0, 9.0, 3.0)]), state)
-        assert (first.x, first.y) == (1.0, 1.0)
+        assert first == (1.0, 1.0)
         # same matrix again: the recorded goal is suppressed by the update
         second = pick(matrix([(1.0, 1.0, 5.0), (9.0, 9.0, 3.0)]), state)
-        assert (second.x, second.y) == (9.0, 9.0)
+        assert second == (9.0, 9.0)
 
     def test_equal_rewards_lowest_index(self):
         state = AllocationState()
         h = matrix([(3.0, 0.0, 2.0), (1.0, 0.0, 2.0), (2.0, 0.0, 2.0)])
         goal = pick(h, state)
-        assert (goal.x, goal.y) == (3.0, 0.0)
+        assert goal == (3.0, 0.0)
 
     def test_all_suppressed_raises(self):
         state = AllocationState()
@@ -181,33 +181,33 @@ class TestSelectGoal:
         # three equal raw rewards, one goal already chosen: the K/d^2
         # penalty leaves the farthest candidate on top
         state = AllocationState()
-        state.chosen_coords.append(FrontierPoint(0.0, 0.0))
+        state.chosen_coords.append((0.0, 0.0))
         h = matrix([(2.0, 0.0, 7.0), (11.0, 0.0, 7.0), (5.0, 0.0, 7.0)])
         goal = pick(h, state)
-        assert (goal.x, goal.y) == (11.0, 0.0)
+        assert goal == (11.0, 0.0)
 
 
 # quarter-cell coordinates on a 4x4 patch, so rows often share a chosen cell
 _coord = st.integers(0, 15).map(lambda i: i / 4.0)
-_point = st.builds(FrontierPoint, _coord, _coord)
+_point = st.tuples(_coord, _coord)
 _reward = st.one_of(st.floats(-100.0, 100.0), st.just(SUPPRESSED))
 
 
 class TestOpenCandidates:
     def test_no_history_is_open(self):
-        assert any_open([FrontierPoint(1.0, 1.0)], AllocationState(), cell_key)
+        assert any_open([(1.0, 1.0)], AllocationState(), cell_key)
         assert not any_open([], AllocationState(), cell_key)
 
     def test_all_in_chosen_cells_is_closed(self):
-        state = AllocationState(chosen_coords=[FrontierPoint(1.2, 1.2),
-                                               FrontierPoint(3.5, 0.5)])
-        assert not any_open([FrontierPoint(1.0, 1.0), FrontierPoint(3.9, 0.9)],
+        state = AllocationState(chosen_coords=[(1.2, 1.2),
+                                               (3.5, 0.5)])
+        assert not any_open([(1.0, 1.0), (3.9, 0.9)],
                             state, cell_key)
-        assert any_open([FrontierPoint(1.0, 2.0)], state, cell_key)
-        assert any_open([FrontierPoint(3.0, 1.0)], state, cell_key)
-        assert not any_open([FrontierPoint(1.9, 1.0), FrontierPoint(3.0, 0.0)],
+        assert any_open([(1.0, 2.0)], state, cell_key)
+        assert any_open([(3.0, 1.0)], state, cell_key)
+        assert not any_open([(1.9, 1.0), (3.0, 0.0)],
                             state, cell_key)
-        assert any_open([FrontierPoint(1.9, 1.0), FrontierPoint(2.0, 0.0)],
+        assert any_open([(1.9, 1.0), (2.0, 0.0)],
                         state, cell_key)
 
     @given(st.lists(st.tuples(_point, _reward), min_size=1, max_size=8),
@@ -244,7 +244,7 @@ def reference_update(chosen, points, rewards):
                 out[i] = SUPPRESSED
             if not math.isfinite(out[i]):
                 continue
-            d = math.hypot(c.x - p.x, c.y - p.y)
+            d = math.hypot(c[0] - p[0], c[1] - p[1])
             if d * d == 0.0:
                 out[i] = SUPPRESSED
             else:
@@ -256,7 +256,7 @@ def reference_update(chosen, points, rewards):
 # a subnormal or underflow to 0, on either side of the cell boundary at 0.
 _spread_coord = st.one_of(_coord, st.sampled_from(
     [0.0, 1e-170, -1e-170, 1e-162, -1e-162, 5e-324, -5e-324, 1e-300]))
-_spread_point = st.builds(FrontierPoint, _spread_coord, _spread_coord)
+_spread_point = st.tuples(_spread_coord, _spread_coord)
 _spread_reward = st.one_of(st.floats(allow_nan=False), st.just(SUPPRESSED),
                            st.sampled_from([0.0, 1e308, -1e308, 1e-300]))
 
@@ -266,10 +266,10 @@ class TestSpreadMatchesReference:
     @given(st.lists(st.tuples(_spread_point, _spread_reward), min_size=1, max_size=8),
            st.lists(_spread_point, min_size=1, max_size=6),
            st.data())
-    @example([(FrontierPoint(-1e-170, 0.0), 5.0), (FrontierPoint(3.0, 0.0), 4.0)],
-             [FrontierPoint(1e-170, 0.0)], None)  # d^2 underflows across cells
-    @example([(FrontierPoint(1.4, 1.4), 5.0), (FrontierPoint(3.0, 3.0), SUPPRESSED)],
-             [FrontierPoint(1.2, 1.2), FrontierPoint(1.2, 1.2)], None)  # duplicate goals
+    @example([((-1e-170, 0.0), 5.0), ((3.0, 0.0), 4.0)],
+             [(1e-170, 0.0)], None)  # d^2 underflows across cells
+    @example([((1.4, 1.4), 5.0), ((3.0, 3.0), SUPPRESSED)],
+             [(1.2, 1.2), (1.2, 1.2)], None)  # duplicate goals
     def test_same_rewards_and_choice(self, rows, chosen, data):
         if data is not None:  # sometimes repeat a chosen goal or offer one
             chosen = chosen + data.draw(st.lists(st.sampled_from(chosen), max_size=2))
@@ -300,7 +300,7 @@ class TestEviction:
             "....??",
         ])
         state = AllocationState()
-        state.chosen_coords = [FrontierPoint(1.5, 1.5), FrontierPoint(4.5, 1.5)]
+        state.chosen_coords = [(1.5, 1.5), (4.5, 1.5)]
         unk, total = disc_unknown_stats(state.chosen_coords, g, 1.0)
         known = ((total > 0) & (unk == 0)).tolist()
         assert known == [True, False]
@@ -312,7 +312,7 @@ class TestEviction:
 
     def test_flags_must_match_goals(self):
         state = AllocationState()
-        state.chosen_coords = [FrontierPoint(1.5, 1.5)]
+        state.chosen_coords = [(1.5, 1.5)]
         with pytest.raises(ValueError):
             evict_known_goals(state, [True, False])
         assert len(state.chosen_coords) == 1

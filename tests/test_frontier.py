@@ -11,7 +11,6 @@ from hypothesis.extra.numpy import arrays
 from mrexplore import frontier
 from mrexplore.frontier import (
     FilterParams,
-    FrontierPoint,
     detect_frontiers,
     disc_unknown_stats,
     dedup_points,
@@ -28,10 +27,6 @@ from mrexplore.grid import (
 )
 
 from conftest import grid_from_rows
-
-
-def pt(x, y):
-    return FrontierPoint(x, y)
 
 
 class TestFilterParams:
@@ -70,7 +65,7 @@ class TestDetect:
         g = grid_from_rows(["..??"] * 6)
         pts = detect_frontiers(g)
         assert len(pts) == 1
-        cx, cy = world_to_grid(pts[0].x, pts[0].y, g)
+        cx, cy = world_to_grid(pts[0][0], pts[0][1], g)
         assert cx == 1  # boundary column of the free side
 
     def test_two_separated_gaps(self):
@@ -93,7 +88,7 @@ class TestDetect:
         ])
         a = detect_frontiers(g)
         b = detect_frontiers(g)
-        assert [(p.x, p.y) for p in a] == [(p.x, p.y) for p in b]
+        assert a == b
 
     def test_centroid_snaps_to_member(self):
         g = grid_from_rows([
@@ -103,7 +98,7 @@ class TestDetect:
         ])
         pts = detect_frontiers(g)
         assert len(pts) == 1
-        cx, cy = world_to_grid(pts[0].x, pts[0].y, g)
+        cx, cy = world_to_grid(pts[0][0], pts[0][1], g)
         assert (cx, cy) == (1, 1)  # middle of the boundary column
 
 
@@ -115,11 +110,11 @@ def is_near_border(point, grid, rad, per_unk):
 class TestNearBorder:
     def test_all_unknown_disc(self):
         g = grid_from_rows(["???" * 3] * 9)
-        assert is_near_border(pt(4.5, 4.5), g, 2.0, 60.0)
+        assert is_near_border((4.5, 4.5), g, 2.0, 60.0)
 
     def test_all_free_disc(self):
         g = grid_from_rows(["." * 9] * 9)
-        assert not is_near_border(pt(4.5, 4.5), g, 2.0, 60.0)
+        assert not is_near_border((4.5, 4.5), g, 2.0, 60.0)
 
     def test_disc_21_cells_13_unknown(self):
         # disc of radius 2.25 cells has 21 members (5x5 square minus corners);
@@ -130,22 +125,22 @@ class TestNearBorder:
             if i * i + j * j <= 2.25 * 2.25
         )
         assert len(offsets) == 21
-        unk, total = disc_unknown_stats([pt(10.5, 10.5)], g, 2.25)
+        unk, total = disc_unknown_stats([(10.5, 10.5)], g, 2.25)
         assert (unk.tolist(), total.tolist()) == ([0], [21])
         for i, j in offsets[:13]:
             g.cells[10 + j, 10 + i] = UNKNOWN
-        assert is_near_border(pt(10.5, 10.5), g, 2.25, 60.0)
-        assert not is_near_border(pt(10.5, 10.5), g, 2.25, 62.0)
+        assert is_near_border((10.5, 10.5), g, 2.25, 60.0)
+        assert not is_near_border((10.5, 10.5), g, 2.25, 62.0)
 
     def test_point_outside_map_is_false(self):
         g = grid_from_rows(["??", "??"])
-        assert not is_near_border(pt(50.0, 50.0), g, 1.0, 0.0)
+        assert not is_near_border((50.0, 50.0), g, 1.0, 0.0)
 
     def test_monotone_in_threshold(self):
         rng = np.random.RandomState(2)
         g = OccupancyGrid(1.0, 0, 0, 15, 15,
                           rng.choice([UNKNOWN, FREE], size=(15, 15)).astype(np.int8))
-        p = pt(7.5, 7.5)
+        p = (7.5, 7.5)
         for t in range(0, 101, 10):
             if is_near_border(p, g, 3.0, float(t)):
                 for lower in range(0, t, 10):
@@ -171,7 +166,7 @@ class TestDiscClamp:
             return disc_offsets(rad_cells)
 
         with mock.patch.object(frontier, "_disc_offsets", recorded):
-            unk, total = disc_unknown_stats([pt(x + 0.5, y + 0.5) for x, y in cells],
+            unk, total = disc_unknown_stats([(x + 0.5, y + 0.5) for x, y in cells],
                                             g, 10000.0)
         assert total.tolist() == [w * h] * len(cells)
         assert unk.tolist() == [int((g.cells == UNKNOWN).sum())] * len(cells)
@@ -188,8 +183,8 @@ class TestMergePoints:
 
     def test_duplicate_collapsed(self):
         g = grid_from_rows(["??", "??"])
-        p = pt(0.5, 0.5)
-        out = merge_points([[p], [pt(0.6, 0.6)]], g, self.params())
+        p = (0.5, 0.5)
+        out = merge_points([[p], [(0.6, 0.6)]], g, self.params())
         assert len(out) == 1
         assert out[0] is p  # first seen wins
 
@@ -202,8 +197,8 @@ class TestMergePoints:
             "......",
             "......",
         ])
-        border = pt(3.5, 2.5)    # just below the unknown band: 4 of 13 disc
-        interior = pt(3.5, 5.0)  # cells unknown (30.8%); interior disc is 0%
+        border = (3.5, 2.5)    # just below the unknown band: 4 of 13 disc
+        interior = (3.5, 5.0)  # cells unknown (30.8%); interior disc is 0%
         out = merge_points([[border, interior]], g, self.params(rad=2.0, per_unk=30.0))
         assert out == [border]
 
@@ -219,7 +214,7 @@ def pocket_grid(pocket_cells, size=(60, 120), res=0.25):
     centers = []
     for (cy, cx, half) in pocket_cells:
         cells[cy - half:cy + half + 1, cx - half:cx + half + 1] = UNKNOWN
-        centers.append(FrontierPoint((cx + 0.5) * res, (cy + 0.5) * res))
+        centers.append(((cx + 0.5) * res, (cy + 0.5) * res))
     g = OccupancyGrid(res, 0.0, 0.0, w, h, cells)
     return g, centers
 
@@ -228,7 +223,7 @@ class TestEnforceBounds:
     def test_already_in_bounds_untouched(self):
         g = grid_from_rows(["??" * 5] * 10)
         params = FilterParams(rad=1.0, per_unk=60.0, min_pts=0, max_pts=10)
-        pts = [pt(x + 0.5, 0.5) for x in range(5)]
+        pts = [(x + 0.5, 0.5) for x in range(5)]
         out = filter_pipeline([pts], g, params)
         assert out.points == pts
         assert out.final_rad == 1.0
@@ -263,7 +258,7 @@ class TestEnforceBounds:
         for (i, j) in offsets[:9]:
             g.cells[10 + j, 5 + i] = UNKNOWN
             g.cells[10 + j, 14 + i] = UNKNOWN
-        raw = [pt(5.5, 10.5), pt(14.5, 10.5), pt(5.6, 10.5)]
+        raw = [(5.5, 10.5), (14.5, 10.5), (5.6, 10.5)]
         params = FilterParams(rad=2.25, per_unk=60.0, min_pts=1, max_pts=10,
                               perc_step=10.0)
         uni = merge_points([raw], g, params)
@@ -283,7 +278,7 @@ class TestEnforceBounds:
             g = OccupancyGrid(1.0, 0.0, 0.0, int(w), int(h), cells)
             n_pts = rng.randint(0, 30)
             raw = [
-                pt(rng.uniform(-1, w + 1.0), rng.uniform(-1, h + 1.0))
+                (rng.uniform(-1, w + 1.0), rng.uniform(-1, h + 1.0))
                 for _ in range(n_pts)
             ]
             min_pts = rng.randint(0, 4)
@@ -319,7 +314,7 @@ class TestPipelineInvariants:
         while rad < 3.0:
             rad += params.rad_step
             smaller = merge_points([accepted], g, replace(params, rad=rad))
-            by_cell = lambda pts: {world_to_grid(p.x, p.y, g) for p in pts}
+            by_cell = lambda pts: {world_to_grid(p[0], p[1], g) for p in pts}
             assert by_cell(smaller) <= by_cell(accepted)
             accepted = smaller
 
@@ -327,11 +322,11 @@ class TestPipelineInvariants:
         rng = np.random.RandomState(9)
         g = OccupancyGrid(1.0, 0, 0, 20, 20,
                           rng.choice([UNKNOWN, FREE], size=(20, 20)).astype(np.int8))
-        raw = [pt(rng.uniform(0, 20), rng.uniform(0, 20)) for _ in range(25)]
+        raw = [(rng.uniform(0, 20), rng.uniform(0, 20)) for _ in range(25)]
         params = FilterParams(rad=2.0, per_unk=50.0, min_pts=0, max_pts=12)
         out = merge_points([raw], g, params)
-        raw_cells = {world_to_grid(p.x, p.y, g) for p in raw}
-        out_cells = [world_to_grid(p.x, p.y, g) for p in out]
+        raw_cells = {world_to_grid(p[0], p[1], g) for p in raw}
+        out_cells = [world_to_grid(p[0], p[1], g) for p in out]
         assert len(set(out_cells)) == len(out_cells)  # duplicate-free
         assert set(out_cells) <= raw_cells
 
@@ -371,8 +366,7 @@ def flood_fill_frontiers(grid):
         mr = sum(m[0] for m in members) / len(members)
         mc = sum(m[1] for m in members) / len(members)
         best = min(members, key=lambda m: ((m[0] - mr) ** 2 + (m[1] - mc) ** 2, m))
-        wx, wy = grid_to_world(best[1], best[0], grid)
-        points.append(FrontierPoint(wx, wy))
+        points.append(grid_to_world(best[1], best[0], grid))
     return points
 
 
@@ -396,10 +390,6 @@ def frontier_grid(draw):
     return OccupancyGrid(res, origin[0], origin[1], w, h, cells)
 
 
-def as_fields(points):
-    return [(p.x, p.y) for p in points]
-
-
 class TestDetectMatchesFloodFill:
     @settings(deadline=None, max_examples=300)  # timing is not under test
     @given(frontier_grid())
@@ -409,13 +399,13 @@ class TestDetectMatchesFloodFill:
     @example(grid_from_rows([".?" * 4] * 3))  # clusters along the edges
     def test_same_points_as_flood_fill(self, grid):
         got = detect_frontiers(grid)
-        assert as_fields(got) == as_fields(flood_fill_frontiers(grid))
-        assert all(type(p.x) is float and type(p.y) is float for p in got)
+        assert got == flood_fill_frontiers(grid)
+        assert all(type(p[0]) is float and type(p[1]) is float for p in got)
 
 
 def reference_disc_stats(point, grid, rad):
     """Per-point (unknown, in-bounds) disc counts, one cell at a time."""
-    cx, cy = world_to_grid(point.x, point.y, grid)
+    cx, cy = world_to_grid(point[0], point[1], grid)
     rad_cells = rad / grid.resolution
     r = math.floor(rad_cells)
     unk = total = 0
@@ -434,7 +424,7 @@ def reference_merge(lists, grid, rad, per_unk):
         unk, total = reference_disc_stats(p, grid, rad)
         if total == 0 or not 100.0 * unk / total >= per_unk:
             continue
-        cell = world_to_grid(p.x, p.y, grid)
+        cell = world_to_grid(p[0], p[1], grid)
         if cell not in seen:
             seen.add(cell)
             out.append(p)
@@ -485,7 +475,7 @@ def filter_case(draw):
     xy += draw(st.lists(st.sampled_from(xy), max_size=4)) if xy else []
     lists = [[] for _ in range(draw(st.integers(1, 3)))]
     for x, y in xy:
-        lists[draw(st.integers(0, len(lists) - 1))].append(FrontierPoint(x, y))
+        lists[draw(st.integers(0, len(lists) - 1))].append((x, y))
     min_pts = draw(st.integers(0, 3))
     params = FilterParams(
         rad=draw(st.sampled_from([0.5, 1.0, 1.5])),
@@ -503,7 +493,7 @@ def both_directions_case():
     radius step then retests them at 60%."""
     grid = grid_from_rows(["??....", "??....", "......", "......",
                            "....??", "....??"])
-    pts = [FrontierPoint(x + 0.5, y + 0.5)
+    pts = [(x + 0.5, y + 0.5)
            for x, y in [(2, 0), (2, 1), (3, 4), (3, 5), (2, 3)]]
     params = FilterParams(rad=1.0, per_unk=60.0, min_pts=0, max_pts=4,
                           rad_step=0.5, perc_step=10.0)
@@ -551,7 +541,7 @@ class TestFilterMatchesPerPointReference:
         grid, lists, _ = case
         want, seen = [], set()
         for p in (p for agent_list in lists for p in agent_list):
-            cell = world_to_grid(p.x, p.y, grid)
+            cell = world_to_grid(p[0], p[1], grid)
             if cell not in seen:
                 seen.add(cell)
                 want.append(p)

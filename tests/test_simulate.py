@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mrexplore.config import METHODS, ScenarioConfig
-from mrexplore.frontier import FilterParams, FrontierPoint, detect_frontiers
+from mrexplore.frontier import FilterParams, detect_frontiers
 from mrexplore.grid import (
     FREE,
     OCCUPIED,
@@ -143,11 +143,10 @@ class TestNoOpenCandidate:
         assert robot.path is None
 
     def test_open_candidate_is_planned(self):
-        from mrexplore.frontier import FrontierPoint
         sim = ExplorationSim(small_cfg(max_sim_time=10))
         sim._sense_all()
         _, offered = self._offered(sim)
-        elsewhere = FrontierPoint(offered[0].x + 3.0, offered[0].y)
+        elsewhere = (offered[0][0] + 3.0, offered[0][1])
         assert sim._cell_key(elsewhere) != sim._cell_key(offered[0])
         sim.state.chosen_coords = [elsewhere]
         _, _, got = sim.run_iteration(sim.robots[0])
@@ -306,6 +305,49 @@ class TestAdvance:
         assert robot.path is None and robot.stall_ticks == 0
 
 
+class TestGoalIsAnOfferedPoint:
+    """A point has one format: the goal a request hands out is one of the
+    offered (x, y) tuples, and a replan drives to that same point."""
+
+    @staticmethod
+    def handouts_and_replans(world, robots, method, ticks):
+        sim = ExplorationSim(ScenarioConfig(map_source=f"builtin:{world}",
+                                            robot_count=robots, method=method,
+                                            dt=1.0, max_sim_time=ticks, seed=1))
+        serve, advance = sim.run_iteration, sim._advance
+        handed, replans = {}, []
+
+        def run_iteration(robot):
+            result = serve(robot)
+            if result[2]:
+                goal = robot.path.goal
+                assert type(goal) is tuple and goal in sim.offered
+                handed[robot.rid] = goal
+            return result
+
+        def _advance(robot, speed, dt):
+            old = robot.path
+            advance(robot, speed, dt)
+            if robot.path is not None:
+                assert robot.path.goal == handed[robot.rid]
+                if robot.path is not old:
+                    replans.append(robot.rid)
+
+        sim.run_iteration, sim._advance = run_iteration, _advance
+        sim.run()
+        return handed, replans
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_handed_goal_is_offered_and_kept(self, method):
+        handed, _ = self.handouts_and_replans("two_wings", 2, method, 60)
+        assert handed
+
+    def test_replan_keeps_the_handed_goal(self):
+        # on desk at seed 1 the first walls seen cut proposed's first paths
+        _, replans = self.handouts_and_replans("desk", 3, "proposed", 15)
+        assert replans
+
+
 def reference_planning_grid(sim, robot, goals):
     """Inflated merged map with the robot's and the goals' cells restored,
     and an Occupied robot cell made Free."""
@@ -323,8 +365,7 @@ def reference_planning_grid(sim, robot, goals):
 def reference_mags(sim, robot, offered):
     """Score every reachable offered point in full, then take the one with
     the largest u1_weight * gain + gamma (the first on ties)."""
-    goals = [(p.x, p.y) for p in offered]
-    paths = plan_many(reference_planning_grid(sim, robot, goals), robot.pose, goals)
+    paths = plan_many(reference_planning_grid(sim, robot, offered), robot.pose, offered)
     reachable = [(p, path) for p, path in zip(offered, paths) if path is not None]
     if not reachable:
         return None
@@ -340,9 +381,9 @@ def reference_greedy(sim, robot, offered):
     """Sort the offered points by straight-line distance (stably), plan in
     that order and take the first reachable one."""
     x, y = robot.pose[0], robot.pose[1]
-    grid = reference_planning_grid(sim, robot, [(p.x, p.y) for p in offered])
-    nearest = sorted(offered, key=lambda p: math.hypot(p.x - x, p.y - y))
-    paths = plan_many(grid, robot.pose, [(p.x, p.y) for p in nearest])
+    grid = reference_planning_grid(sim, robot, offered)
+    nearest = sorted(offered, key=lambda p: math.hypot(p[0] - x, p[1] - y))
+    paths = plan_many(grid, robot.pose, nearest)
     return next((path for path in paths if path is not None), None)
 
 
@@ -386,7 +427,7 @@ class TestChoosersMatchReference:
             if got is not None:
                 assert got.cells == want.cells
             x, y = robot.pose[0], robot.pose[1]
-            d = sorted(math.hypot(p.x - x, p.y - y) for p in offered)
+            d = sorted(math.hypot(p[0] - x, p[1] - y) for p in offered)
             ties += len(d) > 1 and d[0] == d[1]
             chosen.append(got)
             return i
@@ -488,7 +529,7 @@ class TestSpread:
 def reference_goal_known(point, grid, rad):
     """The stale-goal rule on one point, one disc cell at a time: the disc
     has some in-bounds cell and none of them is Unknown."""
-    cx, cy = world_to_grid(point.x, point.y, grid)
+    cx, cy = world_to_grid(point[0], point[1], grid)
     rad_cells = rad / grid.resolution
     r = math.floor(rad_cells)
     states = [grid.cells[y, x]
@@ -508,8 +549,7 @@ def stale_case(draw):
                         elements=st.sampled_from([FREE] * 4 + [UNKNOWN, OCCUPIED])))
     grid = OccupancyGrid(res, 0.0, 0.0, w, h, cells)
     coord = st.tuples(st.floats(-4.0, w * res + 4.0), st.floats(-4.0, h * res + 4.0))
-    points = [FrontierPoint(x, y) for x, y in draw(st.lists(coord, max_size=12))]
-    return grid, points, draw(st.sampled_from([0.5, 1.0, 2.5]))
+    return grid, draw(st.lists(coord, max_size=12)), draw(st.sampled_from([0.5, 1.0, 2.5]))
 
 
 class TestStaleGoalRule:
@@ -536,7 +576,7 @@ class TestBaselines:
         _, _, got = sim.run_iteration(robot)
         assert got
         dists = sorted(
-            math.hypot(p.x - robot.pose[0], p.y - robot.pose[1]) for p in offered
+            math.hypot(p[0] - robot.pose[0], p[1] - robot.pose[1]) for p in offered
         )
         goal_d = math.hypot(robot.path.goal[0] - robot.pose[0],
                             robot.path.goal[1] - robot.pose[1])

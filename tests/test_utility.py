@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from mrexplore.frontier import FrontierPoint
 from mrexplore.grid import FREE, OCCUPIED, UNKNOWN, OccupancyGrid, cell_entropy
 from mrexplore.planner import plan_many
 from mrexplore.posegraph import GraphBuildParams, PoseGraph, extend_trajectory
@@ -117,12 +116,12 @@ def two_wing_setup():
 
 class TestScoreCandidates:
     def paths_for(self, grid, pose, cands):
-        return plan_many(grid, pose, [(c.x, c.y) for c in cands])
+        return plan_many(grid, pose, cands)
 
     def test_single_candidate_rho_one(self):
         g, graph, gp = two_wing_setup()
         pose = (10.0, 1.5, 0.0)
-        cand = [FrontierPoint(14.5, 1.5)]
+        cand = [(14.5, 1.5)]
         scores = score_candidates(pose, g, graph, cand,
                                   self.paths_for(g, pose, cand), UtilityParams(), gp)
         assert len(scores) == 1
@@ -132,8 +131,8 @@ class TestScoreCandidates:
     def test_nearer_equal_candidate_wins_on_gamma(self):
         g, graph, gp = two_wing_setup()
         pose = (6.0, 1.5, 0.0)
-        near = FrontierPoint(4.5, 1.5)
-        far = FrontierPoint(15.5, 1.5)
+        near = (4.5, 1.5)
+        far = (15.5, 1.5)
         scores = score_candidates(pose, g, graph, [near, far],
                                   self.paths_for(g, pose, [near, far]),
                                   UtilityParams(), gp)
@@ -153,7 +152,7 @@ class TestScoreCandidates:
         gp = GraphBuildParams()
         extend_trajectory(graph, (0.5, 1.5, 0.0), gp)
         pose = (0.5, 1.5, 0.0)
-        cands = [FrontierPoint(2.5, 1.5), FrontierPoint(5.5, 0.5)]
+        cands = [(2.5, 1.5), (5.5, 0.5)]
         paths = self.paths_for(g, pose, cands)
         assert paths[1] is None
         scores = score_candidates(pose, g, graph, cands[:1], paths[:1],
@@ -171,7 +170,7 @@ class TestScoreCandidates:
     def test_deterministic(self):
         g, graph, gp = two_wing_setup()
         pose = (10.0, 1.5, 0.0)
-        cands = [FrontierPoint(4.5, 1.5), FrontierPoint(15.5, 1.5)]
+        cands = [(4.5, 1.5), (15.5, 1.5)]
         a = score_candidates(pose, g, graph, cands,
                              self.paths_for(g, pose, cands), UtilityParams(), gp)
         b = score_candidates(pose, g, graph, cands,
@@ -185,9 +184,9 @@ class TestRewardMatrix:
     def test_rows_aligned_with_candidates(self):
         g, graph, gp = two_wing_setup()
         pose = (10.0, 1.5, 0.0)
-        cands = [FrontierPoint(4.5, 1.5), FrontierPoint(12.5, 1.5),
-                 FrontierPoint(15.5, 1.5)]
-        paths = plan_many(g, pose, [(c.x, c.y) for c in cands])
+        cands = [(4.5, 1.5), (12.5, 1.5),
+                 (15.5, 1.5)]
+        paths = plan_many(g, pose, cands)
         scores = score_candidates(pose, g, graph, cands, paths, UtilityParams(), gp)
         assert [s.point for s in scores] == cands
         assert [s.path for s in scores] == paths
@@ -196,9 +195,9 @@ class TestRewardMatrix:
     def test_argmax_invariant_under_constant_shift(self):
         g, graph, gp = two_wing_setup()
         pose = (6.0, 1.5, 0.0)
-        cands = [FrontierPoint(4.5, 1.5), FrontierPoint(15.5, 1.5)]
+        cands = [(4.5, 1.5), (15.5, 1.5)]
         scores = score_candidates(pose, g, graph, cands,
-                                  plan_many(g, pose, [(c.x, c.y) for c in cands]),
+                                  plan_many(g, pose, cands),
                                   UtilityParams(), gp)
         rewards = [s.reward for s in scores]
         base = max(range(len(rewards)), key=lambda i: rewards[i])
