@@ -228,16 +228,6 @@ def _keep_near(pts, cells: np.ndarray, counts, per_unk: float):
     return [pts[i] for i in kept], cells[kept]
 
 
-def dedup_points(
-    lists: list[list[tuple[float, float]]],
-    merged: OccupancyGrid,
-) -> list[tuple[float, float]]:
-    """Concatenate per-agent lists and drop duplicates (points in the same
-    cell of the merged map). First-seen order is preserved."""
-    pts = [p for agent_list in lists for p in agent_list]
-    return [pts[i] for i in _first_per_cell(np.arange(len(pts)), _cells_of(pts, merged))]
-
-
 def _gather(lists: list[list[tuple[float, float]]], merged: OccupancyGrid, rad: float):
     """The per-agent lists concatenated, with each point's merged-map cell
     and the disc counts at rad: the arguments of _keep_near but for the

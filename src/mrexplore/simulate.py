@@ -17,12 +17,7 @@ from .allocate import (
     select_goal,
 )
 from .config import ConfigError, ScenarioConfig
-from .frontier import (
-    dedup_points,
-    detect_frontiers,
-    disc_unknown_stats,
-    filter_pipeline,
-)
+from .frontier import detect_frontiers, disc_unknown_stats, filter_pipeline
 from .grid import (
     FREE,
     OCCUPIED,
@@ -199,15 +194,15 @@ class ExplorationSim:
         """Plan from the robot to every (x, y) goal on an inflated copy of
         the merged map: one GridPath, or None where unreachable, per goal.
         Inflation must not swallow the robot's own cell or a goal cell;
-        those keep the merged map's state."""
+        those keep the merged map's state. The robot's cell is then never
+        Occupied: every call plans from a pose that this tick's raycast
+        accepted, raycast raises for a pose in a true wall, and the merged
+        map is Occupied only at true walls."""
         g = inflate_obstacles(self.merged, self.config.inflation_cells)
         for x, y in [robot.pose[:2], *goals]:
             cx, cy = world_to_grid(x, y, g)
             if g.in_bounds(cx, cy):
                 g.cells[cy, cx] = self.merged.cells[cy, cx]
-        cx, cy = world_to_grid(robot.pose[0], robot.pose[1], g)
-        if g.in_bounds(cx, cy) and g.cells[cy, cx] == OCCUPIED:
-            g.cells[cy, cx] = FREE
         paths = plan_many(g, robot.pose, goals)
         if not any(paths):
             log.info("agent %d: no reachable goal", robot.rid)
@@ -369,10 +364,6 @@ def _offer_raw(sim: ExplorationSim, local_lists):
     return [p for pts in local_lists for p in pts]
 
 
-def _offer_deduplicated(sim: ExplorationSim, local_lists):
-    return dedup_points(local_lists, sim.merged)
-
-
 def _rank_spread(sim: ExplorationSim, robot: Robot, points, paths):
     """Full utility, then server-side spreading away from chosen goals;
     None when spreading leaves nothing assignable."""
@@ -408,5 +399,5 @@ def _rank_nearest(sim: ExplorationSim, robot: Robot, points, paths):
 POLICIES = {
     "proposed": (_offer_filtered, _rank_spread),
     "mags": (_offer_raw, _rank_graph_gain),
-    "greedy_frontier": (_offer_deduplicated, _rank_nearest),
+    "greedy_frontier": (_offer_raw, _rank_nearest),
 }

@@ -13,7 +13,6 @@ from mrexplore.frontier import (
     FilterParams,
     detect_frontiers,
     disc_unknown_stats,
-    dedup_points,
     filter_pipeline,
     merge_points,
 )
@@ -535,25 +534,13 @@ class TestFilterMatchesPerPointReference:
         steps = reference_pipeline(lists, grid, params)[-1]
         assert "perc" in steps and "rad" in steps
 
-    @settings(deadline=None, max_examples=100)  # timing is not under test
-    @given(filter_case())
-    def test_dedup_points_first_seen(self, case):
-        grid, lists, _ = case
-        want, seen = [], set()
-        for p in (p for agent_list in lists for p in agent_list):
-            cell = world_to_grid(p[0], p[1], grid)
-            if cell not in seen:
-                seen.add(cell)
-                want.append(p)
-        assert same_objects(dedup_points(lists, grid), want)
-
-
 @settings(deadline=None, max_examples=100)  # timing is not under test
 @given(frontier_grid(), st.sampled_from([0.05, 0.5, 3.0]))
 def test_detected_points_pass_zero_percent(grid, rad):
     # A detected point is the centre of an in-bounds cell, so its disc is
-    # never wholly off the map, and a 0% near-border test keeps it: on
-    # detected points, dedup alone is the near-border merge at 0%.
+    # never wholly off the map, and a 0% near-border test keeps it; the
+    # detected points lie in distinct cells, so the merge at 0% keeps the
+    # first list whole and drops the second, whose points are its copies.
     lists = [detect_frontiers(grid), detect_frontiers(grid)]
     at_zero = merge_points(lists, grid, FilterParams(rad=rad, per_unk=0.0))
-    assert same_objects(dedup_points(lists, grid), at_zero)
+    assert same_objects(at_zero, lists[0])

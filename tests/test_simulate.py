@@ -1,5 +1,9 @@
 import hashlib
+import importlib.util
 import math
+import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,14 @@ from mrexplore.planner import plan_many
 from mrexplore.simulate import POLICIES, ExplorationSim, run
 from mrexplore.utility import score_candidates
 from mrexplore.worlds import make_world
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def reference_hashes() -> list[tuple[str, str]]:
+    """(sha256, run name) of each line of tools/output_hashes.txt."""
+    lines = (TOOLS / "output_hashes.txt").read_text().splitlines()
+    return [tuple(line.split("  ")) for line in lines]
 
 
 def small_cfg(**kw):
@@ -50,24 +62,36 @@ class TestDeterminism:
 
 class TestMotionValidity:
     def test_robots_never_in_walls(self):
-        cfg = ScenarioConfig(map_source="builtin:two_wings", robot_count=2,
-                             beam_count=120, max_range=4.0, dt=0.5,
-                             max_sim_time=60, seed=5)
-        sim = ExplorationSim(cfg)
-        truth = sim.truth
-        ticks = int(cfg.max_sim_time / cfg.dt)
-        for _ in range(ticks):
-            sim._sense_all()
-            pending = {r.rid for r in sim.robots if r.path is None}
-            if pending:
-                from mrexplore.allocate import schedule
-                rid = schedule(pending, sim.state)
-                sim.run_iteration(sim.robots[rid])
-            for r in sim.robots:
-                if r.path is not None:
-                    sim._advance(r, cfg.speed, cfg.dt)
-                cx, cy = world_to_grid(r.pose[0], r.pose[1], truth)
-                assert truth.cells[cy, cx] != OCCUPIED
+        # sim.run() itself, stale-goal step included, with its sense and
+        # move steps wrapped: a robot never stands in a true wall, and after
+        # each tick's scan its cell is Free on the merged map, which is what
+        # lets _plan keep the robot's cell as the merged map has it.
+        for method in METHODS:
+            cfg = ScenarioConfig(map_source="builtin:two_wings", robot_count=2,
+                                 beam_count=120, max_range=4.0, dt=0.5,
+                                 max_sim_time=60, seed=5, method=method)
+            sim = ExplorationSim(cfg)
+            truth = sim.truth
+            sense, advance = sim._sense_all, sim._advance
+            counts = {"scans": 0, "moves": 0}
+
+            def sense_and_check():
+                sense()
+                counts["scans"] += 1
+                for r in sim.robots:
+                    cx, cy = world_to_grid(r.pose[0], r.pose[1], sim.merged)
+                    assert sim.merged.cells[cy, cx] == FREE, (method, r.rid)
+
+            def advance_and_check(robot, speed, dt):
+                advance(robot, speed, dt)
+                counts["moves"] += 1
+                cx, cy = world_to_grid(robot.pose[0], robot.pose[1], truth)
+                assert truth.cells[cy, cx] != OCCUPIED, (method, robot.rid)
+
+            sim._sense_all, sim._advance = sense_and_check, advance_and_check
+            rows = sim.run().rows
+            assert counts["scans"] == len(rows), method
+            assert counts["moves"] > 0, method
 
 
 class TestMetricsInvariants:
@@ -570,8 +594,7 @@ class TestBaselines:
         sim._sense_all()
         robot = sim.robots[0]
         from mrexplore.frontier import detect_frontiers
-        # one robot's detected points lie in distinct cells of its map,
-        # which is the merged map's frame, so the dedup offers them all
+        # with one robot, the raw offer is that robot's detected points
         offered = detect_frontiers(robot.grid)
         _, _, got = sim.run_iteration(robot)
         assert got
@@ -599,6 +622,60 @@ class TestBaselines:
         assert len(set(streams.values())) == 3
 
 
+class TestExactCopiesChangeNoChoice:
+    # Robots share one frame, so a frontier cell two robots both detect gives
+    # one (x, y) tuple, and within one robot's list every point is its own
+    # cell: a raw offer is its distinct points plus later exact copies. Both
+    # baselines take the first of equal ranks and plan each copy to the same
+    # cell, so copies of the offered points change no choice.
+    @staticmethod
+    def _requests(monkeypatch, cfg, copies):
+        """The run's metrics and, per request, (robot, offered count, the
+        path handed out or None)."""
+        handed = []
+        with monkeypatch.context() as patch:
+            offer, rank = POLICIES[cfg.method]
+            if copies:
+                def offer_with_copies(sim, local_lists):
+                    points = offer(sim, local_lists)
+                    return points + [(x, y) for x, y in points]
+                patch.setitem(POLICIES, cfg.method, (offer_with_copies, rank))
+            sim = ExplorationSim(cfg)
+            serve = sim.run_iteration
+
+            def serve_and_record(robot):
+                raw_n, offered_n, got = serve(robot)
+                path = robot.path if got else None
+                handed.append((robot.rid, offered_n,
+                               path and (path.cells, path.length_m, path.waypoints)))
+                return raw_n, offered_n, got
+
+            sim.run_iteration = serve_and_record
+            return sim.run(), handed
+
+    @pytest.mark.parametrize("world,max_sim_time", [("two_wings", 150), ("open20", 300)])
+    @pytest.mark.parametrize("method", ["greedy_frontier", "mags"])
+    def test_same_paths_and_metrics(self, monkeypatch, world, max_sim_time, method):
+        cfg = ScenarioConfig(map_source=f"builtin:{world}", robot_count=2, seed=1,
+                             max_sim_time=max_sim_time, method=method)
+        plain, plain_handed = self._requests(monkeypatch, cfg, copies=False)
+        doubled, doubled_handed = self._requests(monkeypatch, cfg, copies=True)
+        assert any(path for *_, path in plain_handed)
+        assert [(rid, 2 * n, path) for rid, n, path in plain_handed] == doubled_handed
+
+        def split(metrics):
+            """Each metrics.csv row's frontier_filtered, and the row without it."""
+            k = metrics.csv_header().index("frontier_filtered")
+            rows = [line.split(",") for line in metrics.to_csv().splitlines()[1:]]
+            return [int(row[k]) for row in rows], [row[:k] + row[k + 1:] for row in rows]
+
+        plain_filtered, plain_rest = split(plain)
+        doubled_filtered, doubled_rest = split(doubled)
+        assert doubled_rest == plain_rest
+        assert doubled_filtered == [2 * n for n in plain_filtered]
+        assert doubled.distances == plain.distances
+
+
 class TestPolicies:
     def test_one_policy_per_method(self):
         assert tuple(POLICIES) == METHODS
@@ -621,14 +698,25 @@ class TestPolicies:
     # perfbench's wings_sense run in full. Most of its requests end with
     # list-size control exhausted and nothing offered, and it spreads goals
     # between two robots, which the short desk runs above reach neither of.
-    WINGS_SENSE = "9aefcc72f96b012e8f2ac037cb2e34c39fd802f124de0ff7864615908b8629d9"
-
+    # Its expected sha is the wings_sense line of tools/output_hashes.txt.
     def test_golden_wings_sense(self):
         m = run(ScenarioConfig(map_source="builtin:two_wings", robot_count=2, seed=1,
                                beam_count=720, max_range=10.0, inflation_cells=0,
                                max_sim_time=300, method="proposed"))
         text = m.to_csv() + m.summary_csv()
-        assert hashlib.sha256(text.encode()).hexdigest() == self.WINGS_SENSE
+        sha = hashlib.sha256(text.encode()).hexdigest()
+        assert (sha, "wings_sense") in reference_hashes()
+
+    def test_reference_hashes_name_every_run(self, monkeypatch):
+        # the tool puts src/ and perfbench/ on sys.path when it loads
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        spec = importlib.util.spec_from_file_location("output_hashes",
+                                                      TOOLS / "output_hashes.py")
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        lines = reference_hashes()
+        assert [name for _, name in lines] == list(tool.reference_runs())
+        assert all(re.fullmatch("[0-9a-f]{64}", sha) for sha, _ in lines)
 
 
 class TestWorlds:

@@ -60,10 +60,17 @@ def output_hash(config_text: str) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def main() -> int:
+def reference_runs() -> dict[str, str]:
+    """The ten runs' config texts by name, in the order of the printed
+    lines."""
     runs = {f"{world}/{method}": desk_cfg(world, robots, method)
             for world, robots in WORLDS for method in METHODS}
     runs["wings_sense"] = wings_sense_cfg()
+    return runs
+
+
+def main() -> int:
+    runs = reference_runs()
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as pool:
         for name, sha in zip(runs, pool.map(output_hash, runs.values())):
