@@ -1,6 +1,11 @@
 """Centralized goal allocation: serialized request scheduling with
 ascending-id priority plus starvation override, chosen-goal memory, and
-reward spreading that pushes agents apart."""
+reward spreading that pushes agents apart.
+
+Points are compared by value: every offered point is the centre of a
+merged-map cell in the one frame all robots share, so equal points and
+same-cell points are one test, and allocation needs no map. The frontier
+filter keeps its dedup by cell, the cross-robot merge of the robots' lists."""
 
 from __future__ import annotations
 
@@ -51,15 +56,14 @@ def update_rewards(
     chosen: list[tuple[float, float]],
     points: list[tuple[float, float]],
     rewards: list[float],
-    cell_key,
 ) -> list[float]:
     """Spread rewards away from already-chosen goals; one reward per point.
 
-    K = (max finite reward) / len(chosen); every point loses K/d^2 per
-    chosen point at distance d, in chosen order, and points in the cell of a
-    chosen point (so every point at d == 0) are suppressed outright, as is a
-    point so close that d^2 underflows to 0. When no finite reward exists
-    the rewards come back unchanged.
+    K = (max finite reward) / len(chosen); every finite reward loses K/d^2
+    per chosen point at distance d, in chosen order. A point at d == 0, so
+    one equal to a chosen point, is suppressed outright, as is a point so
+    close that d^2 underflows to 0. When no finite reward exists the
+    rewards come back unchanged.
     """
     if not chosen:
         raise ValueError("update_rewards requires at least one chosen point")
@@ -67,47 +71,41 @@ def update_rewards(
     if not finite:
         return list(rewards)
     k_scale = max(finite) / len(chosen)
-    taken = {cell_key(c) for c in chosen}
 
     out = []
-    for p, reward in zip(points, rewards, strict=True):
-        if cell_key(p) in taken:
-            reward = SUPPRESSED
-        px, py = p
+    for (px, py), reward in zip(points, rewards, strict=True):
         for cx, cy in chosen:
-            if not math.isfinite(reward):
-                break
             d = math.hypot(cx - px, cy - py)
-            if d * d == 0.0:  # underflow: -K/d^2 tends to -inf
+            if d * d == 0.0:  # d == 0, or d^2 underflows: -K/d^2 tends to -inf
                 reward = SUPPRESSED
-            else:
+                break
+            if math.isfinite(reward):
                 reward -= k_scale / (d * d)
         out.append(reward)
     return out
 
 
-def any_open(points, state: AllocationState, cell_key) -> bool:
-    """Whether some point lies outside every chosen goal's cell. When none
-    does, select_goal can only raise NoAssignableGoal, whatever the rewards,
-    so a caller may answer "no goal" without scoring the points."""
-    taken = {cell_key(c) for c in state.chosen_coords}
-    return any(cell_key(p) not in taken for p in points)
+def any_open(points, state: AllocationState) -> bool:
+    """Whether some point is not a chosen goal. When none is, select_goal
+    can only raise NoAssignableGoal, whatever the rewards, so a caller may
+    answer "no goal" without scoring the points."""
+    chosen = set(state.chosen_coords)
+    return any(p not in chosen for p in points)
 
 
 def select_goal(
     points: list[tuple[float, float]],
     rewards: list[float],
     state: AllocationState,
-    cell_key,
 ) -> int:
     """Index of the highest-reward point, spreading first when history
     exists; the winning point is recorded in chosen_coords.
 
-    Spreading suppresses every point cell-equal to an existing goal, so none
-    of them can win. Ties break to the lowest index.
+    Spreading suppresses every point equal to an existing goal, so none of
+    them can win. Ties break to the lowest index.
     """
     if state.chosen_coords:
-        rewards = update_rewards(state.chosen_coords, points, rewards, cell_key)
+        rewards = update_rewards(state.chosen_coords, points, rewards)
 
     best_i, best_r = -1, SUPPRESSED
     for i, reward in enumerate(rewards):

@@ -60,6 +60,10 @@ class ScenarioConfig:
             raise ConfigError("goal_skip_wait must be >= 1")
         if self.inflation_cells < 0:
             raise ConfigError("inflation_cells must be >= 0")
+        for pose in self.start_poses or ():
+            if not _is_pose(pose):
+                raise ConfigError(f"start pose {pose!r} is not three finite numbers "
+                                  f"(x, y, heading)")
 
     @property
     def ticks(self) -> int:
@@ -124,6 +128,14 @@ def _in_free_cell(truth: GroundTruthMap, x: float, y: float) -> bool:
     except OverflowError:  # so far off the map its cell index is inf
         return False
     return truth.in_bounds(cx, cy) and truth.cells[cy, cx] == FREE
+
+
+def _is_pose(pose) -> bool:
+    """Whether pose is three finite numbers."""
+    try:
+        return len(pose) == 3 and all(math.isfinite(v) for v in pose)
+    except (TypeError, OverflowError):  # not numbers, or an int too large for a float
+        return False
 
 
 def _positive(value: float) -> bool:

@@ -169,9 +169,6 @@ class ExplorationSim:
         self.entropy_bits = map_entropy(self.merged)
         self.offered = None  # the method's offer, made at the next request
 
-    def _cell_key(self, p):
-        return world_to_grid(p[0], p[1], self.merged)
-
     def _sense_all(self):
         """Scan from every robot's pose and fold each scan into its robot's
         grid. Values derived from a grid, and from the merged map, are
@@ -233,9 +230,9 @@ class ExplorationSim:
         offered = self.offered
         if not offered:
             return raw_n, 0, False
-        # A point in a chosen goal's cell is never assigned, so when every
-        # offered point lies in one, the answer is known before planning.
-        if not any_open(offered, self.state, self._cell_key):
+        # A chosen goal is never assigned again, so when every offered
+        # point is one, the answer is known before planning.
+        if not any_open(offered, self.state):
             log.info("agent %d: no assignable goal this round", robot.rid)
             return raw_n, len(offered), False
         paths = self._plan(robot, offered)
@@ -371,7 +368,7 @@ def _rank_spread(sim: ExplorationSim, robot: Robot, points, paths):
     scores = score_candidates(robot.pose, sim.merged, robot.graph, points, paths,
                               cfg.utility_params, cfg.graph_params)
     try:
-        return select_goal(points, [s.reward for s in scores], sim.state, sim._cell_key)
+        return select_goal(points, [s.reward for s in scores], sim.state)
     except NoAssignableGoal:
         return None
 

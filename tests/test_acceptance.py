@@ -151,8 +151,7 @@ def test_07_reward_spread_prefers_farthest():
     state.chosen_coords.append((0.0, 0.0))
     candidates = [(3.0, 0.0), (14.0, 0.0),
                   (7.0, 0.0)]
-    goal = candidates[select_goal(candidates, [5.0] * len(candidates), state,
-                                  lambda p: (math.floor(p[0]), math.floor(p[1])))]
+    goal = candidates[select_goal(candidates, [5.0] * len(candidates), state)]
     report(7, "equal-reward candidates: farthest from chosen goal wins",
            (goal[0], goal[1]) == (14.0, 0.0), f"picked ({goal[0]}, {goal[1]})")
 

@@ -20,6 +20,7 @@ from conftest import grid_from_rows
 
 
 def cell_key(p):
+    """The cell of p on a grid of 1 m cells with its origin at (0, 0)."""
     return (math.floor(p[0]), math.floor(p[1]))
 
 
@@ -30,7 +31,7 @@ def matrix(rows):
 
 def pick(h, state):
     """The point select_goal chooses from the (points, rewards) pair h."""
-    return h[0][select_goal(*h, state, cell_key)]
+    return h[0][select_goal(*h, state)]
 
 
 class TestSchedule:
@@ -88,16 +89,17 @@ class TestUpdateRewards:
                   (30, 30), (40, 40),
                   (50, 50)]
         h = matrix([(2.0, 0.0, 10.0)])
-        out = update_rewards(chosen, *h, cell_key)
+        out = update_rewards(chosen, *h)
         # the near point at distance 2 costs 0.5; distant chosen points cost
         # their own tiny K/d^2 shares
         far_losses = sum(2.0 / ((c[0] - 2.0) ** 2 + c[1] ** 2) for c in chosen[1:])
         assert out[0] == pytest.approx(10.0 - 0.5 - far_losses)
 
     def test_chosen_cell_suppressed(self):
-        chosen = [(1.2, 1.2)]
-        h = matrix([(1.4, 1.4, 5.0), (3.0, 3.0, 4.0)])
-        out = update_rewards(chosen, *h, cell_key)
+        # points are cell centres, so the chosen cell is the chosen point
+        chosen = [(1.5, 1.5)]
+        h = matrix([(1.5, 1.5, 5.0), (3.5, 3.5, 4.0)])
+        out = update_rewards(chosen, *h)
         assert out[0] == SUPPRESSED
         assert math.isfinite(out[1])
 
@@ -105,40 +107,40 @@ class TestUpdateRewards:
         d = 2.0
         chosen = [(0.0, d), (0.0, -d)]
         h = matrix([(0.0, 0.0, 8.0), (40.0, 0.0, 8.0)])
-        out = update_rewards(chosen, *h, cell_key)
+        out = update_rewards(chosen, *h)
         k_scale = 8.0 / 2
         assert out[0] == pytest.approx(8.0 - 2 * k_scale / d**2)
 
     def test_equal_rewards_post_update_increase_with_distance(self):
         chosen = [(0.0, 0.0)]
         h = matrix([(2.0, 0.0, 6.0), (5.0, 0.0, 6.0), (9.0, 0.0, 6.0)])
-        out = update_rewards(chosen, *h, cell_key)
+        out = update_rewards(chosen, *h)
         assert out[0] < out[1] < out[2]
 
     def test_never_increases_rewards(self):
         chosen = [(5.0, 5.0)]
         h = matrix([(1.0, 1.0, 3.0), (9.0, 9.0, 1.0), (4.0, 4.0, SUPPRESSED)])
-        out = update_rewards(chosen, *h, cell_key)
+        out = update_rewards(chosen, *h)
         for before, after in zip(h[1], out):
             assert after <= before
 
     def test_all_suppressed_unchanged(self):
         h = matrix([(1.0, 1.0, SUPPRESSED)])
-        out = update_rewards([(0, 0)], *h, cell_key)
+        out = update_rewards([(0, 0)], *h)
         assert out == h[1]
         assert out[0] == SUPPRESSED
 
     def test_underflowing_distance_suppressed(self):
-        # different floor cells, but d^2 = 4e-340 underflows to 0
+        # unequal points, but d^2 = 4e-340 underflows to 0
         chosen = [(1e-170, 0.0)]
         h = matrix([(-1e-170, 0.0, 5.0), (3.0, 0.0, 4.0)])
-        out = update_rewards(chosen, *h, cell_key)
+        out = update_rewards(chosen, *h)
         assert out[0] == SUPPRESSED
         assert out[1] == pytest.approx(4.0 - 5.0 / 9.0)
 
     def test_requires_chosen(self):
         with pytest.raises(ValueError):
-            update_rewards([], *matrix([(0, 0, 1.0)]), cell_key)
+            update_rewards([], *matrix([(0, 0, 1.0)]))
 
 
 class TestSelectGoal:
@@ -166,16 +168,16 @@ class TestSelectGoal:
     def test_all_suppressed_raises(self):
         state = AllocationState()
         with pytest.raises(NoAssignableGoal):
-            select_goal(*matrix([(1.0, 1.0, SUPPRESSED)]), state, cell_key)
+            select_goal(*matrix([(1.0, 1.0, SUPPRESSED)]), state)
 
     def test_never_returns_cell_equal_to_history(self):
         state = AllocationState()
-        h1 = matrix([(1.0, 1.0, 5.0)])
-        select_goal(*h1, state, cell_key)
+        h1 = matrix([(1.5, 1.5, 5.0)])
+        select_goal(*h1, state)
         for i in range(3):
-            h = matrix([(1.3, 1.3, 50.0), (6.0 + i, 6.0, 1.0)])
+            h = matrix([(1.5, 1.5, 50.0), (6.5 + i, 6.5, 1.0)])
             goal = pick(h, state)
-            assert cell_key(goal) != (1, 1)
+            assert goal != (1.5, 1.5)
 
     def test_spread_prefers_farthest_among_equals(self):
         # three equal raw rewards, one goal already chosen: the K/d^2
@@ -187,37 +189,33 @@ class TestSelectGoal:
         assert goal == (11.0, 0.0)
 
 
-# quarter-cell coordinates on a 4x4 patch, so rows often share a chosen cell
-_coord = st.integers(0, 15).map(lambda i: i / 4.0)
+# cell centres on a 4x4 patch, so rows often equal a chosen goal
+_coord = st.integers(0, 3).map(lambda i: i + 0.5)
 _point = st.tuples(_coord, _coord)
 _reward = st.one_of(st.floats(-100.0, 100.0), st.just(SUPPRESSED))
 
 
 class TestOpenCandidates:
     def test_no_history_is_open(self):
-        assert any_open([(1.0, 1.0)], AllocationState(), cell_key)
-        assert not any_open([], AllocationState(), cell_key)
+        assert any_open([(1.0, 1.0)], AllocationState())
+        assert not any_open([], AllocationState())
 
     def test_all_in_chosen_cells_is_closed(self):
-        state = AllocationState(chosen_coords=[(1.2, 1.2),
-                                               (3.5, 0.5)])
-        assert not any_open([(1.0, 1.0), (3.9, 0.9)],
-                            state, cell_key)
-        assert any_open([(1.0, 2.0)], state, cell_key)
-        assert any_open([(3.0, 1.0)], state, cell_key)
-        assert not any_open([(1.9, 1.0), (3.0, 0.0)],
-                            state, cell_key)
-        assert any_open([(1.9, 1.0), (2.0, 0.0)],
-                        state, cell_key)
+        # points are cell centres, so a chosen cell is a chosen point
+        state = AllocationState(chosen_coords=[(1.5, 1.5), (3.5, 0.5)])
+        assert not any_open([(1.5, 1.5), (3.5, 0.5)], state)
+        assert not any_open([(3.5, 0.5), (3.5, 0.5)], state)
+        assert any_open([(1.5, 2.5)], state)
+        assert any_open([(3.5, 0.5), (2.5, 0.5)], state)
 
     @given(st.lists(st.tuples(_point, _reward), min_size=1, max_size=8),
            st.lists(_point, max_size=6))
     def test_select_goal_agrees_with_any_open(self, rows, chosen):
         state = AllocationState(chosen_coords=list(chosen))
         h = ([p for p, _ in rows], [r for _, r in rows])
-        if not any_open([p for p, _ in rows], state, cell_key):
+        if not any_open([p for p, _ in rows], state):
             with pytest.raises(NoAssignableGoal):
-                select_goal(*h, state, cell_key)
+                select_goal(*h, state)
             assert state.chosen_coords == chosen
             return
         try:
@@ -225,14 +223,14 @@ class TestOpenCandidates:
         except NoAssignableGoal:
             assert state.chosen_coords == chosen
             return
-        assert any_open([goal], AllocationState(chosen_coords=list(chosen)), cell_key)
+        assert any_open([goal], AllocationState(chosen_coords=list(chosen)))
         assert state.chosen_coords == chosen + [goal]
 
 
 def reference_update(chosen, points, rewards):
-    """The spreading loop select_goal ran before it took plain lists: per
-    chosen goal, per point, suppress a point in the goal's cell, then take
-    K/d^2 off every finite reward."""
+    """The spreading loop select_goal ran before it took plain lists and
+    compared points by value: per chosen goal, per point, suppress a point
+    in the goal's cell, then take K/d^2 off every finite reward."""
     finite = [r for r in rewards if math.isfinite(r)]
     if not finite:
         return list(rewards)
@@ -252,24 +250,27 @@ def reference_update(chosen, points, rewards):
     return out
 
 
-# Quarter-cell coordinates, plus values near 0 whose differences square to
-# a subnormal or underflow to 0, on either side of the cell boundary at 0.
-_spread_coord = st.one_of(_coord, st.sampled_from(
-    [0.0, 1e-170, -1e-170, 1e-162, -1e-162, 5e-324, -5e-324, 1e-300]))
-_spread_point = st.tuples(_spread_coord, _spread_coord)
+# Cell centres, as every offered point and chosen goal is one, on either
+# side of the cell boundary at 0.
+_centre = st.integers(-4, 11).map(lambda i: i + 0.5)
+_spread_point = st.tuples(_centre, _centre)
 _spread_reward = st.one_of(st.floats(allow_nan=False), st.just(SUPPRESSED),
                            st.sampled_from([0.0, 1e308, -1e308, 1e-300]))
 
 
 class TestSpreadMatchesReference:
+    """On cell centres, comparing points by value is the cell-keyed rule."""
+
     @settings(max_examples=300)
     @given(st.lists(st.tuples(_spread_point, _spread_reward), min_size=1, max_size=8),
            st.lists(_spread_point, min_size=1, max_size=6),
            st.data())
-    @example([((-1e-170, 0.0), 5.0), ((3.0, 0.0), 4.0)],
-             [(1e-170, 0.0)], None)  # d^2 underflows across cells
-    @example([((1.4, 1.4), 5.0), ((3.0, 3.0), SUPPRESSED)],
-             [(1.2, 1.2), (1.2, 1.2)], None)  # duplicate goals
+    @example([((-0.5, 0.5), 5.0), ((0.5, 0.5), 4.0)],
+             [(0.5, 0.5)], None)  # neighbours across the boundary at 0
+    @example([((1.5, 1.5), 5.0), ((3.5, 3.5), SUPPRESSED)],
+             [(1.5, 1.5), (1.5, 1.5)], None)  # duplicate goals
+    @example([((1.5, 1.5), math.inf), ((3.5, 3.5), 1.0)],
+             [(1.5, 1.5)], None)  # an infinite reward on a chosen point
     def test_same_rewards_and_choice(self, rows, chosen, data):
         if data is not None:  # sometimes repeat a chosen goal or offer one
             chosen = chosen + data.draw(st.lists(st.sampled_from(chosen), max_size=2))
@@ -278,17 +279,19 @@ class TestSpreadMatchesReference:
         points = [p for p, _ in rows]
         rewards = [r for _, r in rows]
         want = reference_update(chosen, points, rewards)
-        assert update_rewards(chosen, points, rewards, cell_key) == want
+        assert update_rewards(chosen, points, rewards) == want
 
         state = AllocationState(chosen_coords=list(chosen))
+        taken = {cell_key(c) for c in chosen}
+        assert any_open(points, state) == any(cell_key(p) not in taken for p in points)
         finite = [i for i, r in enumerate(want) if math.isfinite(r)]
         if not finite:
             with pytest.raises(NoAssignableGoal):
-                select_goal(points, rewards, state, cell_key)
+                select_goal(points, rewards, state)
             assert state.chosen_coords == chosen
             return
         best = max(finite, key=lambda i: (want[i], -i))
-        assert select_goal(points, rewards, state, cell_key) == best
+        assert select_goal(points, rewards, state) == best
         assert state.chosen_coords == chosen + [points[best]]
 
 

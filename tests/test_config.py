@@ -194,6 +194,16 @@ class TestValidByConstruction:
         with pytest.raises(ConfigError, match="tick"):
             ScenarioConfig(max_sim_time=max_sim_time, dt=dt)
 
+    @pytest.mark.parametrize("pose", [
+        (5.0, 5.0, math.inf), (math.nan, 5.0, 0.0), (5.0, -math.inf, 0.0),
+        (5.0, 5.0), (5.0, 5.0, 0.0, 0.0), (5.0, 5.0, "0"), (10**400, 5.0, 0.0), None,
+    ], ids=["inf_heading", "nan_x", "inf_y", "pair", "four", "text", "int_too_large",
+            "none"])
+    def test_start_pose_is_three_finite_numbers(self, pose):
+        with pytest.raises(ConfigError, match="start pose .* three finite numbers"):
+            ScenarioConfig(map_source="builtin:desk", robot_count=2,
+                           start_poses=[(10.5, 10.5, 0.0), pose])
+
     def test_ticks_round_the_run_length(self):
         assert ScenarioConfig(max_sim_time=0.6, dt=1.0).ticks == 1
         assert ScenarioConfig(max_sim_time=42.0, dt=0.5).ticks == 84

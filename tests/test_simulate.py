@@ -19,6 +19,7 @@ from mrexplore.grid import (
     UNKNOWN,
     OccupancyGrid,
     coverage_percent,
+    grid_to_world,
     inflate_obstacles,
     map_entropy,
     merge_maps,
@@ -36,6 +37,17 @@ def reference_hashes() -> list[tuple[str, str]]:
     """(sha256, run name) of each line of tools/output_hashes.txt."""
     lines = (TOOLS / "output_hashes.txt").read_text().splitlines()
     return [tuple(line.split("  ")) for line in lines]
+
+
+def output_hashes_tool(monkeypatch):
+    """tools/output_hashes.py as a module."""
+    # the tool puts src/ and perfbench/ on sys.path when it loads
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("output_hashes",
+                                                  TOOLS / "output_hashes.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
 def small_cfg(**kw):
@@ -171,7 +183,7 @@ class TestNoOpenCandidate:
         sim._sense_all()
         _, offered = self._offered(sim)
         elsewhere = (offered[0][0] + 3.0, offered[0][1])
-        assert sim._cell_key(elsewhere) != sim._cell_key(offered[0])
+        assert elsewhere != offered[0]
         sim.state.chosen_coords = [elsewhere]
         _, _, got = sim.run_iteration(sim.robots[0])
         assert got
@@ -253,16 +265,16 @@ class TestRankSeesReachableOnly:
 
 class TestNoAssignable:
     def test_open_point_unreachable_reachable_point_chosen(self, monkeypatch):
-        # any_open passes, planning reaches only a chosen cell, so
+        # any_open passes, planning reaches only a chosen point, so
         # spreading suppresses every row and the request gets no goal
         import mrexplore.simulate as simulate
-        # two robots at seed 2 offer two points in distinct cells
+        # two robots at seed 2 offer two distinct points
         sim = ExplorationSim(small_cfg(max_sim_time=10, robot_count=2, seed=2))
         sim._sense_all()
         raw, offered = TestNoOpenCandidate._offered(sim)
-        assert len({sim._cell_key(p) for p in offered}) >= 2
+        assert len(set(offered)) >= 2
         open_pt = offered[0]
-        chosen = [p for p in offered if sim._cell_key(p) != sim._cell_key(open_pt)]
+        chosen = [p for p in offered if p != open_pt]
         sim.state.chosen_coords = list(chosen)
         reachable = offered.index(chosen[0])
 
@@ -370,6 +382,32 @@ class TestGoalIsAnOfferedPoint:
         # on desk at seed 1 the first walls seen cut proposed's first paths
         _, replans = self.handouts_and_replans("desk", 3, "proposed", 15)
         assert replans
+
+
+class TestPointsAreCellCentres:
+    """Allocation compares points by value. That is the test "in a chosen
+    goal's cell" only because every offered point and every chosen goal is
+    the centre of its merged-map cell."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("world", ["two_wings", "open20"])
+    def test_offered_and_chosen_are_centres(self, world, method):
+        sim = ExplorationSim(ScenarioConfig(map_source=f"builtin:{world}",
+                                            robot_count=2, method=method,
+                                            dt=1.0, max_sim_time=60, seed=1))
+        serve, checked = sim.run_iteration, []
+
+        def run_iteration(robot):
+            result = serve(robot)
+            merged = sim.merged
+            for x, y in (sim.offered or []) + sim.state.chosen_coords:
+                assert (x, y) == grid_to_world(*world_to_grid(x, y, merged), merged)
+                checked.append((x, y))
+            return result
+
+        sim.run_iteration = run_iteration
+        sim.run()
+        assert checked
 
 
 def reference_planning_grid(sim, robot, goals):
@@ -707,13 +745,17 @@ class TestPolicies:
         sha = hashlib.sha256(text.encode()).hexdigest()
         assert (sha, "wings_sense") in reference_hashes()
 
+    # The two_wings and open20 runs of tools/output_hashes.txt, 300 s each
+    # on configs/desk.cfg: every method on two more worlds, run in full.
+    @pytest.mark.parametrize("name", [f"{world}/{method}" for world in ("two_wings", "open20")
+                                      for method in METHODS])
+    def test_golden_small_worlds(self, monkeypatch, name):
+        tool = output_hashes_tool(monkeypatch)
+        sha = tool.output_hash(tool.reference_runs()[name])
+        assert (sha, name) in reference_hashes()
+
     def test_reference_hashes_name_every_run(self, monkeypatch):
-        # the tool puts src/ and perfbench/ on sys.path when it loads
-        monkeypatch.setattr(sys, "path", list(sys.path))
-        spec = importlib.util.spec_from_file_location("output_hashes",
-                                                      TOOLS / "output_hashes.py")
-        tool = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tool)
+        tool = output_hashes_tool(monkeypatch)
         lines = reference_hashes()
         assert [name for _, name in lines] == list(tool.reference_runs())
         assert all(re.fullmatch("[0-9a-f]{64}", sha) for sha, _ in lines)
