@@ -31,7 +31,7 @@ class ScenarioConfig:
 
     map_source: str = "builtin:desk"
     robot_count: int = 3
-    start_poses: list[tuple[float, float, float]] | None = None
+    start_poses: tuple[tuple[float, float, float], ...] | None = None
     beam_count: int = 360
     max_range: float = 5.0
     filter_params: FilterParams = field(default_factory=FilterParams)
@@ -64,6 +64,10 @@ class ScenarioConfig:
             if not _is_pose(pose):
                 raise ConfigError(f"start pose {pose!r} is not three finite numbers "
                                   f"(x, y, heading)")
+        if self.start_poses is not None:
+            # immutable, so the checks above hold for the config's life
+            object.__setattr__(self, "start_poses",
+                               tuple(tuple(pose) for pose in self.start_poses))
 
     @property
     def ticks(self) -> int:

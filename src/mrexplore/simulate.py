@@ -141,14 +141,14 @@ class ExplorationSim:
 
     def __init__(self, config: ScenarioConfig):
         """Load the config's world and place its robots; raises ConfigError
-        if the world does not load, its cells are too large for the lidar's
-        walk, or the start poses do not fit it."""
+        if the world does not load, max_range and its cells are too large
+        for the lidar's walk, or the start poses do not fit it."""
         self.config = config
         self.truth = config.load_world()
         # raycast's walk distances stay below 3 * (max_range + 2 * resolution)
         if not math.isfinite(3.0 * (config.max_range + 2.0 * self.truth.resolution)):
-            raise ConfigError(f"map resolution {self.truth.resolution} is too large "
-                              f"for the lidar walk")
+            raise ConfigError(f"[lidar] max_range {config.max_range:g} is too large for "
+                              f"the lidar walk at map resolution {self.truth.resolution}")
         starts = config.resolve_starts(self.truth)
         self.robots = []
         for i in range(config.robot_count):

@@ -190,6 +190,18 @@ class TestConfigErrors:
         assert len(lines) == 1
         assert lines[0].startswith("config error: [filter] min_pts: ")
 
+    def test_too_large_max_range_names_it(self, tmp_path, capsys):
+        # finite on its own, but the walk's distances overflow on desk's cells
+        path = tmp_path / "bad.cfg"
+        path.write_text("[lidar]\nmax_range = 1e308\n")
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        lines = err.strip().split("\n")
+        assert len(lines) == 1
+        assert lines[0].startswith("config error: ")
+        assert "max_range" in lines[0] and "resolution" in lines[0]
+
     @pytest.mark.parametrize("make", [
         lambda path: path.mkdir(),
         lambda path: path.write_bytes(b"[scenario]\nseed = 1\xff\n"),

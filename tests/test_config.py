@@ -62,7 +62,7 @@ class TestLoadConfig:
         cfg = load_config(str(path))
         assert cfg.map_source == "builtin:open20"
         assert cfg.robot_count == 2
-        assert cfg.start_poses == [(10.5, 10.5, 0.0), (5.5, 5.5, 1.57)]
+        assert cfg.start_poses == ((10.5, 10.5, 0.0), (5.5, 5.5, 1.57))
         assert cfg.method == "proposed"
         assert cfg.seed == 7
         assert cfg.max_sim_time == 42.0
@@ -203,6 +203,15 @@ class TestValidByConstruction:
         with pytest.raises(ConfigError, match="start pose .* three finite numbers"):
             ScenarioConfig(map_source="builtin:desk", robot_count=2,
                            start_poses=[(10.5, 10.5, 0.0), pose])
+
+    def test_start_poses_cannot_be_changed_after_the_checks(self):
+        cfg = ScenarioConfig(map_source="builtin:open20", robot_count=2,
+                             start_poses=[[10.5, 10.5, 0.0], (5.5, 5.5, 0.0)])
+        assert cfg.start_poses == ((10.5, 10.5, 0.0), (5.5, 5.5, 0.0))
+        with pytest.raises(TypeError):
+            cfg.start_poses[0] = (math.nan, 10.5, 0.0)
+        with pytest.raises(TypeError):
+            cfg.start_poses[0][0] = math.nan
 
     def test_ticks_round_the_run_length(self):
         assert ScenarioConfig(max_sim_time=0.6, dt=1.0).ticks == 1

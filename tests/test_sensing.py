@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -85,6 +85,11 @@ def cells_reference(truth, pose, beam_count, max_range):
     return np.array(sorted(free), dtype=np.intp), np.array(sorted(occupied), dtype=np.intp)
 
 
+# A position within a cell: on its lower edge, at its centre, or anywhere
+# between; edge positions start beams on cell boundaries and corners.
+_frac = st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.05, 0.95))
+
+
 @st.composite
 def world_and_pose(draw):
     """A small random world, a pose in one of its free cells and a grid of
@@ -96,8 +101,7 @@ def world_and_pose(draw):
     cx, cy = draw(st.integers(0, w - 1)), draw(st.integers(0, h - 1))
     cells[cy, cx] = FREE
     truth = GroundTruthMap(res, origin[0], origin[1], w, h, cells)
-    frac = st.floats(0.05, 0.95)
-    pose = (origin[0] + (cx + draw(frac)) * res, origin[1] + (cy + draw(frac)) * res,
+    pose = (origin[0] + (cx + draw(_frac)) * res, origin[1] + (cy + draw(_frac)) * res,
             draw(st.floats(0.0, 2 * math.pi)))
     known = draw(arrays(np.int8, (h, w),
                         elements=st.sampled_from([UNKNOWN, FREE, OCCUPIED])))
@@ -114,7 +118,6 @@ def world_and_poses(draw, min_poses=1, max_poses=4):
     res = draw(st.sampled_from([0.25, 0.5, 1.0]))
     origin = (draw(st.integers(-4, 4)) * res, draw(st.integers(-4, 4)) * res)
     cells = draw(arrays(np.int8, (h, w), elements=st.sampled_from([FREE, OCCUPIED])))
-    frac = st.floats(0.05, 0.95)
     placed = []  # (cell, pose)
     for _ in range(draw(st.integers(min_poses, max_poses))):
         kind = draw(st.sampled_from(["new", "repeat", "same_cell"])) if placed else "new"
@@ -126,7 +129,7 @@ def world_and_poses(draw, min_poses=1, max_poses=4):
         else:
             cx, cy = draw(st.integers(0, w - 1)), draw(st.integers(0, h - 1))
         cells[cy, cx] = FREE
-        pose = (origin[0] + (cx + draw(frac)) * res, origin[1] + (cy + draw(frac)) * res,
+        pose = (origin[0] + (cx + draw(_frac)) * res, origin[1] + (cy + draw(_frac)) * res,
                 draw(st.floats(0.0, 2 * math.pi)))
         placed.append(((cx, cy), pose))
     truth = GroundTruthMap(res, origin[0], origin[1], w, h, cells)
@@ -147,6 +150,20 @@ def copy_and_write(grid, scan):
 
 _beams = st.integers(1, 48)
 _max_range = st.floats(0.3, 6.0)
+
+# Poses on a cell corner, a cell edge and a cell centre, where beams cast
+# along an axis or a diagonal meet x and y cell boundaries at equal distances.
+_TIE_WORLD = truth_from_rows(["......", ".#..#.", "......", "..#...", "....#."])
+
+
+def tie_examples(test):
+    """Add an example for each heading 0, pi/2, pi and pi/4 at 4 and 8
+    beams, casting from the three tie poses of _TIE_WORLD."""
+    for heading in (0.0, math.pi / 2, math.pi, math.pi / 4):
+        poses = [(2.0, 2.0, heading), (3.0, 2.5, heading), (2.5, 2.5, heading)]
+        for beams in (4, 8):
+            test = example(world=(_TIE_WORLD, poses), beams=beams, max_range=3.0)(test)
+    return test
 
 
 class TestRaycast:
@@ -214,6 +231,7 @@ class TestBatchedRaycast:
 
     @settings(deadline=None)  # timing is not under test; the host may be busy
     @given(world_and_poses(), _beams, _max_range)
+    @tie_examples
     def test_batch_equals_single(self, world, beams, max_range):
         truth, poses = world
         scans = raycast(truth, poses, beams, max_range)
@@ -223,6 +241,7 @@ class TestBatchedRaycast:
 
     @settings(deadline=None)  # timing is not under test; the host may be busy
     @given(world_and_poses(), _beams, _max_range)
+    @tie_examples
     def test_each_scan_matches_cells_reference(self, world, beams, max_range):
         truth, poses = world
         for pose, got in zip(poses, raycast(truth, poses, beams, max_range)):

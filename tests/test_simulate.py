@@ -746,9 +746,10 @@ class TestPolicies:
         assert (sha, "wings_sense") in reference_hashes()
 
     # The two_wings and open20 runs of tools/output_hashes.txt, 300 s each
-    # on configs/desk.cfg: every method on two more worlds, run in full.
+    # on configs/desk.cfg: every method on two more worlds, run in full;
+    # and desk/proposed, the benchmarked desk run of the paper's method.
     @pytest.mark.parametrize("name", [f"{world}/{method}" for world in ("two_wings", "open20")
-                                      for method in METHODS])
+                                      for method in METHODS] + ["desk/proposed"])
     def test_golden_small_worlds(self, monkeypatch, name):
         tool = output_hashes_tool(monkeypatch)
         sha = tool.output_hash(tool.reference_runs()[name])
