@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -69,23 +70,64 @@ def alignment_error(grid, truth) -> float:
     """Symmetric mean nearest-neighbor distance (in cells) between the two
     occupied-cell sets. 0 when both sets coincide; NaN if exactly one set
     is empty."""
-    pts_a = np.argwhere(grid.cells == OCCUPIED).astype(np.float64)
-    pts_b = np.argwhere(truth.cells == OCCUPIED).astype(np.float64)
-    if len(pts_a) == 0 and len(pts_b) == 0:
+    occ_a = grid.cells == OCCUPIED
+    occ_b = truth.cells == OCCUPIED
+    cells_a, cells_b = np.argwhere(occ_a), np.argwhere(occ_b)
+    if len(cells_a) == 0 and len(cells_b) == 0:
         return 0.0
-    if len(pts_a) == 0 or len(pts_b) == 0:
+    if len(cells_a) == 0 or len(cells_b) == 0:
         return float("nan")
     return float(
-        0.5 * (_directed_nn_mean(pts_a, pts_b) + _directed_nn_mean(pts_b, pts_a))
+        0.5 * (_directed_nn_mean(cells_a, occ_b) + _directed_nn_mean(cells_b, occ_a))
     )
 
 
+@functools.cache
+def _rings(radius: int) -> list[tuple[float, np.ndarray, np.ndarray]]:
+    """The cell offsets of length at most radius, as (d2, rows, cols) per
+    squared length d2, in increasing d2. Built on first use, not at import,
+    which the simulator's set-up pays."""
+    rows, cols = np.mgrid[-radius:radius + 1, -radius:radius + 1].reshape(2, -1)
+    sq = rows * rows + cols * cols
+    return [(float(d2), rows[sq == d2], cols[sq == d2])
+            for d2 in sorted(set(sq[sq <= radius * radius].tolist()))]
+
+
+# a cell with no occupied cell within _NEAR cells is compared with all of them
+_NEAR = 8
+
+
+def _nearest_d2(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Each src cell's least squared distance, in cells, to a True cell of
+    the mask dst (which holds one): the offsets of _rings(_NEAR) are tried in
+    increasing length, and a cell with no True cell that near is compared
+    with every one. Squared distances of cells are integers, so each is
+    exact."""
+    wp = dst.shape[1] + 2 * _NEAR
+    flat = np.pad(dst, _NEAR).ravel()
+    at = (src[:, 0] + _NEAR) * wp + src[:, 1] + _NEAR
+    d2 = np.empty(len(src))
+    left = np.arange(len(src))
+    for ring_d2, rows, cols in _rings(_NEAR):
+        hit = flat[at[left, None] + rows * wp + cols].any(axis=1)
+        d2[left[hit]] = ring_d2
+        left = left[~hit]
+        if not left.size:
+            return d2
+    far = src[left].astype(np.float64)
+    pts = np.argwhere(dst).astype(np.float64)
+    # 64 far cells at a time, so that no temporary holds more than
+    # 64 x len(pts) values
+    d2[left] = np.concatenate([
+        ((far[i:i + 64, :1] - pts[:, 0]) ** 2 + (far[i:i + 64, 1:] - pts[:, 1]) ** 2)
+        .min(axis=1) for i in range(0, len(far), 64)])
+    return d2
+
+
 def _directed_nn_mean(src: np.ndarray, dst: np.ndarray) -> float:
-    # each src point's least squared distance, 64 points at a time, so that
-    # no temporary holds more than 64 x len(dst) values
-    d2 = np.concatenate([
-        ((src[i:i + 64, :1] - dst[:, 0]) ** 2 + (src[i:i + 64, 1:] - dst[:, 1]) ** 2)
-        .min(axis=1) for i in range(0, len(src), 64)])
+    """Mean distance, in cells, from each src cell to its nearest True cell
+    of the mask dst."""
+    d2 = _nearest_d2(src, dst)
     # summed per 512 src points, then over those sums in order: the
     # grouping sets the rounding of alignment_error
     return sum(np.sqrt(d2[i:i + 512]).sum() for i in range(0, len(src), 512)) / len(src)

@@ -2,12 +2,15 @@
 
 One walk per call casts the beams of every pose given, all in lockstep with
 numpy over the shared true map; the simulator makes one such call per tick
-for every robot's beams. The walk is an exact cell walk (every crossed cell
-is visited, corner grazes with zero chord are skipped), so thin walls cannot
-be leaked through. It marks the cells each scan's beams see, and the true
-map gives each seen cell its state, free or occupied; integration applies
-those cells to a map and walks no beams itself, and hands back the map
-itself when they change nothing.
+for every robot's beams. The walk is an exact cell walk, the traversal of
+Amanatides and Woo ("A Fast Voxel Traversal Algorithm for Ray Tracing",
+1987): every crossed cell is visited and corner grazes with zero chord are
+skipped, so thin walls cannot be leaked through. Each step makes one stop
+test; a stopped beam is parked on its cell, and the walk drops its stopped
+beams only once they are more than a quarter of it. It marks the cells
+each scan's beams see, and the true map gives each seen cell its state,
+free or occupied; integration applies those cells to a map and walks no
+beams itself, and hands back the map itself when they change nothing.
 """
 
 from __future__ import annotations
@@ -46,6 +49,22 @@ class LidarScan:
     occupied_cells: np.ndarray
 
 
+def walk_bound(max_range: float, resolution: float) -> float:
+    """A bound on every sum raycast's walk forms, for beams of max_range on
+    a map of cells resolution wide; raycast accepts max_range only when it
+    is a finite float.
+
+    Every beam in the walk, a parked one too, crosses one cell boundary
+    per step, and the walk takes a step only while some beam has not passed
+    max_range, which a beam does within sqrt(2) * max_range / resolution + 2
+    steps. So no beam passes sqrt(2) * max_range + 5 * resolution, and a sum
+    adds at most two increments of up to max_range + 2 * resolution to a
+    beam's distance. Parked beams keep stepping, so this is more than the
+    3 * (max_range + 2 * resolution) that bounds a walk of live beams.
+    """
+    return 5.0 * (max_range + 2.0 * resolution)
+
+
 def raycast(truth: GroundTruthMap, poses, beam_count: int,
             max_range: float) -> list[LidarScan]:
     """Cast beam_count equally spaced beams over 360 degrees from each pose
@@ -58,14 +77,24 @@ def raycast(truth: GroundTruthMap, poses, beam_count: int,
     Occupied one, where it stops, when the midpoint of its chord through
     the cell lies within max_range. The true map splits a scan's seen
     cells into its free and occupied ones.
-    Deterministic, noise free. Raises ValueError when some pose lies
-    outside the map or in an obstacle. The walk's distances stay below
-    3 * (max_range + 2 * resolution), which must be a finite float.
+    Deterministic, noise free. Raises ValueError, naming the argument, when
+    beam_count is not an integer of at least 1, when max_range is not
+    finite and positive or walk_bound(max_range, resolution) is not a
+    finite float, or when some pose is not three finite numbers, or lies
+    outside the map or in an obstacle.
     """
     res = truth.resolution
+    if not isinstance(beam_count, (int, np.integer)) or beam_count < 1:
+        raise ValueError(f"beam_count must be an integer >= 1, not {beam_count!r}")
+    if not (max_range > 0.0 and math.isfinite(walk_bound(max_range, res))):
+        raise ValueError(f"max_range must be finite and positive, and small enough for "
+                         f"the walk at map resolution {res}, not {max_range!r}")
     width, height = truth.width, truth.height
     starts = []
-    for px, py, _ in poses:
+    for px, py, heading in poses:
+        if not (math.isfinite(px) and math.isfinite(py) and math.isfinite(heading)):
+            raise ValueError(f"pose {(px, py, heading)!r} is not three finite numbers "
+                             f"(x, y, heading)")
         cx0, cy0 = world_to_grid(px, py, truth)
         if not truth.in_bounds(cx0, cy0):
             raise ValueError("robot pose outside the map")
@@ -111,41 +140,47 @@ def raycast(truth: GroundTruthMap, poses, beam_count: int,
     step_x = np.sign(dx).astype(np.int64)
     step_y = np.sign(dy).astype(np.int64) * wp
 
+    # An increment longer than max_range + 2 * res would only be taken after
+    # the beam has stopped past max_range, so inf walks the same cells. It
+    # also keeps t_max + t_d in the loop from overflowing without an
+    # errstate around the loop, which would slow each of its ufunc calls by
+    # about 2%.
     t_stop = max_range + 2.0 * res
-    # A step by an increment longer than t_stop lands past t_stop and ends
-    # the walk, so inf walks the same cells. It also keeps t_max + t_d in
-    # the loop from overflowing without an errstate around the loop, which
-    # would slow each of its ufunc calls by about 2%.
     t_dx[t_dx > t_stop] = np.inf
     t_dy[t_dy > t_stop] = np.inf
     t_entry = np.zeros(idx.size)
     seen = np.zeros(n_poses * n_pad, dtype=bool)
-    here = code[idx]
 
-    # The walk holds only live beams, all on the map: a beam is dropped on
-    # the step it stops at an occupied cell, passes t_stop or leaves the map.
+    # A beam stops in the step that crosses an occupied cell or reaches the
+    # ring, or whose cell it leaves past max_range: the next chord's midpoint
+    # lies at t_exit or beyond. Stopped beams are dropped once they are more
+    # than a quarter of the walk; until then they are parked, with no step,
+    # on their last cell, which they can see again only with a longer chord
+    # (the ring is cut from seen), and they stop again on later steps.
     while idx.size:
+        here = code[idx]
         t_exit = np.minimum(t_max_x, t_max_y)
         crossed = t_exit - t_entry > _EPS
         seen[idx[crossed & (0.5 * (t_entry + t_exit) <= max_range)]] = True
-        live = ~(crossed & (here == 1))  # beams stop at their first occupied cell
+        stop = (here + crossed >= 2) | (t_exit > max_range)
+        n_stop = np.count_nonzero(stop)
+        if 4 * n_stop > idx.size:
+            keep = np.flatnonzero(~stop)
+            (idx, t_max_x, t_max_y, t_dx, t_dy, step_x, step_y, t_exit) = (
+                a[keep] for a in (idx, t_max_x, t_max_y, t_dx, t_dy, step_x, step_y,
+                                  t_exit))
+        elif n_stop:
+            step_x[stop] = 0
+            step_y[stop] = 0
 
         take_x = t_max_x < t_max_y
         t_entry = t_exit  # the boundary this step crosses
-        idx = np.where(take_x, idx + step_x, idx + step_y)
+        idx += np.where(take_x, step_x, step_y)
         t_max_x = np.where(take_x, t_max_x + t_dx, t_max_x)
         t_max_y = np.where(take_x, t_max_y, t_max_y + t_dy)
-        here = code[idx]
-        live &= t_entry <= t_stop
-        live &= here != 2
-        if not live.all():
-            keep = np.flatnonzero(live)
-            (idx, here, t_max_x, t_max_y, t_dx, t_dy, step_x, step_y,
-             t_entry) = (a[keep] for a in (idx, here, t_max_x, t_max_y, t_dx,
-                                           t_dy, step_x, step_y, t_entry))
 
-    # A beam sees only cells of the map, so the true map splits each pose's
-    # seen cells into its free and occupied ones.
+    # The ring is cut from seen, so the true map splits each pose's seen
+    # cells into its free and occupied ones.
     seen = seen.reshape(n_poses, hp, wp)[:, 1:-1, 1:-1].reshape(n_poses, -1)
     wall = truth.cells.ravel() == OCCUPIED
     return [LidarScan(truth.frame, np.flatnonzero(s & ~wall), np.flatnonzero(s & wall))

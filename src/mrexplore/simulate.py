@@ -37,7 +37,7 @@ from .planner import (
 )
 from .posegraph import PoseGraph, extend_trajectory
 from .quality import MapQuality, map_quality
-from .sensing import integrate_scan, raycast
+from .sensing import integrate_scan, raycast, walk_bound
 from .utility import decay, path_gains, score_candidates
 
 log = logging.getLogger("mrexplore")
@@ -145,8 +145,7 @@ class ExplorationSim:
         for the lidar's walk, or the start poses do not fit it."""
         self.config = config
         self.truth = config.load_world()
-        # raycast's walk distances stay below 3 * (max_range + 2 * resolution)
-        if not math.isfinite(3.0 * (config.max_range + 2.0 * self.truth.resolution)):
+        if not math.isfinite(walk_bound(config.max_range, self.truth.resolution)):
             raise ConfigError(f"[lidar] max_range {config.max_range:g} is too large for "
                               f"the lidar walk at map resolution {self.truth.resolution}")
         starts = config.resolve_starts(self.truth)

@@ -88,6 +88,23 @@ def broadcast_nn_mean(src, dst, chunk=512):
     return total / len(src)
 
 
+def brute_nn_mean(src, dst):
+    """Every src point against every dst point, 64 src points at a time,
+    with the sums grouped per 512 src points as in alignment_error."""
+    d2 = np.concatenate([
+        ((src[i:i + 64, :1] - dst[:, 0]) ** 2 + (src[i:i + 64, 1:] - dst[:, 1]) ** 2)
+        .min(axis=1) for i in range(0, len(src), 64)])
+    return sum(np.sqrt(d2[i:i + 512]).sum() for i in range(0, len(src), 512)) / len(src)
+
+
+def mask_of(points, shape):
+    """The boolean grid of the shape that holds exactly the (row, col)
+    points."""
+    mask = np.zeros(shape, dtype=bool)
+    mask[tuple(points.astype(np.intp).T)] = True
+    return mask
+
+
 @st.composite
 def cells(draw):
     """Occupied-cell coordinates as alignment_error passes them: up to 1300
@@ -99,11 +116,33 @@ def cells(draw):
     return rng.integers(0, span, (n, 2)).astype(np.float64)
 
 
+@st.composite
+def masks(draw):
+    """A boolean grid with at least one True cell, and (row, col) cells of
+    the same grid. Sparse grids leave cells farther than the near search
+    from every True cell."""
+    h, w = draw(st.integers(1, 120)), draw(st.integers(1, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random((h, w)) < draw(st.sampled_from([0.0005, 0.005, 0.05, 0.5]))
+    mask[draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))] = True
+    src = np.argwhere(rng.random((h, w)) < draw(st.sampled_from([0.01, 0.1, 0.9])))
+    return src if len(src) else np.argwhere(mask), mask
+
+
 class TestNearestWithoutAllPairs:
     @settings(deadline=None, max_examples=60)
     @given(cells(), cells())
     def test_equals_broadcast_form(self, src, dst):
-        assert _directed_nn_mean(src, dst) == broadcast_nn_mean(src, dst)
+        shape = tuple(np.concatenate([src, dst]).max(axis=0).astype(np.intp) + 1)
+        got = _directed_nn_mean(src.astype(np.intp), mask_of(dst, shape))
+        assert got == broadcast_nn_mean(src, dst)
+
+    @settings(deadline=None, max_examples=60)
+    @given(masks())
+    def test_equals_brute_force(self, cells_and_mask):
+        src, mask = cells_and_mask
+        assert _directed_nn_mean(src, mask) == brute_nn_mean(
+            src.astype(np.float64), np.argwhere(mask).astype(np.float64))
 
 
 class TestMapQuality:

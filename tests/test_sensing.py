@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -17,7 +18,7 @@ from mrexplore.grid import (
     merge_maps,
     world_to_grid,
 )
-from mrexplore.sensing import integrate_scan, raycast
+from mrexplore.sensing import integrate_scan, raycast, walk_bound
 
 from conftest import truth_from_rows
 
@@ -166,6 +167,27 @@ def tie_examples(test):
     return test
 
 
+# One wall cell, on the diagonal of the cell centred at (2.5, 2.5).
+_EDGE_WORLD = truth_from_rows(["........", "........", "........", "...#....", "........"])
+
+
+def edge_examples(test):
+    """Add an example for each edge of the walk's stop test and compaction."""
+    for poses, beams, max_range in [
+        # the heading-0 beam leaves a cell at exactly max_range, 2.5
+        ([(1.5, 1.5, 0.0)], 4, 2.5),
+        # the heading-pi beam sees the ring beyond the map's left edge
+        ([(0.5, 4.5, math.pi)], 4, 3.0),
+        # the pi/4 beam stops at the wall, one of 8, so it is parked; its
+        # next step grazes the wall cell's corner with a zero-length chord
+        ([(2.5, 2.5, math.pi / 4)], 8, 6.0),
+        # beams are parked on some steps and dropped on others
+        ([(2.5, 2.5, math.pi / 4), (6.5, 1.5, 0.3)], 24, 6.0),
+    ]:
+        test = example(world=(_EDGE_WORLD, poses), beams=beams, max_range=max_range)(test)
+    return test
+
+
 class TestRaycast:
     def test_perpendicular_wall(self):
         rows = ["." * 20] * 20
@@ -218,6 +240,51 @@ class TestRaycast:
         assert np.array_equal(got.free_cells, want.free_cells)
         assert np.array_equal(got.occupied_cells, want.occupied_cells)
 
+    @pytest.mark.parametrize("heading", [math.nan, math.inf, -math.inf])
+    def test_non_finite_heading_rejected(self, box5, heading):
+        with pytest.raises(ValueError, match="heading"):
+            raycast(box5, [(2.5, 2.5, 0.0), (2.5, 2.5, heading)], 8, 5.0)
+
+    @pytest.mark.parametrize("x, y", [(math.nan, 2.5), (2.5, math.inf), (-math.inf, 2.5)])
+    def test_non_finite_position_rejected(self, box5, x, y):
+        # an infinite coordinate raised OverflowError from world_to_grid
+        with pytest.raises(ValueError, match="finite"):
+            cast_one(box5, (x, y, 0.0), 8, 5.0)
+
+    @pytest.mark.parametrize("beam_count", [0, -4, 8.0, 2.5])
+    def test_bad_beam_count_rejected(self, box5, beam_count):
+        with pytest.raises(ValueError, match="beam_count"):
+            cast_one(box5, (2.5, 2.5, 0.0), beam_count, 5.0)
+
+    @pytest.mark.parametrize("max_range", [0.0, -1.0, math.nan, math.inf, -math.inf, 1e308])
+    def test_bad_max_range_rejected(self, box5, max_range):
+        with pytest.raises(ValueError, match="max_range"):
+            cast_one(box5, (2.5, 2.5, 0.0), 8, max_range)
+
+    def test_bad_arguments_rejected_without_poses(self, box5):
+        with pytest.raises(ValueError, match="beam_count"):
+            raycast(box5, [], 0, 5.0)
+        with pytest.raises(ValueError, match="max_range"):
+            raycast(box5, [], 8, math.nan)
+
+    def test_largest_accepted_max_range_warns_nothing(self):
+        truth = _EDGE_WORLD
+        largest = sys.float_info.max / 5.0
+        while math.isfinite(walk_bound(math.nextafter(largest, math.inf), truth.resolution)):
+            largest = math.nextafter(largest, math.inf)
+        while not math.isfinite(walk_bound(largest, truth.resolution)):
+            largest = math.nextafter(largest, -math.inf)
+        with pytest.raises(ValueError, match="max_range"):
+            cast_one(truth, (2.5, 2.5, 0.0), 16, math.nextafter(largest, math.inf))
+        pose = (2.5, 1.5, 0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cast_one(truth, pose, 16, largest)
+        free, occupied = cells_reference(truth, pose, 16, largest)
+        assert np.array_equal(got.free_cells, free)
+        assert np.array_equal(got.occupied_cells, occupied)
+        assert_same_scan(got, cast_one(truth, pose, 16, 100.0))
+
 
 def assert_same_scan(got, want):
     assert got.frame == want.frame
@@ -242,6 +309,7 @@ class TestBatchedRaycast:
     @settings(deadline=None)  # timing is not under test; the host may be busy
     @given(world_and_poses(), _beams, _max_range)
     @tie_examples
+    @edge_examples
     def test_each_scan_matches_cells_reference(self, world, beams, max_range):
         truth, poses = world
         for pose, got in zip(poses, raycast(truth, poses, beams, max_range)):
