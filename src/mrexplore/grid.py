@@ -173,9 +173,12 @@ def inflate_obstacles(grid: OccupancyGrid, cells: int) -> OccupancyGrid:
 
     Used to keep the point robot away from walls when planning. A radius
     of max(width, height) already reaches every cell from any cell, so
-    larger radii dilate no further.
+    larger radii dilate no further. Raises ValueError unless cells is an
+    integer of at least 0.
     """
-    if cells <= 0:
+    if not isinstance(cells, (int, np.integer)) or cells < 0:
+        raise ValueError(f"cells must be an integer >= 0, not {cells!r}")
+    if cells == 0:
         return grid.copy()
     occ = grid.cells == OCCUPIED
     grown = occ.copy()

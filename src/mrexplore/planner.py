@@ -4,7 +4,7 @@ numpy wavefronts) and ideal path following."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,9 +19,17 @@ class NoPathError(Exception):
 
 @dataclass
 class GridPath:
+    """A path from start to goal. extends and shared record where
+    plan_many's shortest-path tree branches: extends is the position, among
+    the reached paths of the same call in order, of an earlier path whose
+    first shared cells and waypoints this one repeats (None, with shared
+    0, when none does). They are left out of equality and repr."""
+
     cells: list[tuple[int, int]]       # (cx, cy) from start to goal
     length_m: float
     waypoints: list[tuple[float, float]]  # cell centers in world coords
+    extends: int | None = field(default=None, compare=False, repr=False)
+    shared: int = field(default=0, compare=False, repr=False)
 
     @property
     def goal(self) -> tuple[float, float]:
@@ -126,6 +134,17 @@ def _run_dijkstra(grid: OccupancyGrid, start_cell, goal_idxs):
     return dist, parent
 
 
+def _require_finite_point(name: str, point) -> None:
+    """Raise ValueError naming the argument unless point's x and y are
+    finite numbers."""
+    try:
+        finite = math.isfinite(point[0]) and math.isfinite(point[1])
+    except (TypeError, OverflowError):
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} {tuple(point)!r} must have finite x and y")
+
+
 def _start_cell(grid, start):
     scx, scy = world_to_grid(start[0], start[1], grid)
     if not grid.in_bounds(scx, scy):
@@ -139,11 +158,20 @@ def plan_many(grid: OccupancyGrid, start, goals) -> list[GridPath | None]:
     """Shortest 8-connected paths by metric cost (axis = resolution,
     diagonal = sqrt(2) * resolution) from the start point to each goal
     point, from one search; unreachable goals yield None. Each path is the
-    one a search for its goal alone would give."""
+    one a search for its goal alone would give.
+
+    The paths branch from one shortest-path tree, and each reports the
+    prefix it shares with an earlier one: its `extends` is that path's
+    position among the reached paths (the result without its Nones), and
+    its `shared` the number of cells, and waypoints, they share. Raises
+    ValueError when the start or some goal has a coordinate that is not
+    finite."""
+    _require_finite_point("start", start)
     scx, scy = _start_cell(grid, start)
     pw = grid.width + 2
     goal_idxs = []
     for g in goals:
+        _require_finite_point("goal", g)
         gcx, gcy = world_to_grid(g[0], g[1], grid)
         if not grid.in_bounds(gcx, gcy) or grid.cells[gcy, gcx] == OCCUPIED:
             goal_idxs.append(None)
@@ -152,15 +180,14 @@ def plan_many(grid: OccupancyGrid, start, goals) -> list[GridPath | None]:
     wanted = [i for i in goal_idxs if i is not None]
     dist, parent = _run_dijkstra(grid, (scx, scy), wanted)
 
-    # The paths of one search branch from one shortest-path tree. Each
-    # reached goal's parent chain is walked, goal first, only until it meets
-    # a cell an earlier chain walked; that cell's path is then a prefix of
-    # the new one. walked[cell] = (k, n): the cell ends the first n cells of
-    # path k. `fresh` holds every walked cell once, so only the distinct
-    # cells are converted to cells and waypoints.
+    # Each reached goal's parent chain is walked, goal first, only until it
+    # meets a cell an earlier chain walked; that cell's path is then a
+    # prefix of the new one. walked[cell] = (r, n): the cell ends the first
+    # n cells of the r-th reached path. `fresh` holds every walked cell
+    # once, so only the distinct cells are converted to cells and waypoints.
     parent_of = parent.item
-    fresh, walked, pieces = [], {}, []
-    for k, gidx in enumerate(goal_idxs):
+    fresh, walked, pieces, r = [], {}, [], 0
+    for gidx in goal_idxs:
         length = math.inf if gidx is None else float(dist[gidx])
         if not math.isfinite(length):
             pieces.append(None)
@@ -172,15 +199,16 @@ def plan_many(grid: OccupancyGrid, start, goals) -> list[GridPath | None]:
         base, keep = walked.get(gidx, (None, 0))
         end = len(fresh)
         for i in range(begin, end):
-            walked[fresh[i]] = (k, keep + end - i)
+            walked[fresh[i]] = (r, keep + end - i)
         pieces.append((base, keep, slice(begin, end), length))
+        r += 1
     fresh = np.array(fresh, dtype=np.intp)
     cx = fresh % pw - 1
     cy = fresh // pw - 1
     xs, ys = grid_to_world(cx, cy, grid)
     cells = list(zip(cx.tolist(), cy.tolist()))
     waypoints = list(zip(xs.tolist(), ys.tolist()))
-    paths = []
+    paths, reached = [], []
     for piece in pieces:
         if piece is None:
             paths.append(None)
@@ -188,9 +216,11 @@ def plan_many(grid: OccupancyGrid, start, goals) -> list[GridPath | None]:
         base, keep, span, length = piece
         path_cells, path_waypoints = cells[span][::-1], waypoints[span][::-1]
         if base is not None:
-            path_cells = paths[base].cells[:keep] + path_cells
-            path_waypoints = paths[base].waypoints[:keep] + path_waypoints
-        paths.append(GridPath(path_cells, length, path_waypoints))
+            path_cells = reached[base].cells[:keep] + path_cells
+            path_waypoints = reached[base].waypoints[:keep] + path_waypoints
+        path = GridPath(path_cells, length, path_waypoints, base, keep)
+        paths.append(path)
+        reached.append(path)
     return paths
 
 

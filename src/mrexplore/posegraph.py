@@ -7,6 +7,7 @@ graphs (more/heavier loop closures) admit more spanning trees.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field, fields
@@ -77,18 +78,24 @@ def loop_closure_target(nodes, ids, new_id: int, params: GraphBuildParams):
     return best
 
 
-def _place(nodes, points, spacing: float) -> list[tuple[float, float]]:
-    """The (x, y) of the nodes that extending a graph whose nodes are
-    nodes along points places: the first point if there are no nodes, then
-    each point at least spacing (by math.hypot) from the last node."""
-    lx, ly = nodes[-1] if nodes else points[0]
-    placed = [] if nodes else [(lx, ly)]
-    for wx, wy in points:
+def _place(last, points, start: int, spacing: float) -> list[int]:
+    """The indices, from start on, of the points at which extending a graph
+    whose last node sits at last, an (x, y), along points places a node:
+    each point at least spacing (by math.hypot) from the node placed before
+    it. A graph with no nodes first places points[0] (see GainBase.grow).
+
+    The scan is left to right, and its state after a point is the last
+    node alone, which depends only on the points up to there. So a scan
+    of points that repeat another's first k points may resume after them
+    from that scan's last node there, and places what a full scan would."""
+    lx, ly = last
+    out = []
+    for i, (wx, wy) in enumerate(points[start:], start):
         if math.hypot(wx - lx, wy - ly) < spacing:
             continue
-        placed.append((wx, wy))
+        out.append(i)
         lx, ly = wx, wy
-    return placed
+    return out
 
 
 def _xy(nodes) -> np.ndarray:
@@ -97,30 +104,19 @@ def _xy(nodes) -> np.ndarray:
     return flat.reshape(len(nodes), 2).T
 
 
-def _new_edges(nodes, placed, params: GraphBuildParams, x, y) -> list:
-    """The edges that placing the nodes placed after nodes adds, in
-    creation order: per new node, an odometry edge to its predecessor (the
-    graph's first node has none), then its loop closure, if any. x and y
-    are the coordinates of nodes + placed as arrays."""
-    # np.hypot may differ from math.hypot by an ulp, so numpy only drops
-    # nodes far outside the radius and loop_closure_target decides on the
-    # survivors
-    n0 = len(nodes)
-    near = np.hypot(x[n0:, None] - x, y[n0:, None] - y)
+def _near(xy: np.ndarray, new_nodes, params: GraphBuildParams) -> list[list[int]]:
+    """Per new node, the ids, ascending, of the nodes whose coordinates xy
+    holds (a 2 x n array) within loop_closure_radius of it. np.hypot may
+    differ from math.hypot by an ulp, so this prefilter only drops nodes
+    far outside the radius, and loop_closure_target decides on the
+    survivors."""
+    x, y = xy
+    nx, ny = _xy(new_nodes)
+    near = np.hypot(nx[:, None] - x, ny[:, None] - y)
     rows, cols = np.nonzero(near <= params.loop_closure_radius * (1 + 1e-9))
     cols = cols.tolist()
-    row_start = np.searchsorted(rows, np.arange(len(placed) + 1)).tolist()
-
-    all_nodes = nodes + placed
-    edges = []
-    for new_id in range(max(n0, 1), n0 + len(placed)):
-        edges.append((new_id - 1, new_id, params.odometry_weight))
-        j = new_id - n0
-        target = loop_closure_target(
-            all_nodes, cols[row_start[j]:row_start[j + 1]], new_id, params)
-        if target is not None:
-            edges.append((target, new_id, params.loop_weight))
-    return edges
+    bounds = np.searchsorted(rows, np.arange(len(new_nodes) + 1)).tolist()
+    return [cols[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def extend_trajectory(graph: PoseGraph, pose, params: GraphBuildParams) -> PoseGraph:
@@ -129,25 +125,45 @@ def extend_trajectory(graph: PoseGraph, pose, params: GraphBuildParams) -> PoseG
 
     Every node after the first gets exactly one odometry edge, to its
     predecessor, and at most one loop-closure edge; loop_closure_count
-    relies on that. The edges come from _new_edges, the rule that
-    trajectory_gain scores paths with. Mutates and returns the graph.
+    relies on that. The node and its edges come from _place and
+    loop_closure_target, the growth rule that trajectory_gain scores paths
+    with; one node needs no distance prefilter, so every earlier node is a
+    candidate. Mutates and returns the graph. Raises ValueError when the
+    pose holds a number that is not finite.
     """
-    placed = _place(graph.nodes, [pose[:2]], params.node_spacing)
-    if placed:
-        xy = _xy(graph.nodes + placed)
-        graph.edges += _new_edges(graph.nodes, placed, params, *xy)
-        graph.nodes += placed
+    try:
+        finite = all(math.isfinite(v) for v in pose)
+    except (TypeError, OverflowError):
+        finite = False
+    if not finite:
+        raise ValueError(f"pose {tuple(pose)!r} must be finite numbers")
+    nodes = graph.nodes
+    point = (pose[0], pose[1])
+    if nodes and not _place(nodes[-1], [point], 0, params.node_spacing):
+        return graph
+    nodes.append(point)
+    new_id = len(nodes) - 1
+    if new_id:
+        graph.edges.append((new_id - 1, new_id, params.odometry_weight))
+        target = loop_closure_target(nodes, range(new_id), new_id, params)
+        if target is not None:
+            graph.edges.append((target, new_id, params.loop_weight))
     return graph
+
+
+# per edge (a, b, w), the entries it adds to and its signs: w to (a, a) and
+# (b, b), -w to (a, b) and (b, a), in that order
+_ROWS, _COLS = np.array([0, 1, 0, 1]), np.array([0, 1, 1, 0])
+_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 
 
 def _add_edges(lap: np.ndarray, a, b, w) -> None:
     """Add the edges a[i]-b[i] of weight w[i] to the Laplacian. np.add.at
     is unbuffered and goes in index order, so each entry gets its
     additions in edge order, as an edge-by-edge loop would."""
-    a, b, w = np.asarray(a), np.asarray(b), np.asarray(w, dtype=np.float64)
-    rows = np.stack((a, b, a, b), axis=1).ravel()
-    cols = np.stack((a, b, b, a), axis=1).ravel()
-    np.add.at(lap, (rows, cols), np.stack((w, w, -w, -w), axis=1).ravel())
+    ab = np.array((a, b), dtype=np.intp).T
+    np.add.at(lap, (ab[:, _ROWS].ravel(), ab[:, _COLS].ravel()),
+              np.multiply.outer(np.asarray(w, dtype=np.float64), _SIGNS).ravel())
 
 
 def weighted_laplacian(graph: PoseGraph) -> np.ndarray:
@@ -180,39 +196,104 @@ def log_spanning_trees(graph: PoseGraph) -> float:
 class GainBase:
     """What trajectory_gain needs of a graph, built once for every path
     scored on it in one request: the log count (0 for a graph with no
-    nodes), the full weighted Laplacian and the node coordinates as a
-    2 x n array.
+    nodes), the full weighted Laplacian, and the nodes, also as a 2 x n
+    array of coordinates.
+
+    grow(routes, params) walks a request's paths as one shortest-path tree:
+    it places nodes once per tree edge, finds each placed node's loop
+    closure once, and runs one distance prefilter for the new nodes of
+    every path. The results are bit-identical to walking each path alone:
+    placement is a left-to-right scan whose state after a waypoint depends
+    only on the prefix, and a node's edges depend only on the graph and on
+    the nodes placed before it.
 
     It also holds the request's memo of gains, keyed on the placed nodes
     and the GraphBuildParams: the gain depends on the path only through
     the nodes it places, so paths of one request that place the same nodes
-    share one computation. The memo lives and dies with the GainBase;
-    nothing is kept across requests."""
+    share one computation. The memo lives and dies with the GainBase, and
+    grow keeps nothing; nothing is kept across requests."""
 
     def __init__(self, graph: PoseGraph):
         n = graph.node_count
         self.laplacian = weighted_laplacian(graph) if n else np.zeros((0, 0))
         self.log_count = _log_count(self.laplacian) if n else 0.0
+        self.nodes = graph.nodes
         self.xy = _xy(graph.nodes)
         self.memo: dict = {}
 
+    def grow(self, routes, params: GraphBuildParams) -> list[tuple[list, list]]:
+        """Per route, what extending the graph along it adds: the placed
+        nodes, by _place, and each one's loop-closure target or None, by
+        loop_closure_target. That is the graph's one growth rule; per new
+        node, the edges are its odometry edge to its predecessor (the
+        graph's first node has none), then its loop closure, if any.
+
+        A route is (points, parent, shared). When parent is the position of
+        an earlier route whose first shared points equal this one's, the
+        route walks only the tree edge past them: it keeps that route's
+        nodes placed before point shared, with their targets, and resumes
+        _place from its last one. Any other route (parent None, or a parent
+        that fails that test) is walked whole. One distance prefilter,
+        against the graph's nodes, serves the new nodes of every route; a
+        new node's candidates among its route's own nodes all go to
+        loop_closure_target."""
+        nodes = self.nodes
+        n0 = len(nodes)
+        walks = []  # per route: (point index of each node, the nodes, count kept)
+        for i, (points, parent, shared) in enumerate(routes):
+            if not points:
+                raise ValueError("empty candidate path")
+            if (parent is not None and 0 <= parent < i and 0 < shared <= len(points)
+                    and routes[parent][0][:shared] == points[:shared]):
+                idx, placed, _ = walks[parent]
+                kept = bisect.bisect_left(idx, shared)
+                idx, placed, start = idx[:kept], placed[:kept], shared
+            elif nodes:
+                idx, placed, kept, start = [], [], 0, 0
+            else:
+                idx, placed, kept, start = [0], [points[0]], 0, 1
+            new = _place(placed[-1] if placed else nodes[-1], points, start,
+                         params.node_spacing)
+            idx += new
+            placed += [points[k] for k in new]
+            walks.append((idx, placed, kept))
+
+        fresh = [p for _, placed, kept in walks for p in placed[kept:]]
+        near = iter(_near(self.xy, fresh, params) if n0 and fresh else [()] * len(fresh))
+        gap = int(params.loop_closure_radius / params.node_spacing)
+        out = []
+        for (_, placed, kept), (_, parent, _) in zip(walks, routes):
+            targets = out[parent][1][:kept] if kept else []
+            if kept < len(placed):
+                all_nodes = nodes + placed
+                for new_id in range(n0 + kept, n0 + len(placed)):
+                    ids = next(near)
+                    if new_id - gap > n0:  # the route's own nodes are candidates too
+                        ids = itertools.chain(ids, range(n0, new_id - gap))
+                    targets.append(loop_closure_target(all_nodes, ids, new_id, params))
+            out.append((placed, targets))
+        return out
+
 
 def trajectory_gain(graph: PoseGraph, waypoints, params: GraphBuildParams,
-                    base: GainBase) -> float:
+                    base: GainBase, growth=None) -> float:
     """Predicted log-gain in spanning trees from driving the waypoint list.
 
     The result is that of extending the graph along the waypoints with
-    extend_trajectory and differencing the log counts, bit for bit: it
-    places the nodes and finds their edges by extend_trajectory's own
-    rule, _place then _new_edges, and adds only the new edges to base's
-    Laplacian, so the graph is neither copied nor changed. base is
-    GainBase(graph); a path whose placed nodes and params match an earlier
-    path scored on the same base gets that path's gain from base's memo.
+    extend_trajectory and differencing the log counts, bit for bit: the
+    nodes and edges come from the one growth rule, and only the new edges
+    are added to base's Laplacian, so the graph is neither copied nor
+    changed. base is GainBase(graph); growth is what base.grow gave for
+    these waypoints, or None to walk them here. A path whose placed nodes
+    and params match an earlier path scored on the same base gets that
+    path's gain from base's memo, so a request takes one slogdet per
+    distinct placement.
     """
     if not waypoints:
         raise ValueError("empty candidate path")
-    nodes = graph.nodes
-    placed = _place(nodes, waypoints, params.node_spacing)
+    if growth is None:
+        growth = base.grow([(waypoints, None, 0)], params)[0]
+    placed, targets = growth
     if not placed:  # the graph as it is
         return 0.0
     key = (tuple(placed), params)
@@ -222,14 +303,22 @@ def trajectory_gain(graph: PoseGraph, waypoints, params: GraphBuildParams,
     # the base edges are a prefix of the extended graph's edge list, so
     # adding the new edges to the base Laplacian in creation order gives
     # every entry the same float additions as weighted_laplacian would
-    n0 = len(nodes)
+    n0 = len(base.nodes)
+    a, b, w = [], [], []
+    for new_id, target in enumerate(targets, n0):
+        if new_id:
+            a.append(new_id - 1)
+            b.append(new_id)
+            w.append(params.odometry_weight)
+        if target is not None:
+            a.append(target)
+            b.append(new_id)
+            w.append(params.loop_weight)
     n = n0 + len(placed)
-    edges = _new_edges(nodes, placed, params,
-                       *np.concatenate((base.xy, _xy(placed)), axis=1))
     lap = np.zeros((n, n), dtype=np.float64)
     lap[:n0, :n0] = base.laplacian
-    if edges:
-        _add_edges(lap, *zip(*edges))
+    if a:
+        _add_edges(lap, a, b, w)
     gain = base.memo[key] = _log_count(lap) - base.log_count
     return gain
 

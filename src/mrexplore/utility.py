@@ -69,9 +69,19 @@ class CandidateScore:
 
 def path_gains(graph: PoseGraph, paths, gparams: GraphBuildParams) -> list[float]:
     """Log spanning-tree gain along each path, each against one GainBase of
-    the graph built for all of them."""
+    the graph built for all of them. The paths are walked as one
+    shortest-path tree: a path that plan_many reports as extending an
+    earlier path of the list (its `extends` position and `shared` waypoint
+    count, see GridPath) is grown only past their shared prefix. That
+    gives the gains of walking each path alone, bit for bit: placement is
+    a left-to-right scan whose state after a waypoint depends only on the
+    waypoints before it, and a node's edges depend only on the graph and
+    the nodes placed before it (see GainBase). Any other path is walked
+    whole, so paths is best plan_many's reached paths, in order."""
     base = GainBase(graph)
-    return [trajectory_gain(graph, path.waypoints, gparams, base) for path in paths]
+    growths = base.grow([(p.waypoints, p.extends, p.shared) for p in paths], gparams)
+    return [trajectory_gain(graph, p.waypoints, gparams, base, growth)
+            for p, growth in zip(paths, growths)]
 
 
 def score_candidates(

@@ -279,6 +279,11 @@ class TestInflate:
         out.cells[0, 2] = OCCUPIED
         assert g.cells[0, 2] == FREE  # no aliasing
 
+    @pytest.mark.parametrize("cells", [-1, -(10**12), 1.5, math.nan])
+    def test_bad_radius_rejected(self, cells):
+        with pytest.raises(ValueError, match="cells"):
+            inflate_obstacles(grid_from_rows(["#.."]), cells)
+
     @pytest.mark.parametrize("rows", [
         ["#......", ".......", "......."],  # the far corner is 6 cells away
         ["?.?....", "......."],              # nothing to dilate

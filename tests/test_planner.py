@@ -278,6 +278,43 @@ class TestPlanMany:
         assert batch[1] is None
 
 
+class TestPlanManyTree:
+    @settings(deadline=None)  # timing is not under test; the host may be busy
+    @given(planning_case())
+    def test_reported_prefix_is_shared(self, case):
+        # each path names an earlier reached path and the count of cells and
+        # waypoints they share; a path with none shares nothing
+        grid, start, goals = case
+        reached = [p for p in plan_many(grid, start, goals) if p is not None]
+        for i, path in enumerate(reached):
+            if path.extends is None:
+                assert path.shared == 0
+                continue
+            assert 0 <= path.extends < i and 0 < path.shared <= len(path.cells)
+            base = reached[path.extends]
+            assert path.cells[:path.shared] == base.cells[:path.shared]
+            assert path.waypoints[:path.shared] == base.waypoints[:path.shared]
+
+    def test_prefix_fields_stay_out_of_equality(self):
+        path = GridPath([(0, 0)], 0.0, [(0.5, 0.5)])
+        assert path == GridPath([(0, 0)], 0.0, [(0.5, 0.5)], extends=3, shared=1)
+        assert repr(path) == "GridPath(cells=[(0, 0)], length_m=0.0, waypoints=[(0.5, 0.5)])"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_rejected(self, bad):
+        g = grid_from_rows(["...."])
+        for start in [(bad, 0.5), (0.5, bad)]:
+            with pytest.raises(ValueError, match="start"):
+                plan_many(g, start, [(3.5, 0.5)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_goal_rejected(self, bad):
+        g = grid_from_rows(["...."])
+        for goal in [(bad, 0.5), (0.5, bad)]:
+            with pytest.raises(ValueError, match="goal"):
+                plan_many(g, (0.5, 0.5), [(3.5, 0.5), goal])
+
+
 class TestPlanManyProperties:
     @settings(deadline=None, max_examples=300)  # timing is not under test
     @given(planning_case())

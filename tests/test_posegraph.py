@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mrexplore import posegraph
+from mrexplore.grid import FREE, OCCUPIED, UNKNOWN, OccupancyGrid
+from mrexplore.planner import GridPath, plan_many
 from mrexplore.posegraph import (
     GainBase,
     GraphBuildParams,
@@ -19,6 +22,9 @@ from mrexplore.posegraph import (
     trajectory_gain,
     weighted_laplacian,
 )
+from mrexplore.utility import path_gains
+
+from conftest import grid_from_rows
 
 
 def spanning_tree_weight_sum(n_nodes, edges):
@@ -206,6 +212,18 @@ class TestExtendTrajectory:
         assert loops[0][0] == 0
         assert loops[0][2] == 2.0
         assert g.loop_closure_count() == 1
+
+    @pytest.mark.parametrize("pose", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0),
+                                      (0.0, 0.0, -math.inf), (10**400, 0.0, 0.0)])
+    @pytest.mark.parametrize("first", [True, False])
+    def test_non_finite_pose_rejected(self, pose, first):
+        g = PoseGraph()
+        if not first:
+            extend_trajectory(g, (0.0, 0.0, 0.0), self.params())
+        before = (list(g.nodes), list(g.edges))
+        with pytest.raises(ValueError, match="pose"):
+            extend_trajectory(g, pose, self.params())
+        assert (g.nodes, g.edges) == before
 
     def test_loop_weight_and_nearest_prior(self):
         g = PoseGraph()
@@ -426,6 +444,88 @@ class TestSharedGainBase:
         distinct = {(placement(graph, paths[i], SHARED_PARAMS[name]), name)
                     for i, name in order}
         assert count.call_count == sum(1 for placed, _ in distinct if placed)
+
+
+@st.composite
+def tree_cases(draw):
+    """A small grid of mostly Free cells at 0.5 or 1 m, a start in a Free
+    cell and goal points at cell centres, some repeated: the paths of one
+    plan_many call branch from one tree over the lattice walks' area."""
+    w, h = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    res = draw(st.sampled_from([0.5, 1.0]))
+    cells = draw(arrays(np.int8, (h, w), elements=st.sampled_from(
+        [FREE, FREE, FREE, UNKNOWN, OCCUPIED])))
+    sx, sy = draw(st.integers(0, w - 1)), draw(st.integers(0, h - 1))
+    cells[sy, sx] = FREE
+    cell = st.tuples(st.integers(0, w - 1), st.integers(0, h - 1))
+    goal_cells = draw(st.lists(cell, min_size=1, max_size=10))
+    goal_cells += draw(st.lists(st.sampled_from(goal_cells), max_size=2))
+    grid = OccupancyGrid(res, 0.0, 0.0, w, h, cells)
+    return grid, _centre(sx, sy, res), [_centre(cx, cy, res) for cx, cy in goal_cells]
+
+
+def _centre(cx, cy, res):
+    return ((cx + 0.5) * res, (cy + 0.5) * res)
+
+
+# x = 1 is a wall from y = 0 to 3, so the path from (0, 0) to (2, 0) goes up
+# and around it, and its node at (2, 2) closes a loop on its own node at
+# (0, 2), six ids back
+AROUND_WALL = (grid_from_rows([".#...", ".#...", ".#...", ".#...", "....."]),
+               (0.5, 0.5), [(2.5, 0.5), (2.5, 3.5)])
+# two branches off one corridor at 0.5 m: the second and third paths share
+# the first path's first four waypoints, x = 0.25 to 1.75
+CORRIDOR = (grid_from_rows(["........", "###.####", "###.####"], resolution=0.5),
+            (0.25, 0.25), [(3.75, 0.25), (1.75, 1.25), (1.75, 0.25)])
+
+
+class TestTreeWalk:
+    """path_gains walks plan_many's paths as one shortest-path tree: a path
+    resumes placement after the prefix it shares with an earlier one, from
+    that path's state, and reuses its nodes' loop closures. Each gain must
+    be the gain of extending a copy of the graph along that path alone."""
+
+    @settings(deadline=None, max_examples=200)  # timing is not under test
+    @given(st.sampled_from(sorted(GAIN_PARAMS)), lattice_walks(0, 30), tree_cases())
+    # a path closes a loop on one of its own nodes, on a graph and on none
+    @example("default", [(4.0, 0.0), (4.0, 1.0), (4.0, 2.0)], AROUND_WALL)
+    @example("default", [], AROUND_WALL)
+    # an empty graph, with branches
+    @example("half_spacing", [], CORRIDOR)
+    # a shared prefix that ends on a placed node: from the graph's last
+    # node, the paths place nodes at x = 0.75 and x = 1.75
+    @example("default", [(-0.5, 0.25)], CORRIDOR)
+    # duplicate goals, and a goal in the start cell: a one-waypoint path
+    @example("default", [(0.0, 0.0), (1.0, 0.0)],
+             (grid_from_rows(["....", "...."]), (0.5, 0.5),
+              [(3.5, 1.5), (3.5, 1.5), (0.5, 0.5), (3.5, 1.5)]))
+    @example("default", [], (grid_from_rows(["..", ".."]), (0.5, 0.5), [(0.5, 0.5)]))
+    def test_equals_each_path_alone(self, name, base_walk, case):
+        grid, start, goals = case
+        params = GAIN_PARAMS[name]
+        graph = PoseGraph()
+        for x, y in base_walk:
+            extend_trajectory(graph, (x, y, 0.0), params)
+        paths = [p for p in plan_many(grid, start, goals) if p is not None]
+        gains = path_gains(graph, paths, params)
+        for path, gain in zip(paths, gains, strict=True):
+            assert gain == copy_and_extend_gain(graph, path.waypoints, params)
+            assert gain == trajectory_gain(graph, path.waypoints, params, GainBase(graph))
+
+    def test_wrong_prefix_report_is_walked_whole(self):
+        # a reported prefix that the paths do not share is not trusted: the
+        # second path turns away from the first after one waypoint, where
+        # the graph's nodes give it loop closures
+        params = GAIN_PARAMS["default"]
+        graph = PoseGraph()
+        for y in range(6):
+            extend_trajectory(graph, (-1.0, float(y), 0.0), params)
+        along_x = [(float(x), 0.0) for x in range(5)]
+        along_y = [(0.0, float(y)) for y in range(5)]
+        paths = [GridPath([], 4.0, along_x), GridPath([], 4.0, along_y, 0, 4)]
+        want = [copy_and_extend_gain(graph, p.waypoints, params) for p in paths]
+        assert want[0] != want[1]
+        assert path_gains(graph, paths, params) == want
 
 
 class TestNormalizeGains:
