@@ -197,16 +197,23 @@ def _near_border(unk, total, per_unk: float):
     return (total > 0) & (100.0 * unk / np.maximum(total, 1) >= per_unk)
 
 
-def _cells_of(points, grid: OccupancyGrid) -> np.ndarray:
-    """(P, 2) array of the (x, y) points' (cx, cy) cells."""
-    return np.array([world_to_grid(x, y, grid) for x, y in points],
-                    dtype=np.intp).reshape(-1, 2)
+def _cells_of(points, grid: OccupancyGrid, name: str) -> np.ndarray:
+    """(P, 2) array of the (x, y) points' (cx, cy) cells. Raises
+    ValueError naming the argument name when some coordinate is not
+    finite or its cell does not fit the index type."""
+    try:
+        return np.array([world_to_grid(x, y, grid) for x, y in points],
+                        dtype=np.intp).reshape(-1, 2)
+    except (ValueError, OverflowError):
+        raise ValueError(f"{name} must hold (x, y) points with finite coordinates "
+                         f"whose cells fit the index type") from None
 
 
 def disc_unknown_stats(points, grid: OccupancyGrid, rad: float) -> tuple[np.ndarray, np.ndarray]:
     """(unknown counts, in-bounds counts), one of each per point, over the
-    discretized disc of world radius rad centred on the point's cell."""
-    return _disc_counts(_cells_of(points, grid), grid, rad)
+    discretized disc of world radius rad centred on the point's cell.
+    Raises ValueError naming points for a bad coordinate (see _cells_of)."""
+    return _disc_counts(_cells_of(points, grid, "points"), grid, rad)
 
 
 def _first_per_cell(idx: np.ndarray, cells: np.ndarray) -> list[int]:
@@ -233,7 +240,7 @@ def _gather(lists: list[list[tuple[float, float]]], merged: OccupancyGrid, rad: 
     and the disc counts at rad: the arguments of _keep_near but for the
     percentage."""
     pts = [p for agent_list in lists for p in agent_list]
-    cells = _cells_of(pts, merged)
+    cells = _cells_of(pts, merged, "lists")
     return pts, cells, _disc_counts(cells, merged, rad)
 
 
@@ -269,7 +276,8 @@ def filter_pipeline(
 
     The raw points' disc counts at params.rad are gathered once: the merge
     and every percentage step only threshold them, and a radius step
-    gathers for the current list alone.
+    gathers for the current list alone. Raises ValueError naming lists for
+    a bad coordinate (see _cells_of), as merge_points does.
     """
     raw = _gather(lists, merged, params.rad)
     pts, cells = _keep_near(*raw, params.per_unk)

@@ -276,11 +276,13 @@ def pose_at(path: GridPath, s: float, fallback_heading: float = 0.0):
         return (pts[0][0], pts[0][1], fallback_heading)
     cum = cumulative_lengths(path)
     total = cum[-1]
+    s = max(0.0, s)
     if s >= total:
         ax, ay = pts[-2]
         gx, gy = pts[-1]
         return (gx, gy, math.atan2(gy - ay, gx - ax))
-    s = max(0.0, s)
+    # 0 <= s < total, and the last segment of non-zero length ends at
+    # exactly total (later ones add 0.0), so some segment takes s
     for i in range(len(pts) - 1):
         if cum[i + 1] >= s and cum[i + 1] > cum[i]:
             t = (s - cum[i]) / (cum[i + 1] - cum[i])
@@ -291,6 +293,4 @@ def pose_at(path: GridPath, s: float, fallback_heading: float = 0.0):
                 ay + t * (by - ay),
                 math.atan2(by - ay, bx - ax),
             )
-    gx, gy = pts[-1]
-    return (gx, gy, fallback_heading)
 

@@ -83,11 +83,7 @@ def _place(last, points, start: int, spacing: float) -> list[int]:
     whose last node sits at last, an (x, y), along points places a node:
     each point at least spacing (by math.hypot) from the node placed before
     it. A graph with no nodes first places points[0] (see GainBase.grow).
-
-    The scan is left to right, and its state after a point is the last
-    node alone, which depends only on the points up to there. So a scan
-    of points that repeat another's first k points may resume after them
-    from that scan's last node there, and places what a full scan would."""
+    The scan can resume after a prefix (see GainBase)."""
     lx, ly = last
     out = []
     for i, (wx, wy) in enumerate(points[start:], start):
@@ -119,17 +115,32 @@ def _near(xy: np.ndarray, new_nodes, params: GraphBuildParams) -> list[list[int]
     return [cols[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
+def _edges(first_id: int, targets, params: GraphBuildParams) -> list[tuple[int, int, float]]:
+    """The edges of the new nodes first_id, first_id + 1, ..., given each
+    one's loop-closure target or None, in creation order: per node, its
+    odometry edge to its predecessor (node 0 has none), then its loop
+    closure, if any. This is the graph's one edge rule."""
+    out = []
+    for new_id, target in enumerate(targets, first_id):
+        if new_id:
+            out.append((new_id - 1, new_id, params.odometry_weight))
+        if target is not None:
+            out.append((target, new_id, params.loop_weight))
+    return out
+
+
 def extend_trajectory(graph: PoseGraph, pose, params: GraphBuildParams) -> PoseGraph:
     """Append a node at the pose's (x, y) once it is node_spacing away
     from the last node; the heading is not kept.
 
     Every node after the first gets exactly one odometry edge, to its
     predecessor, and at most one loop-closure edge; loop_closure_count
-    relies on that. The node and its edges come from _place and
-    loop_closure_target, the growth rule that trajectory_gain scores paths
-    with; one node needs no distance prefilter, so every earlier node is a
-    candidate. Mutates and returns the graph. Raises ValueError when the
-    pose holds a number that is not finite.
+    relies on that. The node and its edges come from _place,
+    loop_closure_target and _edges, the growth rule that trajectory_gain
+    scores paths with (see GainBase); one node needs no distance
+    prefilter, so every earlier node is a candidate. Mutates and returns
+    the graph. Raises ValueError when the pose holds a number that is not
+    finite.
     """
     try:
         finite = all(math.isfinite(v) for v in pose)
@@ -143,11 +154,8 @@ def extend_trajectory(graph: PoseGraph, pose, params: GraphBuildParams) -> PoseG
         return graph
     nodes.append(point)
     new_id = len(nodes) - 1
-    if new_id:
-        graph.edges.append((new_id - 1, new_id, params.odometry_weight))
-        target = loop_closure_target(nodes, range(new_id), new_id, params)
-        if target is not None:
-            graph.edges.append((target, new_id, params.loop_weight))
+    target = loop_closure_target(nodes, range(new_id), new_id, params)
+    graph.edges += _edges(new_id, [target], params)
     return graph
 
 
@@ -157,10 +165,11 @@ _ROWS, _COLS = np.array([0, 1, 0, 1]), np.array([0, 1, 1, 0])
 _SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 
 
-def _add_edges(lap: np.ndarray, a, b, w) -> None:
-    """Add the edges a[i]-b[i] of weight w[i] to the Laplacian. np.add.at
-    is unbuffered and goes in index order, so each entry gets its
-    additions in edge order, as an edge-by-edge loop would."""
+def _add_edges(lap: np.ndarray, edges) -> None:
+    """Add the (a, b, w) edges to the Laplacian. np.add.at is unbuffered
+    and goes in index order, so each entry gets its additions in edge
+    order, as an edge-by-edge loop would."""
+    a, b, w = zip(*edges)
     ab = np.array((a, b), dtype=np.intp).T
     np.add.at(lap, (ab[:, _ROWS].ravel(), ab[:, _COLS].ravel()),
               np.multiply.outer(np.asarray(w, dtype=np.float64), _SIGNS).ravel())
@@ -172,7 +181,7 @@ def weighted_laplacian(graph: PoseGraph) -> np.ndarray:
         raise ValueError("graph has no nodes")
     lap = np.zeros((n, n), dtype=np.float64)
     if graph.edges:
-        _add_edges(lap, *zip(*graph.edges))
+        _add_edges(lap, graph.edges)
     return lap
 
 
@@ -195,56 +204,64 @@ def log_spanning_trees(graph: PoseGraph) -> float:
 
 class GainBase:
     """What trajectory_gain needs of a graph, built once for every path
-    scored on it in one request: the log count (0 for a graph with no
-    nodes), the full weighted Laplacian, and the nodes, also as a 2 x n
-    array of coordinates.
+    scored on it in one request with one GraphBuildParams: the params, the
+    log count (0 for a graph with no nodes), the full weighted Laplacian,
+    and the nodes, also as a 2 x n array of coordinates.
 
-    grow(routes, params) walks a request's paths as one shortest-path tree:
-    it places nodes once per tree edge, finds each placed node's loop
-    closure once, and runs one distance prefilter for the new nodes of
-    every path. The results are bit-identical to walking each path alone:
-    placement is a left-to-right scan whose state after a waypoint depends
-    only on the prefix, and a node's edges depend only on the graph and on
-    the nodes placed before it.
+    grow(paths) walks a request's paths as one shortest-path tree, and
+    trajectory_gain scores each path's growth. Together they give, bit for
+    bit, the gain of extending a copy of the graph along each path alone
+    with extend_trajectory and differencing the log counts:
+    - placement (_place) is a left-to-right scan whose state after a point
+      is the last node alone, which depends only on the points up to
+      there; so a path that repeats an earlier path's first points may
+      resume the scan after them from that path's last node there;
+    - a node's edges (_edges) depend only on the graph and the nodes
+      placed before it, so the shared prefix's nodes keep their loop
+      closures;
+    - the graph's edges are a prefix of the extended graph's edge list, so
+      adding only the new edges, in creation order, to the base Laplacian
+      gives every entry the same float additions as weighted_laplacian
+      would. The graph is neither copied nor changed.
 
-    It also holds the request's memo of gains, keyed on the placed nodes
-    and the GraphBuildParams: the gain depends on the path only through
-    the nodes it places, so paths of one request that place the same nodes
-    share one computation. The memo lives and dies with the GainBase, and
-    grow keeps nothing; nothing is kept across requests."""
+    It also holds the request's memo of gains, keyed on the placed nodes:
+    the gain depends on the path only through the nodes it places, so
+    paths of one request that place the same nodes share one computation.
+    The memo lives and dies with the GainBase, and grow keeps nothing;
+    nothing is kept across requests."""
 
-    def __init__(self, graph: PoseGraph):
+    def __init__(self, graph: PoseGraph, params: GraphBuildParams):
         n = graph.node_count
+        self.params = params
         self.laplacian = weighted_laplacian(graph) if n else np.zeros((0, 0))
         self.log_count = _log_count(self.laplacian) if n else 0.0
         self.nodes = graph.nodes
         self.xy = _xy(graph.nodes)
         self.memo: dict = {}
 
-    def grow(self, routes, params: GraphBuildParams) -> list[tuple[list, list]]:
-        """Per route, what extending the graph along it adds: the placed
-        nodes, by _place, and each one's loop-closure target or None, by
-        loop_closure_target. That is the graph's one growth rule; per new
-        node, the edges are its odometry edge to its predecessor (the
-        graph's first node has none), then its loop closure, if any.
+    def grow(self, paths) -> list[tuple[list, list]]:
+        """Per path, what extending the graph along its waypoints adds: the
+        placed nodes, by _place, and each one's loop-closure target or
+        None, by loop_closure_target. Raises ValueError for a path with no
+        waypoints.
 
-        A route is (points, parent, shared). When parent is the position of
-        an earlier route whose first shared points equal this one's, the
-        route walks only the tree edge past them: it keeps that route's
-        nodes placed before point shared, with their targets, and resumes
-        _place from its last one. Any other route (parent None, or a parent
-        that fails that test) is walked whole. One distance prefilter,
-        against the graph's nodes, serves the new nodes of every route; a
-        new node's candidates among its route's own nodes all go to
-        loop_closure_target."""
-        nodes = self.nodes
+        A path whose extends is the position of an earlier path whose first
+        shared waypoints equal its own (see GridPath) walks only the tree
+        edge past them: it keeps that path's nodes placed before waypoint
+        shared, with their targets, and resumes _place from its last one.
+        Any other path (extends None, or a report that fails that test) is
+        walked whole. One distance prefilter, against the graph's nodes,
+        serves the new nodes of every path; a new node's candidates among
+        its path's own nodes all go to loop_closure_target."""
+        nodes, params = self.nodes, self.params
         n0 = len(nodes)
-        walks = []  # per route: (point index of each node, the nodes, count kept)
-        for i, (points, parent, shared) in enumerate(routes):
+        walks = []  # per path: (waypoint index of each node, the nodes, count kept)
+        for i, path in enumerate(paths):
+            points, parent, shared = path.waypoints, path.extends, path.shared
             if not points:
                 raise ValueError("empty candidate path")
             if (parent is not None and 0 <= parent < i and 0 < shared <= len(points)
-                    and routes[parent][0][:shared] == points[:shared]):
+                    and paths[parent].waypoints[:shared] == points[:shared]):
                 idx, placed, _ = walks[parent]
                 kept = bisect.bisect_left(idx, shared)
                 idx, placed, start = idx[:kept], placed[:kept], shared
@@ -262,63 +279,41 @@ class GainBase:
         near = iter(_near(self.xy, fresh, params) if n0 and fresh else [()] * len(fresh))
         gap = int(params.loop_closure_radius / params.node_spacing)
         out = []
-        for (_, placed, kept), (_, parent, _) in zip(walks, routes):
-            targets = out[parent][1][:kept] if kept else []
+        for (_, placed, kept), path in zip(walks, paths):
+            targets = out[path.extends][1][:kept] if kept else []
             if kept < len(placed):
                 all_nodes = nodes + placed
                 for new_id in range(n0 + kept, n0 + len(placed)):
                     ids = next(near)
-                    if new_id - gap > n0:  # the route's own nodes are candidates too
+                    if new_id - gap > n0:  # the path's own nodes are candidates too
                         ids = itertools.chain(ids, range(n0, new_id - gap))
                     targets.append(loop_closure_target(all_nodes, ids, new_id, params))
             out.append((placed, targets))
         return out
 
 
-def trajectory_gain(graph: PoseGraph, waypoints, params: GraphBuildParams,
-                    base: GainBase, growth=None) -> float:
-    """Predicted log-gain in spanning trees from driving the waypoint list.
-
-    The result is that of extending the graph along the waypoints with
-    extend_trajectory and differencing the log counts, bit for bit: the
-    nodes and edges come from the one growth rule, and only the new edges
-    are added to base's Laplacian, so the graph is neither copied nor
-    changed. base is GainBase(graph); growth is what base.grow gave for
-    these waypoints, or None to walk them here. A path whose placed nodes
-    and params match an earlier path scored on the same base gets that
-    path's gain from base's memo, so a request takes one slogdet per
-    distinct placement.
-    """
-    if not waypoints:
-        raise ValueError("empty candidate path")
-    if growth is None:
-        growth = base.grow([(waypoints, None, 0)], params)[0]
+def trajectory_gain(graph: PoseGraph, growth, base: GainBase) -> float:
+    """Predicted log-gain in spanning trees from extending the graph by
+    growth, what base.grow gave for one path, where base is
+    GainBase(graph, params). Equal, bit for bit, to extending a copy of
+    the graph along the path and differencing the log counts (see
+    GainBase). A growth that places the same nodes as one scored earlier
+    on the same base gets that gain from base's memo, so a request takes
+    one slogdet per distinct placement. graph is not read: the base holds
+    what the gain needs of it."""
     placed, targets = growth
     if not placed:  # the graph as it is
         return 0.0
-    key = (tuple(placed), params)
+    key = tuple(placed)
     if key in base.memo:
         return base.memo[key]
-
-    # the base edges are a prefix of the extended graph's edge list, so
-    # adding the new edges to the base Laplacian in creation order gives
-    # every entry the same float additions as weighted_laplacian would
     n0 = len(base.nodes)
-    a, b, w = [], [], []
-    for new_id, target in enumerate(targets, n0):
-        if new_id:
-            a.append(new_id - 1)
-            b.append(new_id)
-            w.append(params.odometry_weight)
-        if target is not None:
-            a.append(target)
-            b.append(new_id)
-            w.append(params.loop_weight)
     n = n0 + len(placed)
     lap = np.zeros((n, n), dtype=np.float64)
     lap[:n0, :n0] = base.laplacian
-    if a:
-        _add_edges(lap, a, b, w)
+    edges = _edges(n0, targets, base.params)
+    if edges:
+        _add_edges(lap, edges)
     gain = base.memo[key] = _log_count(lap) - base.log_count
     return gain
 

@@ -92,7 +92,11 @@ def raycast(truth: GroundTruthMap, poses, beam_count: int,
     width, height = truth.width, truth.height
     starts = []
     for px, py, heading in poses:
-        if not (math.isfinite(px) and math.isfinite(py) and math.isfinite(heading)):
+        try:
+            finite = math.isfinite(px) and math.isfinite(py) and math.isfinite(heading)
+        except (TypeError, OverflowError):
+            finite = False
+        if not finite:
             raise ValueError(f"pose {(px, py, heading)!r} is not three finite numbers "
                              f"(x, y, heading)")
         cx0, cy0 = world_to_grid(px, py, truth)

@@ -68,20 +68,14 @@ class CandidateScore:
 
 
 def path_gains(graph: PoseGraph, paths, gparams: GraphBuildParams) -> list[float]:
-    """Log spanning-tree gain along each path, each against one GainBase of
-    the graph built for all of them. The paths are walked as one
+    """Log spanning-tree gain along each path, each bit-identical to
+    extending a copy of the graph along that path alone (see GainBase).
+    One GainBase of the graph serves every path, and grows them as one
     shortest-path tree: a path that plan_many reports as extending an
-    earlier path of the list (its `extends` position and `shared` waypoint
-    count, see GridPath) is grown only past their shared prefix. That
-    gives the gains of walking each path alone, bit for bit: placement is
-    a left-to-right scan whose state after a waypoint depends only on the
-    waypoints before it, and a node's edges depend only on the graph and
-    the nodes placed before it (see GainBase). Any other path is walked
-    whole, so paths is best plan_many's reached paths, in order."""
-    base = GainBase(graph)
-    growths = base.grow([(p.waypoints, p.extends, p.shared) for p in paths], gparams)
-    return [trajectory_gain(graph, p.waypoints, gparams, base, growth)
-            for p, growth in zip(paths, growths)]
+    earlier path of the list is grown only past their shared prefix, so
+    paths is best plan_many's reached paths, in order."""
+    base = GainBase(graph, gparams)
+    return [trajectory_gain(graph, growth, base) for growth in base.grow(paths)]
 
 
 def score_candidates(

@@ -135,6 +135,19 @@ class TestNearBorder:
         g = grid_from_rows(["??", "??"])
         assert not is_near_border((50.0, 50.0), g, 1.0, 0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e300,
+                                       pytest.param(10**400, id="int_too_large_for_float")])
+    def test_bad_coordinate_rejected(self, value):
+        # NaN and inf raised "cannot convert float ... to integer", the rest
+        # OverflowError, from the cell conversion
+        g = grid_from_rows(["...", ".?."])
+        with pytest.raises(ValueError, match="points"):
+            disc_unknown_stats([(1.0, 1.0), (value, 1.0)], g, 1.0)
+        with pytest.raises(ValueError, match="lists"):
+            filter_pipeline([[(1.0, 1.0)], [(1.0, value)]], g, FilterParams())
+        with pytest.raises(ValueError, match="lists"):
+            merge_points([[(value, value)]], g, FilterParams())
+
     def test_monotone_in_threshold(self):
         rng = np.random.RandomState(2)
         g = OccupancyGrid(1.0, 0, 0, 15, 15,

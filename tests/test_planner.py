@@ -314,6 +314,24 @@ class TestPlanManyTree:
             with pytest.raises(ValueError, match="goal"):
                 plan_many(g, (0.5, 0.5), [(3.5, 0.5), goal])
 
+    def test_huge_int_point_rejected(self):
+        # math.isfinite raises OverflowError for an int past the float range
+        g = grid_from_rows(["...."])
+        with pytest.raises(ValueError, match="start"):
+            plan_many(g, (10**400, 0.5), [(3.5, 0.5)])
+        with pytest.raises(ValueError, match="goal"):
+            plan_many(g, (0.5, 0.5), [(3.5, 0.5), (0.5, -10**400)])
+
+    def test_start_off_the_grid_has_no_path(self):
+        g = grid_from_rows(["...."])
+        with pytest.raises(NoPathError, match="outside"):
+            plan_many(g, (4.5, 0.5), [(3.5, 0.5)])
+
+    def test_start_in_a_wall_has_no_path(self):
+        g = grid_from_rows([".#.."])
+        with pytest.raises(NoPathError, match="obstacle"):
+            plan_many(g, (1.5, 0.5), [(3.5, 0.5)])
+
 
 class TestPlanManyProperties:
     @settings(deadline=None, max_examples=300)  # timing is not under test
@@ -526,3 +544,11 @@ class TestStepAlong:
         pose = step_along(path, (0.4, 0.4, 1.0), 1.0, 1.0)
         assert (pose[0], pose[1]) == (0.5, 0.5)
         assert pose[2] == 1.0
+
+    def test_zero_length_path_clamps_like_its_end(self):
+        # s is clamped to 0 before the end test, so an arclength below the
+        # start of a path of length 0 gets the pose at its end
+        path = GridPath([(0, 0), (0, 0)], 0.0, [(0.5, 0.5), (0.5, 0.5)])
+        want = pose_at(path, 0.0, 1.0)
+        for s in (-1.0, math.nan, 0.0, 2.0):
+            assert pose_at(path, s, 1.0) == want

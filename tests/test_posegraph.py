@@ -238,6 +238,11 @@ class TestExtendTrajectory:
         assert loops[0][2] == 5.0
 
 
+def gain_alone(graph, waypoints, params):
+    """The gain of one path scored alone: path_gains on a one-path list."""
+    return path_gains(graph, [GridPath([], 0.0, list(waypoints))], params)[0]
+
+
 class TestTrajectoryGain:
     def params(self):
         return GraphBuildParams(node_spacing=1.0, loop_closure_radius=1.5,
@@ -252,20 +257,18 @@ class TestTrajectoryGain:
     def test_dangling_chain_zero_gain(self):
         g = self.chain(3)
         waypoints = [(3.0, 0.0), (4.0, 0.0), (5.0, 0.0)]
-        assert trajectory_gain(g, waypoints, self.params(),
-                               GainBase(g)) == pytest.approx(0.0, abs=1e-9)
+        assert gain_alone(g, waypoints, self.params()) == pytest.approx(0.0, abs=1e-9)
 
     def test_closing_triangle_ln3(self):
         # 2-node chain; one new node near node 0 closes a unit triangle
         g = self.chain(2)
-        gain = trajectory_gain(g, [(0.5, 1.0)], self.params(), GainBase(g))
+        gain = gain_alone(g, [(0.5, 1.0)], self.params())
         assert gain == pytest.approx(math.log(3.0), abs=1e-9)
         assert g.node_count == 2  # hypothetical extension does not mutate
 
     def test_closing_square_ln4(self):
         g = self.chain(3)
-        gain = trajectory_gain(g, [(2.0, 1.0), (0.0, 1.0)], self.params(),
-                               GainBase(g))
+        gain = gain_alone(g, [(2.0, 1.0), (0.0, 1.0)], self.params())
         # oracle: before 1 tree; after, brute force over the produced graph
         hypo = PoseGraph(list(g.nodes), list(g.edges))
         for w in [(2.0, 1.0), (0.0, 1.0)]:
@@ -276,7 +279,7 @@ class TestTrajectoryGain:
     def test_empty_path_rejected(self):
         g = self.chain(2)
         with pytest.raises(ValueError):
-            trajectory_gain(g, [], self.params(), GainBase(g))
+            gain_alone(g, [], self.params())
 
 
 def copy_and_extend(graph, waypoints, params):
@@ -386,8 +389,7 @@ class TestGainMatchesCopyAndExtend:
         assert (nodes, edges) == copy_and_extend(PoseGraph(), base_walk, params)
         # a loop target is at most new_id - 2, as radius >= spacing
         assert graph.loop_closure_count() == sum(1 for a, b, _ in edges if b - a >= 2)
-        assert trajectory_gain(graph, path, params, GainBase(graph)) == \
-            copy_and_extend_gain(graph, path, params)
+        assert gain_alone(graph, path, params) == copy_and_extend_gain(graph, path, params)
         assert graph.nodes == nodes and graph.edges == edges
 
 
@@ -417,12 +419,12 @@ class TestSharedGainBase:
     @given(lattice_walks(0, 30), st.lists(lattice_walks(1, 20), min_size=1, max_size=3),
            st.data())
     def test_memo_equals_copy_and_extend(self, base_walk, walks, data):
-        # One GainBase serves every path of a request. The paths come in a
-        # drawn order, with repeats, and with variants whose waypoints differ
-        # but whose placement does not: every waypoint doubled, and the last
-        # node's own position put first. Each gain must equal the reference,
-        # and the base computes one log count per distinct (placement,
-        # params) that places a node.
+        # One GainBase per params serves every path of a request. The paths
+        # come in a drawn order, with repeats, and with variants whose
+        # waypoints differ but whose placement does not: every waypoint
+        # doubled, and the last node's own position put first. Each gain
+        # must equal the reference, and each base computes one log count
+        # per distinct placement that places a node.
         graph = PoseGraph()
         for x, y in base_walk:
             extend_trajectory(graph, (x, y, 0.0), GAIN_PARAMS["default"])
@@ -436,11 +438,12 @@ class TestSharedGainBase:
         order = data.draw(st.permutations(jobs + repeats))
         want = {job: copy_and_extend_gain(graph, paths[job[0]], SHARED_PARAMS[job[1]])
                 for job in jobs}
-        base = GainBase(graph)
+        bases = {name: GainBase(graph, params) for name, params in SHARED_PARAMS.items()}
         with mock.patch.object(posegraph, "_log_count", wraps=posegraph._log_count) as count:
             for i, name in order:
-                assert trajectory_gain(graph, paths[i], SHARED_PARAMS[name], base) == \
-                    want[i, name]
+                base = bases[name]
+                growth, = base.grow([GridPath([], 0.0, paths[i])])
+                assert trajectory_gain(graph, growth, base) == want[i, name]
         distinct = {(placement(graph, paths[i], SHARED_PARAMS[name]), name)
                     for i, name in order}
         assert count.call_count == sum(1 for placed, _ in distinct if placed)
@@ -510,7 +513,7 @@ class TestTreeWalk:
         gains = path_gains(graph, paths, params)
         for path, gain in zip(paths, gains, strict=True):
             assert gain == copy_and_extend_gain(graph, path.waypoints, params)
-            assert gain == trajectory_gain(graph, path.waypoints, params, GainBase(graph))
+            assert gain == gain_alone(graph, path.waypoints, params)
 
     def test_wrong_prefix_report_is_walked_whole(self):
         # a reported prefix that the paths do not share is not trusted: the

@@ -251,6 +251,13 @@ class TestRaycast:
         with pytest.raises(ValueError, match="finite"):
             cast_one(box5, (x, y, 0.0), 8, 5.0)
 
+    @pytest.mark.parametrize("pose", [(10**400, 2.5, 0.0), (2.5, -10**400, 0.0),
+                                      (2.5, 2.5, 10**400)])
+    def test_huge_int_pose_rejected(self, box5, pose):
+        # math.isfinite raised OverflowError for an int past the float range
+        with pytest.raises(ValueError, match="pose"):
+            raycast(box5, [(2.5, 2.5, 0.0), pose], 8, 5.0)
+
     @pytest.mark.parametrize("beam_count", [0, -4, 8.0, 2.5])
     def test_bad_beam_count_rejected(self, box5, beam_count):
         with pytest.raises(ValueError, match="beam_count"):
