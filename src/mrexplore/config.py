@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass, field, fields
 
 from .frontier import FilterParams
-from .grid import FREE, GroundTruthMap, world_to_grid
+from .grid import FREE, GroundTruthMap, finite_numbers, int_at_least, world_to_grid
 from .pgm import load_truth
 from .posegraph import GraphBuildParams
 from .utility import UtilityParams
@@ -48,21 +48,20 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; have {METHODS}")
-        if self.robot_count < 1:
-            raise ConfigError("need at least one robot")
-        if not all(_positive(v) for v in (self.max_sim_time, self.dt, self.speed)):
+        for name, least in (("robot_count", 1), ("beam_count", 4), ("goal_skip_wait", 1),
+                            ("inflation_cells", 0)):
+            if not int_at_least(getattr(self, name), least):
+                raise ConfigError(f"{name} must be an integer >= {least}")
+        times = (self.max_sim_time, self.dt, self.speed)
+        if not (finite_numbers(times, 3) and min(times) > 0):
             raise ConfigError("max_sim_time, dt and speed must be finite and positive")
         if not (math.isfinite(self.max_sim_time / self.dt) and self.ticks >= 1):
             raise ConfigError("max_sim_time / dt must be a finite count of at least 1 tick")
-        if self.beam_count < 4 or not _positive(self.max_range):
-            raise ConfigError("need beam_count >= 4 and finite positive max_range")
-        if self.goal_skip_wait < 1:
-            raise ConfigError("goal_skip_wait must be >= 1")
-        if self.inflation_cells < 0:
-            raise ConfigError("inflation_cells must be >= 0")
-        for pose in self.start_poses or ():
-            if not _is_pose(pose):
-                raise ConfigError(f"start pose {pose!r} is not three finite numbers "
+        if not (finite_numbers((self.max_range,), 1) and self.max_range > 0):
+            raise ConfigError("max_range must be finite and positive")
+        for i, pose in enumerate(self.start_poses or ()):
+            if not finite_numbers(pose, 3):
+                raise ConfigError(f"start_poses[{i}] is not three finite numbers "
                                   f"(x, y, heading)")
         if self.start_poses is not None:
             # immutable, so the checks above hold for the config's life
@@ -132,21 +131,6 @@ def _in_free_cell(truth: GroundTruthMap, x: float, y: float) -> bool:
     except OverflowError:  # so far off the map its cell index is inf
         return False
     return truth.in_bounds(cx, cy) and truth.cells[cy, cx] == FREE
-
-
-def _is_pose(pose) -> bool:
-    """Whether pose is three finite numbers."""
-    try:
-        return len(pose) == 3 and all(math.isfinite(v) for v in pose)
-    except (TypeError, OverflowError):  # not numbers, or an int too large for a float
-        return False
-
-
-def _positive(value: float) -> bool:
-    try:
-        return math.isfinite(value) and value > 0
-    except OverflowError:  # an int too large for a float
-        return False
 
 
 def _finite(text: str) -> float:

@@ -21,6 +21,7 @@ from .grid import (
     FREE,
     UNKNOWN,
     OccupancyGrid,
+    finite_numbers,
     grid_to_world,
     require_finite,
     world_to_grid,
@@ -199,12 +200,13 @@ def _near_border(unk, total, per_unk: float):
 
 def _cells_of(points, grid: OccupancyGrid, name: str) -> np.ndarray:
     """(P, 2) array of the (x, y) points' (cx, cy) cells. Raises
-    ValueError naming the argument name when some coordinate is not
-    finite or its cell does not fit the index type."""
+    ValueError naming the argument name when some point is not two
+    numbers, or a coordinate is not finite or its cell does not fit the
+    index type."""
     try:
         return np.array([world_to_grid(x, y, grid) for x, y in points],
                         dtype=np.intp).reshape(-1, 2)
-    except (ValueError, OverflowError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{name} must hold (x, y) points with finite coordinates "
                          f"whose cells fit the index type") from None
 
@@ -212,7 +214,10 @@ def _cells_of(points, grid: OccupancyGrid, name: str) -> np.ndarray:
 def disc_unknown_stats(points, grid: OccupancyGrid, rad: float) -> tuple[np.ndarray, np.ndarray]:
     """(unknown counts, in-bounds counts), one of each per point, over the
     discretized disc of world radius rad centred on the point's cell.
-    Raises ValueError naming points for a bad coordinate (see _cells_of)."""
+    Raises ValueError naming points for a bad coordinate (see _cells_of),
+    and naming rad unless it is a finite number of at least 0."""
+    if not (finite_numbers((rad,), 1) and rad >= 0):
+        raise ValueError("rad must be a finite number >= 0")
     return _disc_counts(_cells_of(points, grid, "points"), grid, rad)
 
 

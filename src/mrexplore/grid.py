@@ -13,22 +13,32 @@ FREE = 0
 OCCUPIED = 1
 
 
+def finite_numbers(values, count: int) -> bool:
+    """Whether values is exactly count finite numbers. A value that is not a
+    number, or an int too large for a float, counts as not finite
+    (math.isfinite raises TypeError or OverflowError on it)."""
+    try:
+        return len(values) == count and all(map(math.isfinite, values))
+    except (TypeError, OverflowError):
+        return False
+
+
+def int_at_least(value, least: int) -> bool:
+    """Whether value is a Python or numpy integer of at least least."""
+    return isinstance(value, (int, np.integer)) and value >= least
+
+
 def require_finite(obj, names) -> None:
     """Raise ValueError naming the first of obj's attributes in names that is
-    not a finite float value; an int too large for a float counts as not
-    finite (math.isfinite raises OverflowError on it)."""
+    not a finite number (see finite_numbers)."""
     for name in names:
-        try:
-            finite = math.isfinite(getattr(obj, name))
-        except OverflowError:
-            finite = False
-        if not finite:
+        if not finite_numbers((getattr(obj, name),), 1):
             raise ValueError(f"{name}: must be finite and fit in a float")
 
 
 def _check_frame(grid) -> None:
-    if grid.width <= 0 or grid.height <= 0:
-        raise ValueError("grid dimensions must be positive")
+    if not (int_at_least(grid.width, 1) and int_at_least(grid.height, 1)):
+        raise ValueError("width and height must be integers >= 1")
     require_finite(grid, ("resolution", "origin_x", "origin_y"))
     if grid.resolution <= 0:
         raise ValueError("resolution must be positive")
@@ -115,9 +125,10 @@ def grid_to_world(cx, cy, grid):
 
 
 def cell_entropy(p: float) -> float:
-    """Bernoulli entropy in bits, with 0*log2(0) taken as 0."""
-    if p < 0.0 or p > 1.0:
-        raise ValueError(f"probability {p} outside [0, 1]")
+    """Bernoulli entropy in bits, with 0*log2(0) taken as 0. Raises
+    ValueError unless p is a number in [0, 1]."""
+    if not (finite_numbers((p,), 1) and 0.0 <= p <= 1.0):
+        raise ValueError("p must be a probability in [0, 1]")
     if p == 0.0 or p == 1.0:
         return 0.0
     return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
@@ -176,8 +187,8 @@ def inflate_obstacles(grid: OccupancyGrid, cells: int) -> OccupancyGrid:
     larger radii dilate no further. Raises ValueError unless cells is an
     integer of at least 0.
     """
-    if not isinstance(cells, (int, np.integer)) or cells < 0:
-        raise ValueError(f"cells must be an integer >= 0, not {cells!r}")
+    if not int_at_least(cells, 0):
+        raise ValueError("cells must be an integer >= 0")
     if cells == 0:
         return grid.copy()
     occ = grid.cells == OCCUPIED

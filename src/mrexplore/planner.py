@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import OCCUPIED, OccupancyGrid, grid_to_world, world_to_grid
+from .grid import OCCUPIED, OccupancyGrid, finite_numbers, grid_to_world, world_to_grid
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -134,17 +134,6 @@ def _run_dijkstra(grid: OccupancyGrid, start_cell, goal_idxs):
     return dist, parent
 
 
-def _require_finite_point(name: str, point) -> None:
-    """Raise ValueError naming the argument unless point's x and y are
-    finite numbers."""
-    try:
-        finite = math.isfinite(point[0]) and math.isfinite(point[1])
-    except (TypeError, OverflowError):
-        finite = False
-    if not finite:
-        raise ValueError(f"{name} {tuple(point)!r} must have finite x and y")
-
-
 def _start_cell(grid, start):
     scx, scy = world_to_grid(start[0], start[1], grid)
     if not grid.in_bounds(scx, scy):
@@ -164,14 +153,17 @@ def plan_many(grid: OccupancyGrid, start, goals) -> list[GridPath | None]:
     prefix it shares with an earlier one: its `extends` is that path's
     position among the reached paths (the result without its Nones), and
     its `shared` the number of cells, and waypoints, they share. Raises
-    ValueError when the start or some goal has a coordinate that is not
-    finite."""
-    _require_finite_point("start", start)
+    ValueError, naming the argument, when the start is not two or three
+    finite numbers (a point, or a pose whose heading is not read) or some
+    goal is not two (x, y)."""
+    if not (finite_numbers(start, 2) or finite_numbers(start, 3)):
+        raise ValueError("start is not two or three finite numbers (x, y[, heading])")
     scx, scy = _start_cell(grid, start)
     pw = grid.width + 2
     goal_idxs = []
-    for g in goals:
-        _require_finite_point("goal", g)
+    for i, g in enumerate(goals):
+        if not finite_numbers(g, 2):
+            raise ValueError(f"goals[{i}] is not two finite numbers (x, y)")
         gcx, gcy = world_to_grid(g[0], g[1], grid)
         if not grid.in_bounds(gcx, gcy) or grid.cells[gcy, gcx] == OCCUPIED:
             goal_idxs.append(None)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .grid import require_finite
+from .grid import finite_numbers, require_finite
 
 
 @dataclass(frozen=True)
@@ -139,15 +139,10 @@ def extend_trajectory(graph: PoseGraph, pose, params: GraphBuildParams) -> PoseG
     loop_closure_target and _edges, the growth rule that trajectory_gain
     scores paths with (see GainBase); one node needs no distance
     prefilter, so every earlier node is a candidate. Mutates and returns
-    the graph. Raises ValueError when the pose holds a number that is not
-    finite.
+    the graph. Raises ValueError when the pose is not three finite numbers.
     """
-    try:
-        finite = all(math.isfinite(v) for v in pose)
-    except (TypeError, OverflowError):
-        finite = False
-    if not finite:
-        raise ValueError(f"pose {tuple(pose)!r} must be finite numbers")
+    if not finite_numbers(pose, 3):
+        raise ValueError("pose is not three finite numbers (x, y, heading)")
     nodes = graph.nodes
     point = (pose[0], pose[1])
     if nodes and not _place(nodes[-1], [point], 0, params.node_spacing):

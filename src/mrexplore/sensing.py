@@ -26,6 +26,8 @@ from .grid import (
     UNKNOWN,
     GroundTruthMap,
     OccupancyGrid,
+    finite_numbers,
+    int_at_least,
     require_same_frame,
     world_to_grid,
 )
@@ -84,26 +86,22 @@ def raycast(truth: GroundTruthMap, poses, beam_count: int,
     outside the map or in an obstacle.
     """
     res = truth.resolution
-    if not isinstance(beam_count, (int, np.integer)) or beam_count < 1:
-        raise ValueError(f"beam_count must be an integer >= 1, not {beam_count!r}")
-    if not (max_range > 0.0 and math.isfinite(walk_bound(max_range, res))):
+    if not int_at_least(beam_count, 1):
+        raise ValueError("beam_count must be an integer >= 1")
+    if not (finite_numbers((max_range,), 1) and max_range > 0.0
+            and math.isfinite(walk_bound(max_range, res))):
         raise ValueError(f"max_range must be finite and positive, and small enough for "
-                         f"the walk at map resolution {res}, not {max_range!r}")
+                         f"the walk at map resolution {res}")
     width, height = truth.width, truth.height
     starts = []
-    for px, py, heading in poses:
-        try:
-            finite = math.isfinite(px) and math.isfinite(py) and math.isfinite(heading)
-        except (TypeError, OverflowError):
-            finite = False
-        if not finite:
-            raise ValueError(f"pose {(px, py, heading)!r} is not three finite numbers "
-                             f"(x, y, heading)")
-        cx0, cy0 = world_to_grid(px, py, truth)
+    for i, pose in enumerate(poses):
+        if not finite_numbers(pose, 3):
+            raise ValueError(f"poses[{i}] is not three finite numbers (x, y, heading)")
+        cx0, cy0 = world_to_grid(pose[0], pose[1], truth)
         if not truth.in_bounds(cx0, cy0):
-            raise ValueError("robot pose outside the map")
+            raise ValueError(f"poses[{i}] is outside the map")
         if truth.cells[cy0, cx0] == OCCUPIED:
-            raise ValueError("robot embedded in obstacle")
+            raise ValueError(f"poses[{i}] is embedded in an obstacle")
         starts.append((cx0, cy0))
     if not starts:
         return []

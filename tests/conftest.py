@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mrexplore.grid import FREE, OCCUPIED, UNKNOWN, GroundTruthMap, OccupancyGrid
+
+# Timing is not under test, and a busy host can run one example past
+# hypothesis's deadline, so no property test has one. A test's own
+# @settings sets its example count and inherits this.
+settings.register_profile("no_deadline", deadline=None)
+settings.load_profile("no_deadline")
 
 
 @pytest.fixture

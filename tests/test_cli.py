@@ -313,7 +313,7 @@ class TestFuzzMapFiles:
     with one config error line; it never fails at run time and never
     prints a traceback."""
 
-    @settings(deadline=None, max_examples=200)  # timing is not under test
+    @settings(max_examples=200)
     @given(pgm_bytes(), meta_text(),
            st.sampled_from(["0.5, 0.5, 0", "1.5, 0.5, 1", "-3, 2, 0"]))
     # a negative width that reshape would infer from the raster length

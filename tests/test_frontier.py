@@ -403,7 +403,7 @@ def frontier_grid(draw):
 
 
 class TestDetectMatchesFloodFill:
-    @settings(deadline=None, max_examples=300)  # timing is not under test
+    @settings(max_examples=300)
     @given(frontier_grid())
     @example(grid_from_rows(["?.?", ".?.", "?.?"]))  # diagonal-only joins
     @example(grid_from_rows([".??", "???", "??."]))  # single cells on corners
@@ -517,7 +517,7 @@ def same_objects(got, want):
 
 
 class TestFilterMatchesPerPointReference:
-    @settings(deadline=None, max_examples=300)  # timing is not under test
+    @settings(max_examples=300)
     @given(filter_case())
     @example(both_directions_case())
     def test_pipeline_same_outcome(self, case):
@@ -528,7 +528,7 @@ class TestFilterMatchesPerPointReference:
         assert (out.final_rad, out.final_perc, out.exhausted, out.iterations) == (
             rad, perc, exhausted, iterations)
 
-    @settings(deadline=None, max_examples=300)  # timing is not under test
+    @settings(max_examples=300)
     @given(filter_case(),
            st.sampled_from([{}, dict(rad=0.5), dict(rad=2.0), dict(rad=40.0)]),
            st.sampled_from([{}, dict(per_unk=0.0), dict(per_unk=50.0)]))
@@ -547,7 +547,7 @@ class TestFilterMatchesPerPointReference:
         steps = reference_pipeline(lists, grid, params)[-1]
         assert "perc" in steps and "rad" in steps
 
-@settings(deadline=None, max_examples=100)  # timing is not under test
+@settings(max_examples=100)
 @given(frontier_grid(), st.sampled_from([0.05, 0.5, 3.0]))
 def test_detected_points_pass_zero_percent(grid, rad):
     # A detected point is the centre of an in-bounds cell, so its disc is

@@ -279,7 +279,6 @@ class TestPlanMany:
 
 
 class TestPlanManyTree:
-    @settings(deadline=None)  # timing is not under test; the host may be busy
     @given(planning_case())
     def test_reported_prefix_is_shared(self, case):
         # each path names an earlier reached path and the count of cells and
@@ -334,7 +333,7 @@ class TestPlanManyTree:
 
 
 class TestPlanManyProperties:
-    @settings(deadline=None, max_examples=300)  # timing is not under test
+    @settings(max_examples=300)
     @given(planning_case())
     def test_same_paths_as_heap_reference(self, case):
         grid, start, goals = case
@@ -344,7 +343,6 @@ class TestPlanManyProperties:
             assert {type(v) for cell in path.cells for v in cell} == {int}
             assert {type(v) for xy in path.waypoints for v in xy} == {float}
 
-    @settings(deadline=None)  # timing is not under test; the host may be busy
     @given(planning_case())
     def test_equals_plan_for_each_goal(self, case):
         grid, start, goals = case

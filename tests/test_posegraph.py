@@ -355,7 +355,7 @@ def lattice_walks(draw, min_size, max_size):
 
 
 class TestGainMatchesCopyAndExtend:
-    @settings(deadline=None, max_examples=300)  # timing is not under test
+    @settings(max_examples=300)
     @given(st.sampled_from(sorted(GAIN_PARAMS)), lattice_walks(0, 40),
            lattice_walks(1, 30))
     # empty and one-node bases
@@ -415,7 +415,7 @@ SHARED_PARAMS = {
 
 
 class TestSharedGainBase:
-    @settings(deadline=None, max_examples=150)  # timing is not under test
+    @settings(max_examples=150)
     @given(lattice_walks(0, 30), st.lists(lattice_walks(1, 20), min_size=1, max_size=3),
            st.data())
     def test_memo_equals_copy_and_extend(self, base_walk, walks, data):
@@ -488,7 +488,7 @@ class TestTreeWalk:
     that path's state, and reuses its nodes' loop closures. Each gain must
     be the gain of extending a copy of the graph along that path alone."""
 
-    @settings(deadline=None, max_examples=200)  # timing is not under test
+    @settings(max_examples=200)
     @given(st.sampled_from(sorted(GAIN_PARAMS)), lattice_walks(0, 30), tree_cases())
     # a path closes a loop on one of its own nodes, on a graph and on none
     @example("default", [(4.0, 0.0), (4.0, 1.0), (4.0, 2.0)], AROUND_WALL)

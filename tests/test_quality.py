@@ -130,14 +130,14 @@ def masks(draw):
 
 
 class TestNearestWithoutAllPairs:
-    @settings(deadline=None, max_examples=60)
+    @settings(max_examples=60)
     @given(cells(), cells())
     def test_equals_broadcast_form(self, src, dst):
         shape = tuple(np.concatenate([src, dst]).max(axis=0).astype(np.intp) + 1)
         got = _directed_nn_mean(src.astype(np.intp), mask_of(dst, shape))
         assert got == broadcast_nn_mean(src, dst)
 
-    @settings(deadline=None, max_examples=60)
+    @settings(max_examples=60)
     @given(masks())
     def test_equals_brute_force(self, cells_and_mask):
         src, mask = cells_and_mask

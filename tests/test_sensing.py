@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -303,7 +303,6 @@ class TestBatchedRaycast:
     """One call casts every pose's beams in one walk; each scan must be the
     scan its pose gives alone."""
 
-    @settings(deadline=None)  # timing is not under test; the host may be busy
     @given(world_and_poses(), _beams, _max_range)
     @tie_examples
     def test_batch_equals_single(self, world, beams, max_range):
@@ -313,7 +312,6 @@ class TestBatchedRaycast:
         for pose, got in zip(poses, scans):
             assert_same_scan(got, cast_one(truth, pose, beams, max_range))
 
-    @settings(deadline=None)  # timing is not under test; the host may be busy
     @given(world_and_poses(), _beams, _max_range)
     @tie_examples
     @edge_examples
@@ -324,7 +322,6 @@ class TestBatchedRaycast:
             assert np.array_equal(got.free_cells, free)
             assert np.array_equal(got.occupied_cells, occupied)
 
-    @settings(deadline=None)  # timing is not under test; the host may be busy
     @given(world_and_poses(), _beams, _max_range)
     def test_scan_cells_invariants(self, world, beams, max_range):
         # LidarScan's stated invariants, for every scan of a batched call
@@ -339,7 +336,6 @@ class TestBatchedRaycast:
                 assert np.all(flat[cells] == state)
             assert np.intersect1d(scan.free_cells, scan.occupied_cells).size == 0
 
-    @settings(deadline=None)  # timing is not under test; the host may be busy
     @given(world_and_poses(min_poses=0, max_poses=3), st.data())
     def test_bad_pose_anywhere_rejected(self, world, data):
         truth, poses = world
@@ -432,7 +428,6 @@ class TestIntegrate:
 
 
 class TestIntegrateProperties:
-    @settings(deadline=None)  # timing is not under test; the host may be busy
     @given(world_and_pose(), _beams, _max_range)
     def test_idempotent(self, world, beams, max_range):
         truth, pose, grid = world
@@ -442,7 +437,6 @@ class TestIntegrateProperties:
         assert np.array_equal(twice.cells, once.cells)
         assert twice is once
 
-    @settings(deadline=None)  # timing is not under test; the host may be busy
     @given(world_and_pose(), _beams, _max_range, st.data())
     def test_returns_input_only_when_nothing_changed(self, world, beams, max_range, data):
         truth, pose, grid = world
@@ -463,14 +457,12 @@ class TestIntegrateProperties:
         assert (got is grid) == np.array_equal(want, before)
         assert np.array_equal(grid.cells, before)
 
-    @settings(deadline=None)  # timing is not under test; the host may be busy
     @given(world_and_pose(), _beams, _max_range)
     def test_never_demotes_occupied(self, world, beams, max_range):
         truth, pose, grid = world
         out = integrate_scan(grid, cast_one(truth, pose, beams, max_range))
         assert np.all(out.cells[grid.cells == OCCUPIED] == OCCUPIED)
 
-    @settings(deadline=None)  # timing is not under test; the host may be busy
     @given(world_and_pose(), _beams, _max_range)
     def test_matches_cells_reference(self, world, beams, max_range):
         # the reference cells folded in one at a time: free unless the grid
@@ -487,7 +479,6 @@ class TestIntegrateProperties:
 
 
 class TestMergedCoverageProperties:
-    @settings(deadline=None)  # timing is not under test; the host may be busy
     @given(world_and_poses(max_poses=9), _beams, _max_range, st.data())
     def test_merged_coverage_monotone(self, world, beams, max_range, data):
         # the poses, in order, are the robots' poses over the ticks

@@ -615,7 +615,7 @@ def stale_case(draw):
 
 
 class TestStaleGoalRule:
-    @settings(deadline=None, max_examples=200)  # timing is not under test
+    @settings(max_examples=200)
     @given(stale_case())
     def test_batched_equals_per_point(self, case):
         grid, points, rad = case
