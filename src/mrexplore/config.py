@@ -49,7 +49,7 @@ class ScenarioConfig:
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; have {METHODS}")
         for name, least in (("robot_count", 1), ("beam_count", 4), ("goal_skip_wait", 1),
-                            ("inflation_cells", 0)):
+                            ("inflation_cells", 0), ("seed", 0)):
             if not int_at_least(getattr(self, name), least):
                 raise ConfigError(f"{name} must be an integer >= {least}")
         times = (self.max_sim_time, self.dt, self.speed)

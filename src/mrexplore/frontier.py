@@ -23,6 +23,7 @@ from .grid import (
     OccupancyGrid,
     finite_numbers,
     grid_to_world,
+    int_at_least,
     require_finite,
     world_to_grid,
 )
@@ -46,6 +47,9 @@ class FilterParams:
 
     def __post_init__(self):
         require_finite(self, [f.name for f in fields(self)])
+        for name in ("min_pts", "max_pts"):
+            if not int_at_least(getattr(self, name), 0):
+                raise ValueError(f"{name}: must be an integer >= 0")
         if self.rad <= 0 or self.rad_step <= 0 or self.perc_step <= 0:
             raise ValueError("rad, rad_step and perc_step must be positive")
         # a step that float arithmetic absorbs would relax the list forever

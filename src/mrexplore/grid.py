@@ -103,7 +103,7 @@ class GroundTruthMap(OccupancyGrid):
 
 def require_same_frame(a, b) -> None:
     """Raise ValueError unless a and b have equal frames, compared exactly:
-    the one rule for whether two grids (or a grid and a scan) line up."""
+    the one rule for whether two grids line up."""
     if a.frame != b.frame:
         raise ValueError(f"grid geometry differs: frame {a.frame} is not {b.frame}")
 
@@ -157,7 +157,8 @@ def map_entropy(grid: OccupancyGrid) -> float:
 
 
 def merge_maps(grids: list[OccupancyGrid]) -> OccupancyGrid:
-    """Cell-wise fusion of grids that share one frame: known states override
+    """Cell-wise fusion of grids that share one frame, the one fusion rule:
+    of a scan into a map, and of maps into one. Known states override
     Unknown, and Occupied overrides Free on conflict. The states are ordered
     Unknown < Free < Occupied, so this is a cell-wise max. Raises ValueError
     for no grids or for a grid in another frame.

@@ -13,8 +13,9 @@ from .grid import OCCUPIED, OccupancyGrid, finite_numbers, grid_to_world, world_
 _SQRT2 = math.sqrt(2.0)
 
 
-class NoPathError(Exception):
-    """Raised when the goal cannot be reached."""
+class NoPathError(ValueError):
+    """Raised when the goal cannot be reached, or the start is off the grid
+    or in an obstacle; a ValueError, as for any bad argument."""
 
 
 @dataclass
@@ -155,7 +156,8 @@ def plan_many(grid: OccupancyGrid, start, goals) -> list[GridPath | None]:
     its `shared` the number of cells, and waypoints, they share. Raises
     ValueError, naming the argument, when the start is not two or three
     finite numbers (a point, or a pose whose heading is not read) or some
-    goal is not two (x, y)."""
+    goal is not two (x, y), and NoPathError, a ValueError, when the start
+    is off the grid or in an obstacle."""
     if not (finite_numbers(start, 2) or finite_numbers(start, 3)):
         raise ValueError("start is not two or three finite numbers (x, y[, heading])")
     scx, scy = _start_cell(grid, start)

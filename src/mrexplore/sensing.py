@@ -7,48 +7,29 @@ Amanatides and Woo ("A Fast Voxel Traversal Algorithm for Ray Tracing",
 1987): every crossed cell is visited and corner grazes with zero chord are
 skipped, so thin walls cannot be leaked through. Each step makes one stop
 test; a stopped beam is parked on its cell, and the walk drops its stopped
-beams only once they are more than a quarter of it. It marks the cells
-each scan's beams see, and the true map gives each seen cell its state,
-free or occupied; integration applies those cells to a map and walks no
-beams itself, and hands back the map itself when they change nothing.
+beams only once they are more than a quarter of it. A scan is an
+occupancy grid, the true map's state on the cells its beams see and
+Unknown elsewhere; integration merges it into a map by the merge rule.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import (
-    FREE,
     OCCUPIED,
     UNKNOWN,
     GroundTruthMap,
     OccupancyGrid,
     finite_numbers,
     int_at_least,
-    require_same_frame,
+    merge_maps,
     world_to_grid,
 )
 
 _EPS = 1e-12
-
-
-@dataclass
-class LidarScan:
-    """The cells one 360-degree scan from one pose proved. raycast casts
-    several in one walk; each is the scan its pose gives alone.
-
-    free_cells and occupied_cells are strictly increasing flat indices
-    (col + row * width) in frame, the OccupancyGrid.frame of the map the
-    scan was cast in. They are Free and Occupied cells of the true map, so
-    no cell is in both.
-    """
-
-    frame: tuple[float, float, float, int, int]
-    free_cells: np.ndarray
-    occupied_cells: np.ndarray
 
 
 def walk_bound(max_range: float, resolution: float) -> float:
@@ -68,17 +49,17 @@ def walk_bound(max_range: float, resolution: float) -> float:
 
 
 def raycast(truth: GroundTruthMap, poses, beam_count: int,
-            max_range: float) -> list[LidarScan]:
+            max_range: float) -> list[OccupancyGrid]:
     """Cast beam_count equally spaced beams over 360 degrees from each pose
     in the sequence poses, all in one walk over the shared true map, and
-    return one LidarScan per pose, in order. A pose's scan does not depend
-    on the other poses cast with it; raycast(truth, [pose], n, r)[0] is the
-    scan of one pose.
-
-    A beam sees each cell it crosses, up to and including the first
-    Occupied one, where it stops, when the midpoint of its chord through
-    the cell lies within max_range. The true map splits a scan's seen
-    cells into its free and occupied ones.
+    return one scan per pose, in order. A pose's scan does not depend on
+    the other poses cast with it; raycast(truth, [pose], n, r)[0] is the
+    scan of one pose. A beam sees each cell it crosses, up to and
+    including the first Occupied one, where it stops, when the midpoint of
+    its chord through the cell lies within max_range. A scan is an
+    OccupancyGrid in the true map's frame, with the true map's state on
+    the cells its beams see and Unknown elsewhere; it may share cells with
+    the call's other scans, so nothing may write into it.
     Deterministic, noise free. Raises ValueError, naming the argument, when
     beam_count is not an integer of at least 1, when max_range is not
     finite and positive or walk_bound(max_range, resolution) is not a
@@ -181,36 +162,24 @@ def raycast(truth: GroundTruthMap, poses, beam_count: int,
         t_max_x = np.where(take_x, t_max_x + t_dx, t_max_x)
         t_max_y = np.where(take_x, t_max_y, t_max_y + t_dy)
 
-    # The ring is cut from seen, so the true map splits each pose's seen
-    # cells into its free and occupied ones.
-    seen = seen.reshape(n_poses, hp, wp)[:, 1:-1, 1:-1].reshape(n_poses, -1)
-    wall = truth.cells.ravel() == OCCUPIED
-    return [LidarScan(truth.frame, np.flatnonzero(s & ~wall), np.flatnonzero(s & wall))
-            for s in seen]
+    # Each pose's block of seen, cut of its ring, lines up with the true map.
+    cells = np.where(seen.reshape(n_poses, hp, wp)[:, 1:-1, 1:-1], truth.cells, UNKNOWN)
+    return [OccupancyGrid(*truth.frame, c) for c in cells]
 
 
-def integrate_scan(grid: OccupancyGrid, scan: LidarScan) -> OccupancyGrid:
-    """Fold a scan into the grid: its free cells become Free unless the grid
-    has them Occupied, then its occupied cells become Occupied.
+def integrate_scan(grid: OccupancyGrid, scan: OccupancyGrid) -> OccupancyGrid:
+    """Fold a scan into the grid by the merge rule, merge_maps([grid, scan]).
 
-    Returns grid itself when the scan proves nothing new: none of its free
-    cells is Unknown in grid and all its occupied cells are already
-    Occupied. Otherwise returns a new grid; grid is never mutated, so a
-    caller may take an unchanged grid object for an unchanged map.
-    Occupied cells are never demoted. Idempotent for a fixed scan. Raises
-    ValueError when the grid's frame differs from the one the scan was cast
-    in.
+    The scan's free cells become Free unless the grid has them Occupied,
+    then its occupied cells become Occupied, and cells it did not see stay:
+    over the ordered states Unknown < Free < Occupied, with unseen cells
+    Unknown in the scan, that is max(old, scan) cell by cell. Returns grid
+    itself iff no free cell is Unknown in grid and every occupied cell is
+    already Occupied, that is iff max(old, scan) == old; otherwise a new
+    grid, never the scan. Nothing is mutated, so a caller may take an
+    unchanged grid object for an unchanged map. Occupied cells are never
+    demoted, and a second fold of the same scan returns its input. Raises
+    ValueError when the grid's frame differs from the scan's.
     """
-    require_same_frame(grid, scan)
-    free = scan.free_cells
-    occupied = scan.occupied_cells
-    flat = grid.cells.ravel()
-    # a Free cell stays Free, so only Unknown free cells change
-    new_free = free[flat[free] == UNKNOWN]
-    if not new_free.size and (flat[occupied] == OCCUPIED).all():
-        return grid
-    out = grid.copy()
-    flat = out.cells.ravel()
-    flat[new_free] = FREE
-    flat[occupied] = OCCUPIED
-    return out
+    merged = merge_maps([grid, scan])
+    return grid if np.array_equal(merged.cells, grid.cells) else merged

@@ -116,7 +116,10 @@ COUNTS = {  # and the least count each takes
     **{f"ScenarioConfig.{name}": (name, lambda n, name=name: _config(**{name: n}),
                                   ConfigError, least)
        for name, least in (("robot_count", 1), ("beam_count", 4), ("goal_skip_wait", 1),
-                           ("inflation_cells", 0))},
+                           ("inflation_cells", 0), ("seed", 0))},
+    **{f"FilterParams.{name}": (name, lambda n, name=name: FilterParams(**{name: n}),
+                                ValueError, 0)
+       for name in ("min_pts", "max_pts")},
 }
 
 
@@ -169,7 +172,10 @@ class TestContract:
 # The probes that raised something else, or nothing, before the checks
 # were one pair of grid helpers: repr of an int of more than 4,300 digits
 # raised first, plan_many indexed a one-number start, and a ScenarioConfig
-# took a count that is not an integer and failed at run time.
+# took a count that is not an integer and failed at run time. Later ones:
+# plan_many raised an error that was no ValueError for a start off the
+# grid or in a wall, a ScenarioConfig took any seed, and FilterParams a
+# fractional bound on the list size.
 PROBES = [
     pytest.param(lambda: raycast(OPEN20, [(HUGE, 5.0, 0.0)], 8, 3.0), "poses", ValueError,
                  id="raycast_huge_int_pose"),
@@ -193,6 +199,16 @@ PROBES = [
     pytest.param(lambda: ScenarioConfig(map_source="builtin:open20", robot_count=1.5,
                                         start_poses=((5.5, 5.5, 0.0),)),
                  "robot_count", ConfigError, id="config_fractional_robot_count"),
+    pytest.param(lambda: plan_many(OPEN20, (-5.0, -5.0), [(5.5, 5.5)]), "start", ValueError,
+                 id="plan_many_start_off_the_grid"),
+    pytest.param(lambda: plan_many(OPEN20, (0.5, 0.5), [(5.5, 5.5)]), "start", ValueError,
+                 id="plan_many_start_in_a_wall"),
+    pytest.param(lambda: ScenarioConfig(map_source="builtin:open20", robot_count=1, seed=None),
+                 "seed", ConfigError, id="config_none_seed"),
+    pytest.param(lambda: ScenarioConfig(map_source="builtin:open20", robot_count=1, seed=[1]),
+                 "seed", ConfigError, id="config_list_seed"),
+    pytest.param(lambda: FilterParams(min_pts=0.5, max_pts=2.5), "min_pts", ValueError,
+                 id="filter_fractional_min_pts"),
 ]
 
 

@@ -68,22 +68,30 @@ def cells_reference(truth, pose, beam_count, max_range):
     """Scalar form of raycast's rule, one beam at a time: the cells a beam
     crosses before its first Occupied cell are free and that cell is
     occupied, each only when its chord midpoint is <= max_range. Returns the
-    sorted flat indices (free, occupied) of the pose's scan. The beam
-    directions are numpy's, as in raycast, so that a last-bit difference
-    between math.cos and np.cos cannot move a corner graze."""
+    cells of the pose's scan: those states on the cells seen, Unknown on
+    every other. The beam directions are numpy's, as in raycast, so that a
+    last-bit difference between math.cos and np.cos cannot move a corner
+    graze."""
     px, py, heading = pose
     theta = heading + 2.0 * math.pi * np.arange(beam_count) / beam_count
-    free, occupied = set(), set()
+    cells = np.full((truth.height, truth.width), UNKNOWN, dtype=np.int8)
     for dx, dy in zip(np.cos(theta).tolist(), np.sin(theta).tolist()):
         for cx, cy, t_in, t_out in walk_ray_reference(
             px, py, dx, dy, truth, max_range + 2.0 * truth.resolution
         ):
             hit = truth.cells[cy, cx] == OCCUPIED
             if 0.5 * (t_in + t_out) <= max_range:
-                (occupied if hit else free).add(cx + cy * truth.width)
+                cells[cy, cx] = OCCUPIED if hit else FREE
             if hit:
                 break
-    return np.array(sorted(free), dtype=np.intp), np.array(sorted(occupied), dtype=np.intp)
+    return cells
+
+
+def scan_cells(scan):
+    """The sorted flat indices (free, occupied) of a scan's Free and
+    Occupied cells."""
+    flat = scan.cells.reshape(-1)
+    return np.flatnonzero(flat == FREE), np.flatnonzero(flat == OCCUPIED)
 
 
 # A position within a cell: on its lower edge, at its centre, or anywhere
@@ -140,12 +148,13 @@ def world_and_poses(draw, min_poses=1, max_poses=4):
 def copy_and_write(grid, scan):
     """The cells integrate_scan gives by always copying: the grid's cells
     with the scan's free cells written Free unless Occupied, then its
-    occupied cells written Occupied."""
+    occupied cells written Occupied. This index fold is the rule that
+    integrate_scan states as merge_maps."""
     cells = grid.cells.copy()
     flat = cells.reshape(-1)
-    free = scan.free_cells
+    free, occupied = scan_cells(scan)
     flat[free[flat[free] != OCCUPIED]] = FREE
-    flat[scan.occupied_cells] = OCCUPIED
+    flat[occupied] = OCCUPIED
     return cells
 
 
@@ -194,18 +203,18 @@ class TestRaycast:
         rows = [r[:15] + "#" + r[16:] for r in rows]
         truth = truth_from_rows(rows)
         scan = cast_one(truth, (14.5, 10.5, 0.0), 4, 5.0)
-        assert scan.occupied_cells.tolist() == [15 + 10 * 20]
+        assert scan_cells(scan)[1].tolist() == [15 + 10 * 20]
 
     def test_open_arena_all_no_hit(self, open_arena):
-        scan = cast_one(open_arena, (50.0, 50.0, 0.3), 16, 5.0)
-        assert scan.occupied_cells.size == 0
-        assert scan.free_cells.size > 0
+        free, occupied = scan_cells(cast_one(open_arena, (50.0, 50.0, 0.3), 16, 5.0))
+        assert occupied.size == 0
+        assert free.size > 0
 
     def test_single_cell_box(self):
         truth = truth_from_rows(["###", "#.#", "###"])
-        scan = cast_one(truth, (1.5, 1.5, 0.0), 8, 5.0)
-        assert scan.free_cells.tolist() == [4]
-        assert scan.occupied_cells.tolist() == [0, 1, 2, 3, 5, 6, 7, 8]
+        free, occupied = scan_cells(cast_one(truth, (1.5, 1.5, 0.0), 8, 5.0))
+        assert free.tolist() == [4]
+        assert occupied.tolist() == [0, 1, 2, 3, 5, 6, 7, 8]
 
     def test_embedded_pose_rejected(self, box5):
         with pytest.raises(ValueError, match="embedded"):
@@ -223,9 +232,7 @@ class TestRaycast:
                 rng.uniform(0, 2 * math.pi),
             )
             got = cast_one(truth, pose, 24, 3.0)
-            free, occupied = cells_reference(truth, pose, 24, 3.0)
-            assert np.array_equal(got.free_cells, free)
-            assert np.array_equal(got.occupied_cells, occupied)
+            assert np.array_equal(got.cells, cells_reference(truth, pose, 24, 3.0))
 
     @pytest.mark.parametrize("heading", [5e-324, 1e-310, 2.5e-309])
     def test_beam_next_to_axis_warns_nothing(self, heading):
@@ -237,8 +244,7 @@ class TestRaycast:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = cast_one(truth, (*pose, heading), 16, 4.0)
-        assert np.array_equal(got.free_cells, want.free_cells)
-        assert np.array_equal(got.occupied_cells, want.occupied_cells)
+        assert_same_scan(got, want)
 
     @pytest.mark.parametrize("heading", [math.nan, math.inf, -math.inf])
     def test_non_finite_heading_rejected(self, box5, heading):
@@ -287,16 +293,13 @@ class TestRaycast:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = cast_one(truth, pose, 16, largest)
-        free, occupied = cells_reference(truth, pose, 16, largest)
-        assert np.array_equal(got.free_cells, free)
-        assert np.array_equal(got.occupied_cells, occupied)
+        assert np.array_equal(got.cells, cells_reference(truth, pose, 16, largest))
         assert_same_scan(got, cast_one(truth, pose, 16, 100.0))
 
 
 def assert_same_scan(got, want):
     assert got.frame == want.frame
-    assert np.array_equal(got.free_cells, want.free_cells)
-    assert np.array_equal(got.occupied_cells, want.occupied_cells)
+    assert np.array_equal(got.cells, want.cells)
 
 
 class TestBatchedRaycast:
@@ -318,23 +321,18 @@ class TestBatchedRaycast:
     def test_each_scan_matches_cells_reference(self, world, beams, max_range):
         truth, poses = world
         for pose, got in zip(poses, raycast(truth, poses, beams, max_range)):
-            free, occupied = cells_reference(truth, pose, beams, max_range)
-            assert np.array_equal(got.free_cells, free)
-            assert np.array_equal(got.occupied_cells, occupied)
+            assert np.array_equal(got.cells, cells_reference(truth, pose, beams, max_range))
 
     @given(world_and_poses(), _beams, _max_range)
     def test_scan_cells_invariants(self, world, beams, max_range):
-        # LidarScan's stated invariants, for every scan of a batched call
+        # every scan of a batched call is an OccupancyGrid in the true map's
+        # frame that holds the true map's state on each cell it knows
         truth, poses = world
-        flat = truth.cells.reshape(-1)
         for scan in raycast(truth, poses, beams, max_range):
+            assert type(scan) is OccupancyGrid
             assert scan.frame == truth.frame
-            for cells, state in ((scan.free_cells, FREE),
-                                 (scan.occupied_cells, OCCUPIED)):
-                assert np.all(np.diff(cells) > 0)
-                assert np.all((cells >= 0) & (cells < truth.width * truth.height))
-                assert np.all(flat[cells] == state)
-            assert np.intersect1d(scan.free_cells, scan.occupied_cells).size == 0
+            seen = scan.cells != UNKNOWN
+            assert np.array_equal(scan.cells[seen], truth.cells[seen])
 
     @given(world_and_poses(min_poses=0, max_poses=3), st.data())
     def test_bad_pose_anywhere_rejected(self, world, data):
@@ -441,7 +439,7 @@ class TestIntegrateProperties:
     def test_returns_input_only_when_nothing_changed(self, world, beams, max_range, data):
         truth, pose, grid = world
         scan = cast_one(truth, pose, beams, max_range)
-        proved = np.concatenate([scan.free_cells, scan.occupied_cells]).tolist()
+        proved = np.flatnonzero(scan.cells != UNKNOWN).tolist()
         if proved and data.draw(st.booleans()):
             # the scan already folded in, with up to two of the cells it
             # proves redrawn as Unknown or Free
@@ -468,7 +466,8 @@ class TestIntegrateProperties:
         # the reference cells folded in one at a time: free unless the grid
         # has them Occupied, then occupied
         truth, pose, grid = world
-        free, occupied = cells_reference(truth, pose, beams, max_range)
+        ref = cells_reference(truth, pose, beams, max_range).reshape(-1)
+        free, occupied = np.flatnonzero(ref == FREE), np.flatnonzero(ref == OCCUPIED)
         want = grid.cells.copy().reshape(-1)
         for cell in free.tolist():
             if want[cell] != OCCUPIED:
@@ -476,6 +475,22 @@ class TestIntegrateProperties:
         want[occupied] = OCCUPIED
         got = integrate_scan(grid, cast_one(truth, pose, beams, max_range))
         assert np.array_equal(got.cells.reshape(-1), want)
+
+
+    @given(world_and_poses(), _beams, _max_range, st.data())
+    def test_fold_in_any_order_equals_merge(self, world, beams, max_range, data):
+        # the scans of one call folded into a blank grid, in a drawn order,
+        # give merge_maps of those scans; no scan is written or returned
+        truth, poses = world
+        scans = raycast(truth, poses, beams, max_range)
+        before = [scan.cells.copy() for scan in scans]
+        g = truth.blank_grid()
+        for scan in data.draw(st.permutations(scans)):
+            g = integrate_scan(g, scan)
+            assert all(g is not s for s in scans)
+        assert np.array_equal(g.cells, merge_maps(scans).cells)
+        for scan, cells in zip(scans, before):
+            assert np.array_equal(scan.cells, cells)
 
 
 class TestMergedCoverageProperties:

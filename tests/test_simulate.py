@@ -17,6 +17,7 @@ from mrexplore.grid import (
     FREE,
     OCCUPIED,
     UNKNOWN,
+    GroundTruthMap,
     OccupancyGrid,
     coverage_percent,
     grid_to_world,
@@ -25,6 +26,7 @@ from mrexplore.grid import (
     merge_maps,
     world_to_grid,
 )
+from mrexplore.pgm import save_grid
 from mrexplore.planner import plan_many
 from mrexplore.simulate import POLICIES, ExplorationSim, run
 from mrexplore.utility import score_candidates
@@ -149,6 +151,14 @@ class TestCoverage:
         assert got
         assert raw_n >= 1
         assert robot.path is not None
+
+    def test_run_stops_at_full_coverage(self, tmp_path):
+        # one scan from the centre of a wall-free world sees every cell
+        path = str(tmp_path / "open12.pgm")
+        save_grid(GroundTruthMap(1.0, 0.0, 0.0, 12, 12), path)
+        m = run(ScenarioConfig(map_source=path, robot_count=1,
+                               start_poses=((6.5, 6.5, 0.0),), max_range=20.0))
+        assert [(row.time, row.merged_coverage) for row in m.rows] == [(1.0, 100.0)]
 
 
 class TestNoOpenCandidate:
