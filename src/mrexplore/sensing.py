@@ -7,7 +7,11 @@ Amanatides and Woo ("A Fast Voxel Traversal Algorithm for Ray Tracing",
 1987): every crossed cell is visited and corner grazes with zero chord are
 skipped, so thin walls cannot be leaked through. Each step makes one stop
 test; a stopped beam is parked on its cell, and the walk drops its stopped
-beams only once they are more than a quarter of it. A scan is an
+beams only once they are more than a quarter of it. The walk makes its
+range tests only on a step where some beam's exit is past max_range: a
+beam's entry is never past its exit, as both only grow, so on any other
+step every chord midpoint is within range and no beam stops on range, and
+the scans are the same as with a range test on every step. A scan is an
 occupancy grid, the true map's state on the cells its beams see and
 Unknown elsewhere; integration merges it into a map by the merge rule.
 """
@@ -26,6 +30,7 @@ from .grid import (
     finite_numbers,
     int_at_least,
     merge_maps,
+    require_same_frame,
     world_to_grid,
 )
 
@@ -140,12 +145,22 @@ def raycast(truth: GroundTruthMap, poses, beam_count: int,
     # than a quarter of the walk; until then they are parked, with no step,
     # on their last cell, which they can see again only with a longer chord
     # (the ring is cut from seen), and they stop again on later steps.
+    # The range tests are made only on a step where some beam's exit is
+    # past max_range. That is exact: t_entry <= t_exit, as both only grow,
+    # so on any other step every chord midpoint is within range and no beam
+    # stops on range. The visibility test is written t_entry + t_exit <=
+    # 2 * max_range; doubling is exact, and finite because walk_bound is.
+    two_range = 2.0 * max_range
     while idx.size:
         here = code[idx]
         t_exit = np.minimum(t_max_x, t_max_y)
         crossed = t_exit - t_entry > _EPS
-        seen[idx[crossed & (0.5 * (t_entry + t_exit) <= max_range)]] = True
-        stop = (here + crossed >= 2) | (t_exit > max_range)
+        stop = here + crossed >= 2
+        if t_exit.max() > max_range:
+            seen[idx[crossed & (t_entry + t_exit <= two_range)]] = True
+            stop |= t_exit > max_range
+        else:
+            seen[idx[crossed]] = True
         n_stop = np.count_nonzero(stop)
         if 4 * n_stop > idx.size:
             keep = np.flatnonzero(~stop)
@@ -175,11 +190,15 @@ def integrate_scan(grid: OccupancyGrid, scan: OccupancyGrid) -> OccupancyGrid:
     over the ordered states Unknown < Free < Occupied, with unseen cells
     Unknown in the scan, that is max(old, scan) cell by cell. Returns grid
     itself iff no free cell is Unknown in grid and every occupied cell is
-    already Occupied, that is iff max(old, scan) == old; otherwise a new
-    grid, never the scan. Nothing is mutated, so a caller may take an
-    unchanged grid object for an unchanged map. Occupied cells are never
-    demoted, and a second fold of the same scan returns its input. Raises
-    ValueError when the grid's frame differs from the scan's.
+    already Occupied, that is iff max(old, scan) == old, which holds exactly
+    when no scan cell is above the grid's; only otherwise is the merged grid
+    built, and it is new, never the scan. Nothing is mutated, so a caller
+    may take an unchanged grid object for an unchanged map. Occupied cells
+    are never demoted, and a second fold of the same scan returns its input.
+    Raises ValueError when the grid's frame differs from the scan's, also
+    for a scan that would change nothing.
     """
-    merged = merge_maps([grid, scan])
-    return grid if np.array_equal(merged.cells, grid.cells) else merged
+    require_same_frame(grid, scan)
+    if not (scan.cells > grid.cells).any():
+        return grid
+    return merge_maps([grid, scan])

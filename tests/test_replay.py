@@ -7,13 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from mrexplore import planner, simulate, utility
+from mrexplore import planner, sensing, simulate, utility
 from mrexplore.config import ScenarioConfig
 from mrexplore.planner import GridPath
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 PLAN = "mrexplore.simulate.plan_many"
 GAINS = "mrexplore.simulate.path_gains"
+RAYCAST = "mrexplore.simulate.raycast"
 
 
 @pytest.fixture
@@ -60,6 +61,19 @@ def test_gains_replay_on_the_replayed_paths(replay, tmp_path):
             assert b"GridPath" not in blob
     got = replay.replay(path)
     assert got["differ"] == []
+
+
+def test_raycast_replays_to_equal_digests(replay, tmp_path):
+    # a call's scans are grids whose cells are views into one shared block;
+    # the digest reads them by value
+    path = tmp_path / "capture.pkl"
+    n = replay.capture([RAYCAST], two_wings("proposed"), path)
+    assert simulate.raycast is sensing.raycast
+    assert n == 30  # one call per tick
+    got = replay.replay(path)
+    assert got["calls"] == {RAYCAST: n}
+    assert got["differ"] == []
+    assert got["digests"] == [want for _, _, want in records(path)]
 
 
 def test_digest_compares_by_value(replay):
