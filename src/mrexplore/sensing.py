@@ -154,13 +154,12 @@ def raycast(truth: GroundTruthMap, poses, beam_count: int,
     while idx.size:
         here = code[idx]
         t_exit = np.minimum(t_max_x, t_max_y)
-        crossed = t_exit - t_entry > _EPS
+        crossed = visible = t_exit - t_entry > _EPS
         stop = here + crossed >= 2
         if t_exit.max() > max_range:
-            seen[idx[crossed & (t_entry + t_exit <= two_range)]] = True
+            visible = crossed & (t_entry + t_exit <= two_range)
             stop |= t_exit > max_range
-        else:
-            seen[idx[crossed]] = True
+        seen[idx[visible]] = True
         n_stop = np.count_nonzero(stop)
         if 4 * n_stop > idx.size:
             keep = np.flatnonzero(~stop)
