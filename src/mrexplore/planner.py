@@ -24,7 +24,9 @@ class GridPath:
     plan_many's shortest-path tree branches: extends is the position, among
     the reached paths of the same call in order, of an earlier path whose
     first shared cells and waypoints this one repeats (None, with shared
-    0, when none does). They are left out of equality and repr."""
+    0, when none does). They are left out of equality and repr. A path may
+    be shared by several requests and robots, so nothing writes into one:
+    its cells and waypoints are only read."""
 
     cells: list[tuple[int, int]]       # (cx, cy) from start to goal
     length_m: float

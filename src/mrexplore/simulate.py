@@ -167,6 +167,7 @@ class ExplorationSim:
         self.merged_coverage = coverage_percent(self.merged, self.truth)
         self.entropy_bits = map_entropy(self.merged)
         self.offered = None  # the method's offer, made at the next request
+        self.plans = {}  # _plan's results on this merged map
 
     def _sense_all(self):
         """Scan from every robot's pose and fold each scan into its robot's
@@ -193,13 +194,24 @@ class ExplorationSim:
         those keep the merged map's state. The robot's cell is then never
         Occupied: every call plans from a pose that this tick's raycast
         accepted, raycast raises for a pose in a true wall, and the merged
-        map is Occupied only at true walls."""
-        g = inflate_obstacles(self.merged, self.config.inflation_cells)
-        for x, y in [robot.pose[:2], *goals]:
-            cx, cy = world_to_grid(x, y, g)
-            if g.in_bounds(cx, cy):
-                g.cells[cy, cx] = self.merged.cells[cy, cx]
-        paths = plan_many(g, robot.pose, goals)
+        map is Occupied only at true walls.
+
+        The result is kept in self.plans, keyed on the robot's cell and the
+        goals, until _merge rebuilds the merged map. That is exact: the
+        result depends only on the merged map, inflation_cells, the robot's
+        cell and the goals (plan_many reads only the start's cell, and every
+        path starts at that cell's centre); the merged map is replaced,
+        never mutated, and only in _merge; and nothing writes into a
+        GridPath, so one list may serve several requests and robots."""
+        key = (world_to_grid(robot.pose[0], robot.pose[1], self.merged), tuple(goals))
+        paths = self.plans.get(key)
+        if paths is None:
+            g = inflate_obstacles(self.merged, self.config.inflation_cells)
+            for x, y in [robot.pose[:2], *goals]:
+                cx, cy = world_to_grid(x, y, g)
+                if g.in_bounds(cx, cy):
+                    g.cells[cy, cx] = self.merged.cells[cy, cx]
+            paths = self.plans[key] = plan_many(g, robot.pose, goals)
         if not any(paths):
             log.info("agent %d: no reachable goal", robot.rid)
         return paths

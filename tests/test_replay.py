@@ -67,9 +67,13 @@ def test_raycast_replays_to_equal_digests(replay, tmp_path):
     # a call's scans are grids whose cells are views into one shared block;
     # the digest reads them by value
     path = tmp_path / "capture.pkl"
-    n = replay.capture([RAYCAST], two_wings("proposed"), path)
+    config = two_wings("proposed")
+    n = replay.capture([RAYCAST], config, path)
     assert simulate.raycast is sensing.raycast
     assert n == 30  # one call per tick
+    # every call gets the same true map, and the capture stores it once
+    truth = pickle.dumps(config.load_world(), protocol=4)
+    assert path.stat().st_size < 3 * len(truth)
     got = replay.replay(path)
     assert got["calls"] == {RAYCAST: n}
     assert got["differ"] == []

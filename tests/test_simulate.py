@@ -313,11 +313,21 @@ class TestAdvance:
         assert len(robot.path.cells) >= 4
         return sim, robot
 
+    @staticmethod
+    def draw_walls(sim, robot, cells):
+        """Make cells Occupied the way a scan does: the robot gets a new
+        grid holding them, and the merged map is rebuilt from the grids."""
+        grid = robot.grid.copy()
+        for cx, cy in cells:
+            grid.cells[cy, cx] = OCCUPIED
+        robot.grid, robot.frontiers = grid, None
+        sim._merge()
+
     def test_wall_on_path_replans_to_same_goal(self):
         sim, robot = self.robot_on_path()
         old = robot.path
         wx, wy = old.cells[len(old.cells) // 2]
-        sim.merged.cells[wy, wx] = OCCUPIED
+        self.draw_walls(sim, robot, [(wx, wy)])
         sim._advance(robot, sim.config.speed, sim.config.dt)
         assert robot.path is not None and robot.path is not old
         assert robot.path.goal == old.goal
@@ -328,10 +338,9 @@ class TestAdvance:
         gx, gy = robot.path.cells[-1]
         sx, sy = robot.path.cells[0]
         assert max(abs(gx - sx), abs(gy - sy)) >= 2
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                if (dx, dy) != (0, 0) and sim.merged.in_bounds(gx + dx, gy + dy):
-                    sim.merged.cells[gy + dy, gx + dx] = OCCUPIED
+        self.draw_walls(sim, robot, [
+            (gx + dx, gy + dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
+            if (dx, dy) != (0, 0) and sim.merged.in_bounds(gx + dx, gy + dy)])
         sim._advance(robot, sim.config.speed, sim.config.dt)
         assert robot.path is None
 
@@ -509,6 +518,53 @@ class TestChoosersMatchReference:
         assert sum(path is not None for path in chosen) >= 20
         if (world, method) == ("open20", "greedy_frontier"):
             assert ties >= 1
+
+
+class TestPlanMemo:
+    """_plan keeps its results until _merge rebuilds the merged map. A kept
+    result must equal a fresh plan on the request's own inputs."""
+
+    @pytest.mark.parametrize("method", ["mags", "greedy_frontier"])
+    @pytest.mark.parametrize("world", ["two_wings", "open20"])
+    def test_every_plan_equals_a_fresh_plan(self, monkeypatch, world, method):
+        import mrexplore.simulate as simulate
+
+        sim = ExplorationSim(ScenarioConfig(map_source=f"builtin:{world}",
+                                            robot_count=2, method=method,
+                                            dt=1.0, max_sim_time=60, seed=1))
+        memo_plan = sim._plan
+        calls = {"_plan": 0, "plan_many": 0}
+
+        def counted_plan_many(*args):
+            calls["plan_many"] += 1
+            return plan_many(*args)
+
+        def checked_plan(robot, goals):
+            calls["_plan"] += 1
+            got = memo_plan(robot, goals)
+            want = plan_many(reference_planning_grid(sim, robot, goals),
+                             robot.pose, goals)
+            assert got == want
+            # the gains' tree walk reads extends and shared too
+            assert ([p and (p.extends, p.shared) for p in got]
+                    == [p and (p.extends, p.shared) for p in want])
+            return got
+
+        monkeypatch.setattr(simulate, "plan_many", counted_plan_many)
+        sim._plan = checked_plan
+        sim.run()
+        assert 0 < calls["plan_many"] <= calls["_plan"]
+        if (world, method) == ("two_wings", "greedy_frontier"):
+            # 19 of the 60 calls plan at seed 1; without the memo all would
+            assert calls["plan_many"] < calls["_plan"]
+
+    def test_merge_empties_the_memo(self):
+        sim = ExplorationSim(small_cfg())
+        sim._sense_all()
+        assert sim.run_iteration(sim.robots[0])[2]
+        assert sim.plans
+        sim._merge()
+        assert sim.plans == {}
 
 
 def assert_derived_state_fresh(sim):

@@ -14,8 +14,12 @@ its graphs and grids later. An argument that holds an object returned by the
 latest earlier captured call of some name (the reached paths of a
 `plan_many` call, say) is stored as a reference to it. A replay then hands
 the call what its own checkout returned there, so a replayed request runs
-`plan_many` and then `path_gains` on that checkout's own paths. The records
-go to PATH, by default .perfbench_out/replay/capture.pkl (ignored by git).
+`plan_many` and then `path_gains` on that checkout's own paths. Each
+argument is pickled on its own, and one whose pickled bytes equal an
+argument of an earlier call is stored only once (the true map that every
+`raycast` call gets, say); objects shared between two arguments of one call
+are therefore replayed as separate copies. The records go to PATH, by
+default .perfbench_out/replay/capture.pkl (ignored by git).
 
 --replay runs the captured calls against two checkouts, in fresh
 processes, alternating which goes first. Each round prints each name's
@@ -124,17 +128,31 @@ def capture(names, config, path) -> int:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     produced = _Produced()
+    numbers: dict[bytes, int] = {}  # each distinct pickled argument, numbered
     count = 0
     originals = []
+
+    def pickled(arg) -> tuple:
+        """(number, bytes) of an argument the first time its bytes are
+        stored, (number, None) after that."""
+        buf = io.BytesIO()
+        _CapturePickler(buf, produced).dump(arg)
+        blob = buf.getvalue()
+        if blob in numbers:
+            return numbers[blob], None
+        numbers[blob] = len(numbers)
+        return numbers[blob], blob
+
     with open(path, "wb") as f:
 
         def wrap(name, fn):
             def recorded(*args, **kwargs):
                 nonlocal count
-                buf = io.BytesIO()
-                _CapturePickler(buf, produced).dump((args, kwargs))
+                blob = pickle.dumps(([pickled(a) for a in args],
+                                     {key: pickled(a) for key, a in kwargs.items()}),
+                                    protocol=4)
                 result = fn(*args, **kwargs)
-                pickle.dump((name, buf.getvalue(), digest(result)), f, protocol=4)
+                pickle.dump((name, blob, digest(result)), f, protocol=4)
                 produced.record(name, result)
                 count += 1
                 return result
@@ -160,13 +178,23 @@ def replay(path) -> dict:
     every call's digest."""
     seconds, calls, latest = {}, {}, {}
     digests, differ = [], []
+    blobs = []  # each distinct pickled argument, by number
+
+    def load(entry):
+        k, blob = entry
+        if blob is not None:
+            blobs.append(blob)  # first stored in number order
+        return _ReplayUnpickler(io.BytesIO(blobs[k]), latest).load()
+
     with open(path, "rb") as f:
         while True:
             try:
                 name, blob, want = pickle.load(f)
             except EOFError:
                 break
-            args, kwargs = _ReplayUnpickler(io.BytesIO(blob), latest).load()
+            arg_entries, kwarg_entries = pickle.loads(blob)
+            args = [load(e) for e in arg_entries]
+            kwargs = {key: load(e) for key, e in kwarg_entries.items()}
             owner, attr = _resolve(name)
             fn = getattr(owner, attr)
             t = perf_counter()
