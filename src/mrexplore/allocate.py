@@ -59,18 +59,19 @@ def update_rewards(
 ) -> list[float]:
     """Spread rewards away from already-chosen goals; one reward per point.
 
-    K = (max finite reward) / len(chosen); every finite reward loses K/d^2
-    per chosen point at distance d, in chosen order. A point at d == 0, so
-    one equal to a chosen point, is suppressed outright, as is a point so
-    close that d^2 underflows to 0. When no finite reward exists the
-    rewards come back unchanged.
+    K = |max finite reward| / len(chosen); every finite reward loses K/d^2
+    per chosen point at distance d, in chosen order, so spreading never
+    raises a reward, even when all are negative. A point at d == 0, so one
+    equal to a chosen point, is suppressed outright, as is a point so close
+    that d^2 underflows to 0. When no finite reward exists the rewards
+    come back unchanged.
     """
     if not chosen:
         raise ValueError("update_rewards requires at least one chosen point")
     finite = [r for r in rewards if math.isfinite(r)]
     if not finite:
         return list(rewards)
-    k_scale = max(finite) / len(chosen)
+    k_scale = abs(max(finite)) / len(chosen)
 
     out = []
     for (px, py), reward in zip(points, rewards, strict=True):

@@ -190,8 +190,6 @@ def inflate_obstacles(grid: OccupancyGrid, cells: int) -> OccupancyGrid:
     """
     if not int_at_least(cells, 0):
         raise ValueError("cells must be an integer >= 0")
-    if cells == 0:
-        return grid.copy()
     occ = grid.cells == OCCUPIED
     grown = occ.copy()
     for _ in range(min(cells, max(grid.width, grid.height))):

@@ -243,8 +243,6 @@ def project_arclength(path: GridPath, point) -> float:
     (earliest on ties)."""
     px, py = point[0], point[1]
     pts = path.waypoints
-    if len(pts) == 1:
-        return 0.0
     best_s, best_d2 = 0.0, math.inf
     acc = 0.0
     for (ax, ay), (bx, by) in zip(pts[:-1], pts[1:]):

@@ -48,19 +48,17 @@ STALL_LIMIT = 3  # ticks without progress before a goal is abandoned
 
 @dataclass
 class Robot:
-    """A robot's state. coverage and frontiers are derived from grid and are
-    kept with it: grid is replaced, never mutated, when a scan changes it,
-    and ExplorationSim then recomputes coverage and clears frontiers."""
+    """A robot's own state. grid is replaced, never mutated, when a scan
+    changes it; the values derived from grids are ExplorationSim's (see
+    _merge)."""
 
     rid: int
     pose: tuple[float, float, float]
     grid: OccupancyGrid
     graph: PoseGraph
-    coverage: float  # coverage_percent of grid
     path: GridPath | None = None  # ends at the goal; None while pending
     distance: float = 0.0
     stall_ticks: int = 0
-    frontiers: list[tuple[float, float]] | None = None  # detect_frontiers of grid; None until asked
 
     def drop_goal(self):
         self.path = None
@@ -151,28 +149,33 @@ class ExplorationSim:
         starts = config.resolve_starts(self.truth)
         self.robots = []
         for i in range(config.robot_count):
-            grid = self.truth.blank_grid()
-            self.robots.append(Robot(i, starts[i], grid, PoseGraph(),
-                                     coverage_percent(grid, self.truth)))
+            self.robots.append(Robot(i, starts[i], self.truth.blank_grid(), PoseGraph()))
         self.state = AllocationState(goal_skip_wait=config.goal_skip_wait)
         self._merge()
 
     # -- workflow ----------------------------------------------------------
 
     def _merge(self):
-        """Rebuild the merged map and the values derived from it. Called at
-        build and on every tick where some robot's grid changed, and only
-        then."""
+        """Rebuild every value derived from the robots' grids (the merged
+        map, its coverage and entropy, each robot's coverage) and reset the
+        offer record and _plan's memo. Called at build and on every tick
+        where some robot's grid changed, and only then. That is exact: a
+        grid is replaced, never mutated, and only in _sense_all, which then
+        calls _merge; so while an offer record exists, detecting afresh
+        gives the lists it was built from, and coverage_percent is
+        deterministic. robot_coverage is replaced, never mutated, so tick
+        rows may share it."""
         self.merged = merge_maps([r.grid for r in self.robots])
         self.merged_coverage = coverage_percent(self.merged, self.truth)
         self.entropy_bits = map_entropy(self.merged)
-        self.offered = None  # the method's offer, made at the next request
+        self.robot_coverage = [coverage_percent(r.grid, self.truth) for r in self.robots]
+        self.offered = self.raw_count = None  # the offer record
         self.plans = {}  # _plan's results on this merged map
 
     def _sense_all(self):
-        """Scan from every robot's pose and fold each scan into its robot's
-        grid. Values derived from a grid, and from the merged map, are
-        recomputed only when some scan changed a grid."""
+        """Scan from every robot's pose, fold each scan into its robot's
+        grid and extend its pose graph; call _merge when some scan changed
+        a grid."""
         cfg = self.config
         scans = raycast(self.truth, [r.pose for r in self.robots],
                         cfg.beam_count, cfg.max_range)
@@ -180,9 +183,7 @@ class ExplorationSim:
         for r, scan in zip(self.robots, scans):
             grid = integrate_scan(r.grid, scan)
             if grid is not r.grid:
-                r.grid, r.frontiers = grid, None
-                r.coverage = coverage_percent(grid, self.truth)
-                changed = True
+                r.grid, changed = grid, True
             extend_trajectory(r.graph, r.pose, cfg.graph_params)
         if changed:
             self._merge()
@@ -227,18 +228,17 @@ class ExplorationSim:
         """Serve one agent's request: detect frontiers on every robot's map,
         let the method's policy offer some of them, plan to every offered
         point, let the policy rank the reachable points' paths, and hand the
-        chosen path to the robot. A map's frontiers and the offer are reused
-        until a scan changes some map. Every way a request ends without a
-        goal is decided here. Returns (raw count, offered count, got_goal)."""
+        chosen path to the robot. The first request after _merge builds the
+        offer record (the raw frontier count and the offered points); later
+        requests on the same merged map read it. Every way a request ends
+        without a goal is decided here. Returns (raw count, offered count,
+        got_goal)."""
         offer, rank = POLICIES[self.config.method]
-        for r in self.robots:
-            if r.frontiers is None:
-                r.frontiers = detect_frontiers(r.grid)
-        local_lists = [r.frontiers for r in self.robots]
-        raw_n = sum(len(pts) for pts in local_lists)
         if self.offered is None:
+            local_lists = [detect_frontiers(r.grid) for r in self.robots]
+            self.raw_count = sum(len(pts) for pts in local_lists)
             self.offered = offer(self, local_lists)
-        offered = self.offered
+        raw_n, offered = self.raw_count, self.offered
         if not offered:
             return raw_n, 0, False
         # A chosen goal is never assigned again, so when every offered
@@ -328,7 +328,7 @@ class ExplorationSim:
 
             metrics.rows.append(TickRow(
                 time=t,
-                robot_coverage=[r.coverage for r in self.robots],
+                robot_coverage=self.robot_coverage,
                 merged_coverage=self.merged_coverage,
                 frontier_raw=raw_n,
                 frontier_filtered=filtered_n,

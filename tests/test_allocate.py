@@ -82,6 +82,11 @@ class TestSchedule:
         assert schedule({0, 1, 2}, a) == schedule({0, 1, 2}, b)
 
 
+_point = st.tuples(st.floats(-50, 50), st.floats(-50, 50))
+_reward = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.just(SUPPRESSED))  # any sign
+
+
 class TestUpdateRewards:
     def test_spread_arithmetic(self):
         # K = max 10 / 5 chosen = 2; row at distance 2 loses 2/4 = 0.5
@@ -117,11 +122,17 @@ class TestUpdateRewards:
         out = update_rewards(chosen, *h)
         assert out[0] < out[1] < out[2]
 
-    def test_never_increases_rewards(self):
-        chosen = [(5.0, 5.0)]
-        h = matrix([(1.0, 1.0, 3.0), (9.0, 9.0, 1.0), (4.0, 4.0, SUPPRESSED)])
-        out = update_rewards(chosen, *h)
-        for before, after in zip(h[1], out):
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(_point, _reward), min_size=1, max_size=8),
+           st.lists(_point, min_size=1, max_size=4))
+    @example([((1.0, 1.0), 3.0), ((9.0, 9.0), 1.0), ((4.0, 4.0), SUPPRESSED)],
+             [(5.0, 5.0)])
+    @example([((1.5, 0.5), -1.0), ((6.5, 0.5), -1.0)],
+             [(0.5, 0.5)])  # every reward negative: K must not turn into a pull
+    def test_never_increases_rewards(self, rows, chosen):
+        points = [p for p, _ in rows]
+        rewards = [r for _, r in rows]
+        for before, after in zip(rewards, update_rewards(chosen, points, rewards)):
             assert after <= before
 
     def test_all_suppressed_unchanged(self):
@@ -234,7 +245,7 @@ def reference_update(chosen, points, rewards):
     finite = [r for r in rewards if math.isfinite(r)]
     if not finite:
         return list(rewards)
-    k_scale = max(finite) / len(chosen)
+    k_scale = abs(max(finite)) / len(chosen)
     out = list(rewards)
     for c in chosen:
         for i, p in enumerate(points):

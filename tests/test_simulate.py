@@ -320,7 +320,7 @@ class TestAdvance:
         grid = robot.grid.copy()
         for cx, cy in cells:
             grid.cells[cy, cx] = OCCUPIED
-        robot.grid, robot.frontiers = grid, None
+        robot.grid = grid
         sim._merge()
 
     def test_wall_on_path_replans_to_same_goal(self):
@@ -568,20 +568,23 @@ class TestPlanMemo:
 
 
 def assert_derived_state_fresh(sim):
-    """Every value the simulator keeps beside a map equals a recomputation
-    from the robots' grids: coverage and, once asked for, frontiers per
-    robot; the merged map with its coverage and entropy; and the offer,
-    once made."""
-    offer, _ = POLICIES[sim.config.method]
-    fresh = [detect_frontiers(r.grid) for r in sim.robots]
-    for r, points in zip(sim.robots, fresh):
-        assert r.coverage == coverage_percent(r.grid, sim.truth)
-        assert r.frontiers is None or r.frontiers == points
+    """Every value the simulator keeps beside the robots' grids equals a
+    recomputation from them: each robot's coverage; the merged map with
+    its coverage and entropy; and the offer record (raw count and offered
+    points), once built."""
+    assert sim.robot_coverage == [coverage_percent(r.grid, sim.truth)
+                                  for r in sim.robots]
     merged = merge_maps([r.grid for r in sim.robots])
     assert np.array_equal(sim.merged.cells, merged.cells)
     assert sim.merged_coverage == coverage_percent(merged, sim.truth)
     assert sim.entropy_bits == map_entropy(merged)
-    assert sim.offered is None or sim.offered == offer(sim, fresh)
+    if sim.offered is None:
+        assert sim.raw_count is None
+    else:
+        offer, _ = POLICIES[sim.config.method]
+        fresh = [detect_frontiers(r.grid) for r in sim.robots]
+        assert sim.raw_count == sum(len(points) for points in fresh)
+        assert sim.offered == offer(sim, fresh)
 
 
 class TestReusedStateExact:
@@ -603,26 +606,22 @@ class TestReusedStateExact:
     def test_kept_values_equal_recomputation(self, world, method):
         sim = ExplorationSim(ScenarioConfig(method=method, **self.CONFIGS[world]))
         sense = sim._sense_all
-        kept = {"merged": 0, "offer": 0, "frontiers": 0}
+        kept = {"merged": 0, "offer": 0}
 
         def checked_sense():
             # the tick before has ended; this tick's scans come next
             assert_derived_state_fresh(sim)
             merged, offered = sim.merged, sim.offered
-            frontiers = [r.frontiers for r in sim.robots]
             sense()
             assert_derived_state_fresh(sim)
             kept["merged"] += sim.merged is merged
             kept["offer"] += offered is not None and sim.offered is offered
-            kept["frontiers"] += sum(f is not None and r.frontiers is f
-                                     for r, f in zip(sim.robots, frontiers))
 
         sim._sense_all = checked_sense
         sim.run()
         assert_derived_state_fresh(sim)
         assert kept["merged"] >= 1
         assert kept["offer"] >= 1
-        assert kept["frontiers"] >= 1
 
 
 class TestSpread:
