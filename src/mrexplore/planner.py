@@ -262,13 +262,16 @@ def project_arclength(path: GridPath, point) -> float:
     return best_s
 
 
-def pose_at(path: GridPath, s: float, fallback_heading: float = 0.0):
+def pose_at(path: GridPath, s: float, fallback_heading: float = 0.0, cum=None):
     """Pose on the polyline at arclength s (clamped to the ends); heading
-    faces along the segment containing s."""
+    faces along the segment containing s. cum is the path's
+    cumulative_lengths, for a caller that has them already; None computes
+    them."""
     pts = path.waypoints
     if len(pts) == 1:
         return (pts[0][0], pts[0][1], fallback_heading)
-    cum = cumulative_lengths(path)
+    if cum is None:
+        cum = cumulative_lengths(path)
     total = cum[-1]
     s = max(0.0, s)
     if s >= total:

@@ -40,7 +40,12 @@ class PoseGraph:
     """Nodes are (x, y) positions with dense ids from 0; edges are
     (a, b, weight) tuples with a < b. extend_trajectory gives every node
     after the first exactly one odometry edge, (id - 1, id), so every
-    other edge is a loop closure."""
+    other edge is a loop closure.
+
+    The graph is append-only: extend_trajectory, its one writer, appends
+    at most one node per call, together with that node's edges, and never
+    changes or removes earlier ones. So the node count pins the nodes and
+    the edges."""
 
     nodes: list[tuple[float, float]] = field(default_factory=list)
     edges: list[tuple[int, int, float]] = field(default_factory=list)

@@ -8,6 +8,8 @@ import logging
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .allocate import (
     AllocationState,
     NoAssignableGoal,
@@ -158,19 +160,20 @@ class ExplorationSim:
     def _merge(self):
         """Rebuild every value derived from the robots' grids (the merged
         map, its coverage and entropy, each robot's coverage) and reset the
-        offer record and _plan's memo. Called at build and on every tick
-        where some robot's grid changed, and only then. That is exact: a
-        grid is replaced, never mutated, and only in _sense_all, which then
-        calls _merge; so while an offer record exists, detecting afresh
-        gives the lists it was built from, and coverage_percent is
-        deterministic. robot_coverage is replaced, never mutated, so tick
-        rows may share it."""
+        offer record and the memos of _plan and _gains. Called at build and
+        on every tick where some robot's grid changed, and only then. That
+        is exact: a grid is replaced, never mutated, and only in
+        _sense_all, which then calls _merge; so while an offer record
+        exists, detecting afresh gives the lists it was built from, and
+        coverage_percent is deterministic. robot_coverage is replaced,
+        never mutated, so tick rows may share it."""
         self.merged = merge_maps([r.grid for r in self.robots])
         self.merged_coverage = coverage_percent(self.merged, self.truth)
         self.entropy_bits = map_entropy(self.merged)
         self.robot_coverage = [coverage_percent(r.grid, self.truth) for r in self.robots]
         self.offered = self.raw_count = None  # the offer record
         self.plans = {}  # _plan's results on this merged map
+        self.gains = {}  # _gains' results on this merged map
 
     def _sense_all(self):
         """Scan from every robot's pose, fold each scan into its robot's
@@ -216,6 +219,25 @@ class ExplorationSim:
         if not any(paths):
             log.info("agent %d: no reachable goal", robot.rid)
         return paths
+
+    def _gains(self, robot: Robot, points, paths) -> list[float]:
+        """path_gains of the robot's graph along the paths to the reachable
+        points of a request.
+
+        The result is kept in self.gains, keyed on the robot, its graph's
+        node count, its merged-map cell and the points, until _merge
+        rebuilds the merged map. That is exact: while one offer record
+        exists, the reachable points and their paths depend only on the
+        robot's cell, because the offer and _plan's memo are fixed; and a
+        PoseGraph is append-only, changed only by extend_trajectory, which
+        appends one node together with that node's edges, so the node count
+        pins the graph's nodes and edges."""
+        key = (robot.rid, robot.graph.node_count,
+               world_to_grid(robot.pose[0], robot.pose[1], self.merged), tuple(points))
+        gains = self.gains.get(key)
+        if gains is None:
+            gains = self.gains[key] = path_gains(robot.graph, paths, self.config.graph_params)
+        return gains
 
     def _goal_areas_known(self, points) -> list[bool]:
         """Per point, whether its disc on the merged map holds no Unknown
@@ -263,21 +285,21 @@ class ExplorationSim:
         """Move along the path, no further than the end of its prefix of
         cells that are Free on the merged map, so robots only ever occupy
         cells their scans proved free; replan around newly seen obstacles
-        and abandon goals that stall."""
-        cells = self.merged.cells
+        and abandon goals that stall. Each path in use has its cell states
+        read once and its arclengths computed once."""
         path = robot.path
-        if any(cells[cy, cx] == OCCUPIED for cx, cy in path.cells):
+        states = self._cell_states(path)
+        if (states == OCCUPIED).any():
             path = robot.path = self._plan(robot, [path.goal])[0]
             if path is None:
                 robot.drop_goal()
                 return
+            states = self._cell_states(path)
 
         cum = cumulative_lengths(path)
-        free_end = 0.0
-        for (cx, cy), length in zip(path.cells, cum):
-            if cells[cy, cx] != FREE:
-                break
-            free_end = length
+        blocked = np.flatnonzero(states != FREE)
+        free_n = int(blocked[0]) if blocked.size else len(states)
+        free_end = cum[free_n - 1] if free_n else 0.0
         total = cum[-1]
         s = project_arclength(path, robot.pose)
         target = min(s + speed * dt, free_end)
@@ -289,10 +311,15 @@ class ExplorationSim:
             return
         robot.stall_ticks = 0
         old = robot.pose
-        robot.pose = pose_at(path, target, robot.pose[2])
+        robot.pose = pose_at(path, target, robot.pose[2], cum)
         robot.distance += math.hypot(robot.pose[0] - old[0], robot.pose[1] - old[1])
         if target >= total - 1e-9:
             robot.drop_goal()
+
+    def _cell_states(self, path: GridPath) -> np.ndarray:
+        """The merged map's state of each of the path's cells, in order."""
+        cols, rows = zip(*path.cells)
+        return self.merged.cells[rows, cols]
 
     # -- main loop ---------------------------------------------------------
 
@@ -385,9 +412,11 @@ def _rank_spread(sim: ExplorationSim, robot: Robot, points, paths):
 
 
 def _rank_graph_gain(sim: ExplorationSim, robot: Robot, points, paths):
-    """Graph gain plus distance decay only; ties to the lowest index."""
+    """Graph gain plus distance decay only; ties to the lowest index. The
+    gains come from sim._gains; the decay term reads the exact pose, so it
+    is computed on every request."""
     uparams = sim.config.utility_params
-    gains = path_gains(robot.graph, paths, sim.config.graph_params)
+    gains = sim._gains(robot, points, paths)
     x, y = robot.pose[0], robot.pose[1]
 
     def value(i):

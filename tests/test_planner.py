@@ -550,3 +550,12 @@ class TestStepAlong:
         want = pose_at(path, 0.0, 1.0)
         for s in (-1.0, math.nan, 0.0, 2.0):
             assert pose_at(path, s, 1.0) == want
+
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=12),
+           st.floats(-2.0, 60.0), st.floats(-math.pi, math.pi))
+    def test_given_arclengths_same_pose(self, cells, s, heading):
+        # the simulator's move step hands pose_at the arclengths it has
+        # computed; repeated cells give segments of length 0
+        path = GridPath(cells, 0.0, [(cx + 0.5, cy + 0.5) for cx, cy in cells])
+        want = pose_at(path, s, heading)
+        assert pose_at(path, s, heading, cumulative_lengths(path)) == want

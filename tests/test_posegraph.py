@@ -414,6 +414,34 @@ SHARED_PARAMS = {
 }
 
 
+FINITE_POSES = st.lists(st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0),
+                                  st.floats(-10.0, 10.0)), max_size=40)
+
+
+class TestPoseGraphAppendOnly:
+    """The gain memo of the simulator keys a robot's graph on its node
+    count; that holds because extend_trajectory only appends."""
+
+    @settings(max_examples=200)
+    @given(st.sampled_from(sorted(GAIN_PARAMS)),
+           st.one_of(FINITE_POSES, lattice_walks(0, 40).map(
+               lambda walk: [(x, y, 0.0) for x, y in walk])))
+    def test_prefixes_and_edge_kinds(self, name, poses):
+        params = GAIN_PARAMS[name]
+        g = PoseGraph()
+        for pose in poses:
+            nodes, edges = list(g.nodes), list(g.edges)
+            extend_trajectory(g, pose, params)
+            assert g.nodes[:len(nodes)] == nodes
+            assert g.edges[:len(edges)] == edges
+            assert g.node_count - len(nodes) in (0, 1)
+            if len(g.edges) > len(edges):
+                assert g.node_count == len(nodes) + 1
+            odometry = [(i - 1, i, params.odometry_weight) for i in range(1, g.node_count)]
+            assert [e for e in g.edges if e[1] - e[0] == 1] == odometry
+            assert g.loop_closure_count() == len([e for e in g.edges if e[1] - e[0] != 1])
+
+
 class TestSharedGainBase:
     @settings(max_examples=150)
     @given(lattice_walks(0, 30), st.lists(lattice_walks(1, 20), min_size=1, max_size=3),

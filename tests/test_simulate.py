@@ -29,7 +29,7 @@ from mrexplore.grid import (
 from mrexplore.pgm import save_grid
 from mrexplore.planner import plan_many
 from mrexplore.simulate import POLICIES, ExplorationSim, run
-from mrexplore.utility import score_candidates
+from mrexplore.utility import path_gains, score_candidates
 from mrexplore.worlds import make_world
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -565,6 +565,48 @@ class TestPlanMemo:
         assert sim.plans
         sim._merge()
         assert sim.plans == {}
+
+
+class TestGainMemo:
+    """_gains keeps a mags request's gains until _merge rebuilds the merged
+    map. A kept list must equal fresh gains on the request's own graph and
+    paths."""
+
+    @pytest.mark.parametrize("world", ["two_wings", "open20"])
+    def test_every_gain_list_equals_fresh_gains(self, monkeypatch, world):
+        import mrexplore.simulate as simulate
+
+        sim = ExplorationSim(ScenarioConfig(map_source=f"builtin:{world}",
+                                            robot_count=2, method="mags",
+                                            dt=1.0, max_sim_time=60, seed=1))
+        memo_gains = sim._gains
+        calls = {"_gains": 0, "path_gains": 0}
+
+        def counted_path_gains(*args):
+            calls["path_gains"] += 1
+            return path_gains(*args)
+
+        def checked_gains(robot, points, paths):
+            calls["_gains"] += 1
+            got = memo_gains(robot, points, paths)
+            assert got == path_gains(robot.graph, paths, sim.config.graph_params)
+            return got
+
+        monkeypatch.setattr(simulate, "path_gains", counted_path_gains)
+        sim._gains = checked_gains
+        sim.run()
+        assert 0 < calls["path_gains"] <= calls["_gains"]
+        if world == "open20":
+            # 58 of the 59 requests score at seed 1; without the memo all would
+            assert calls["path_gains"] < calls["_gains"]
+
+    def test_merge_empties_the_memo(self):
+        sim = ExplorationSim(small_cfg(method="mags"))
+        sim._sense_all()
+        assert sim.run_iteration(sim.robots[0])[2]
+        assert sim.gains
+        sim._merge()
+        assert sim.gains == {}
 
 
 def assert_derived_state_fresh(sim):
